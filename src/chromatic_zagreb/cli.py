@@ -1,20 +1,19 @@
 """Command-line front end: compute, family, stability, verify.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 must-hold claim
-failure, 4 budget exhaustion under --strict. CZI_JOBS mirrors --jobs.
+failure, 4 budget exhaustion under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import families as fam
 from .generators import FamilySpecError, generate, parse_family_spec
 from .graph import Graph
-from .indices import Budget, IndexReport, full_report, thorn_base_data
+from .indices import EXTREMA_KEYS, Budget, IndexReport, full_report, thorn_base_data
 from .io import GraphParseError, load_graph
 from .stability import stability_report
 from .verify import (
@@ -39,14 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("CZI_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", metavar="PATH",
                           help="write the JSON report here (default: stdout)")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--jobs", type=int, default=_default_jobs(),
-                          help="worker cap for claim execution (env CZI_JOBS)")
     p_verify.add_argument("--strict", action="store_true",
                           help="exit 4 when any instance was skipped for budget")
     p_verify.add_argument("--random-graphs", type=int, default=200)
@@ -165,95 +154,69 @@ def _cmd_compute(args, parser) -> int:
     return EXIT_OK
 
 
-_FAMILY_FIELDS = ("cm1_min", "cm1_max", "cm2_min", "cm2_max", "cm3_min", "cm3_max")
+_CLOSED_FORM_KINDS = ("complete", "tree", "multipartite", "complete-bipartite",
+                      "complete_multipartite", "equal-multipartite", "thorn")
 
 
 def _family_records(spec_text: str, variants: list[str], oracle_max: int) -> list[dict]:
     """One record per variant: IndexReport-shaped fields plus formula_variant."""
     s = spec_text.strip()
     kind, _, params = s.partition(":")
-    records = []
     if s.startswith("thorn("):
-        spec = parse_family_spec(s)
-        base_graph = generate(spec.base)
-        base_report = full_report(base_graph)
-        data = thorn_base_data(base_graph, base_report)
-        if len(spec.sizes) != 1:
-            raise FamilySpecError("closed thorn forms need a uniform pendant count")
-        forms = fam.thorn_forms(data, spec.sizes[0])
-        for variant in variants:
-            records.append({
-                "label": spec.label(), "formula_variant": variant,
-                "order": spec.order(), "size": None, "m1": None, "m2": None, "m3": None,
-                **{f: getattr(forms, f) for f in _FAMILY_FIELDS},
-            })
-        instance = spec
-    elif kind == "tree":
-        n = int(params)
-        forms = fam.tree_forms(n)
-        for variant in variants:
-            records.append({
-                "label": s, "formula_variant": variant,
-                "order": n, "size": n - 1, "m1": None, "m2": None, "m3": None,
-                "cm1_min": forms.cm1_lo, "cm1_max": forms.cm1_hi,
-                "cm2_min": forms.cm2, "cm2_max": forms.cm2,
-                "cm3_min": forms.cm3, "cm3_max": forms.cm3,
-            })
-        instance = None  # bounds over every tree of this order, nothing to enumerate
-    elif kind == "complete":
-        n = int(params)
-        forms = fam.complete_graph_forms(n)
-        for variant in variants:
-            records.append({
-                "label": s, "formula_variant": variant,
-                "order": n, "size": n * (n - 1) // 2,
-                "m1": forms.m1, "m2": forms.m2, "m3": forms.m3,
-                "cm1_min": forms.cm1, "cm1_max": forms.cm1,
-                "cm2_min": forms.cm2, "cm2_max": forms.cm2,
-                "cm3_min": forms.cm3, "cm3_max": forms.cm3,
-            })
-        instance = parse_family_spec(s)
-    elif kind == "equal-multipartite":
-        spec = parse_family_spec(s)
-        n, r = spec.sizes[0], len(spec.sizes)
-        forms = fam.equal_multipartite_forms(n, r)
-        for variant in variants:
-            cm3 = forms.cm3_printed if variant == "as_printed" else forms.cm3_pairsum
-            records.append({
-                "label": s, "formula_variant": variant,
-                "order": n * r, "size": None, "m1": None, "m2": None, "m3": None,
-                "cm1_min": forms.cm1, "cm1_max": forms.cm1,
-                "cm2_min": forms.cm2, "cm2_max": forms.cm2,
-                "cm3_min": cm3, "cm3_max": cm3,
-            })
-        instance = spec
-    elif kind in ("multipartite", "complete-bipartite", "complete_multipartite"):
-        spec = parse_family_spec(s if kind != "complete_multipartite"
-                                 else "multipartite:" + params)
-        for variant in variants:
-            forms = fam.multipartite_forms(spec.sizes, variant)
-            records.append({
-                "label": spec.label(), "formula_variant": variant,
-                "order": spec.order(), "size": None, "m1": None, "m2": None, "m3": None,
-                "cm1_min": forms.cm1_min, "cm1_max": forms.cm1_max,
-                "cm2_min": forms.cm2_min, "cm2_max": forms.cm2_max,
-                "cm3_min": forms.cm3, "cm3_max": forms.cm3,
-            })
-        instance = spec
-    else:
+        kind = "thorn"
+    if kind not in _CLOSED_FORM_KINDS:
         raise FamilySpecError(
             f"no closed forms for kind {kind!r}; supported: complete, tree, "
             "multipartite, complete-bipartite, equal-multipartite, thorn(base;m)"
         )
+    try:
+        # a tree spec names only an order; it parses as the path of that order
+        spec = parse_family_spec("path:" + params if kind == "tree" else s)
+    except FamilySpecError:
+        if kind != "tree":
+            raise
+        raise FamilySpecError(f"tree spec needs one order >= 1, got {s!r}") from None
+    n = spec.order()
+    label = s
+    fixed = {"size": None, "m1": None, "m2": None, "m3": None}
+    if kind == "thorn":
+        if len(spec.sizes) != 1:
+            raise FamilySpecError("closed thorn forms need a uniform pendant count")
+        base_graph = generate(spec.base)
+        f = fam.thorn_forms(thorn_base_data(base_graph, full_report(base_graph)),
+                            spec.sizes[0])
+        cm = {v: [getattr(f, key) for key in EXTREMA_KEYS] for v in variants}
+        label = spec.label()
+    elif kind == "tree":
+        f = fam.tree_forms(n)
+        fixed.update(size=n - 1)
+        cm = {v: [f.cm1_lo, f.cm1_hi, f.cm2, f.cm2, f.cm3, f.cm3] for v in variants}
+    elif kind == "complete":
+        f = fam.complete_graph_forms(n)
+        fixed.update(size=n * (n - 1) // 2, m1=f.m1, m2=f.m2, m3=f.m3)
+        cm = {v: [f.cm1, f.cm1, f.cm2, f.cm2, f.cm3, f.cm3] for v in variants}
+    elif kind == "equal-multipartite":
+        f = fam.equal_multipartite_forms(spec.sizes[0], len(spec.sizes))
+        cm = {}
+        for v in variants:
+            cm3 = f.cm3_printed if v == "as_printed" else f.cm3_pairsum
+            cm[v] = [f.cm1, f.cm1, f.cm2, f.cm2, cm3, cm3]
+    else:  # multipartite, complete-bipartite, complete_multipartite
+        cm = {}
+        for v in variants:
+            f = fam.multipartite_forms(spec.sizes, v)
+            cm[v] = [f.cm1_min, f.cm1_max, f.cm2_min, f.cm2_max, f.cm3, f.cm3]
+        label = spec.label()
     oracle = None
-    if instance is not None and instance.order() <= oracle_max:
-        g = generate(instance)
-        rep = full_report(g)
-        oracle = {f: getattr(rep, f) for f in _FAMILY_FIELDS}
-        oracle.update({"m1": rep.m1, "m2": rep.m2, "m3": rep.m3, "size": rep.size})
-    for rec in records:
-        rec["oracle"] = oracle
-    return records
+    # tree forms bound every tree of the order, so there is no one graph to enumerate
+    if kind != "tree" and n <= oracle_max:
+        rep = full_report(generate(spec))
+        oracle = {key: getattr(rep, key) for key in (*EXTREMA_KEYS, "m1", "m2", "m3", "size")}
+    return [
+        {"label": label, "formula_variant": v, "order": n, **fixed,
+         **dict(zip(EXTREMA_KEYS, cm[v])), "oracle": oracle}
+        for v in variants
+    ]
 
 
 def _family_table(records: list[dict]) -> str:
@@ -262,7 +225,7 @@ def _family_table(records: list[dict]) -> str:
     header = ["field"] + [r["formula_variant"] for r in records]
     header.append("enumeration" if oracle else "enumeration (n/a)")
     rows = [header]
-    for f in _FAMILY_FIELDS:
+    for f in EXTREMA_KEYS:
         row = [f] + [str(r[f]) for r in records]
         row.append(str(oracle[f]) if oracle else "-")
         rows.append(row)
@@ -278,11 +241,11 @@ def _cmd_family(args, parser) -> int:
     if args.format == "json":
         text = json.dumps(records, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
-        cols = ["label", "formula_variant", "order"] + list(_FAMILY_FIELDS)
-        lines = [",".join(cols + [f"oracle_{f}" for f in _FAMILY_FIELDS])]
+        cols = ["label", "formula_variant", "order"] + list(EXTREMA_KEYS)
+        lines = [",".join(cols + [f"oracle_{f}" for f in EXTREMA_KEYS])]
         for r in records:
             row = [str(r[c]) for c in cols]
-            row += [str(r["oracle"][f]) if r["oracle"] else "" for f in _FAMILY_FIELDS]
+            row += [str(r["oracle"][f]) if r["oracle"] else "" for f in EXTREMA_KEYS]
             lines.append(",".join(row))
         text = "\n".join(lines) + "\n"
     else:
@@ -315,7 +278,7 @@ def _cmd_verify(args, parser) -> int:
         tree_max_order=args.tree_max_order,
     )
     try:
-        results = run_claims(config, args.claims, jobs=max(1, args.jobs))
+        results = run_claims(config, args.claims)
     except UnknownClaimError as exc:
         print(f"czi verify: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class Graph:
@@ -10,8 +10,7 @@ class Graph:
 
     Adjacency is stored as one integer bitmask per vertex, which keeps
     neighbourhood tests and degree counts cheap inside the exhaustive
-    searches built on top. Instances are immutable and hashable, so they
-    can be shared freely between concurrent workers.
+    searches built on top. Instances are immutable and hashable.
     """
 
     __slots__ = ("_order", "_masks", "_edges", "_hash")
@@ -111,9 +110,6 @@ class Graph:
             frontier = nxt & ~seen
             seen |= frontier
         return seen == (1 << self._order) - 1
-
-    def vertices(self) -> Iterator[int]:
-        return iter(range(self._order))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

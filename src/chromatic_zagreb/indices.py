@@ -31,21 +31,38 @@ class ImproperColoringError(ValueError):
     pass
 
 
+EXTREMA_KEYS = ("cm1_min", "cm1_max", "cm2_min", "cm2_max", "cm3_min", "cm3_max")
+
+
+def zagreb_sums(weights, edges) -> tuple[int, int, int]:
+    """The three Zagreb sums of a vertex weighting.
+
+    Returns the sum of squared weights, and over edges the sum of endpoint
+    weight products and the sum of absolute endpoint weight differences.
+    Degrees as weights give the classical indices, color indices the
+    chromatic ones.
+    """
+    products = differences = 0
+    for u, v in edges:
+        a, b = weights[u], weights[v]
+        products += a * b
+        differences += abs(a - b)
+    return sum(w * w for w in weights), products, differences
+
+
 def classical_m1(g: Graph) -> int:
     """Sum of squared degrees."""
-    return sum(d * d for d in g.degree_sequence())
+    return zagreb_sums(g.degree_sequence(), g.edges)[0]
 
 
 def classical_m2(g: Graph) -> int:
     """Sum over edges of the endpoint degree product."""
-    deg = g.degree_sequence()
-    return sum(deg[u] * deg[v] for u, v in g.edges)
+    return zagreb_sums(g.degree_sequence(), g.edges)[1]
 
 
 def classical_m3(g: Graph) -> int:
     """Sum over edges of the absolute endpoint degree difference."""
-    deg = g.degree_sequence()
-    return sum(abs(deg[u] - deg[v]) for u, v in g.edges)
+    return zagreb_sums(g.degree_sequence(), g.edges)[2]
 
 
 def _require_proper(g: Graph, c: Coloring) -> None:
@@ -56,21 +73,19 @@ def _require_proper(g: Graph, c: Coloring) -> None:
 def chromatic_m1(g: Graph, c: Coloring) -> int:
     """Sum over vertices of the squared color index."""
     _require_proper(g, c)
-    return sum(s * s for s in c.assignment)
+    return zagreb_sums(c.assignment, g.edges)[0]
 
 
 def chromatic_m2(g: Graph, c: Coloring) -> int:
     """Sum over edges of the color index product."""
     _require_proper(g, c)
-    a = c.assignment
-    return sum(a[u] * a[v] for u, v in g.edges)
+    return zagreb_sums(c.assignment, g.edges)[1]
 
 
 def chromatic_m3(g: Graph, c: Coloring) -> int:
     """Sum over edges of the absolute color index difference."""
     _require_proper(g, c)
-    a = c.assignment
-    return sum(abs(a[u] - a[v]) for u, v in g.edges)
+    return zagreb_sums(c.assignment, g.edges)[2]
 
 
 @dataclass(frozen=True)
@@ -103,16 +118,6 @@ class ExtremaResult:
     status: ExtremaStatus
 
 
-def _eval_index(index: int, assignment: tuple[int, ...], edges) -> int:
-    if index == 1:
-        return sum(s * s for s in assignment)
-    if index == 2:
-        return sum(assignment[u] * assignment[v] for u, v in edges)
-    if index == 3:
-        return sum(abs(assignment[u] - assignment[v]) for u, v in edges)
-    raise ValueError(f"index must be 1, 2 or 3, got {index}")
-
-
 def _sweep(g: Graph, colorings) -> dict[int, tuple[int, Coloring, int, Coloring]]:
     """One pass over a coloring stream tracking min/max of all three indices.
 
@@ -120,22 +125,18 @@ def _sweep(g: Graph, colorings) -> dict[int, tuple[int, Coloring, int, Coloring]
     lexicographically least witness in place for ties.
     """
     edges = g.edges
-    best: dict[int, list] = {}
+    best: list[list] = []  # per index: [min, its witness, max, its witness]
     for c in colorings:
-        a = c.assignment
-        v1 = sum(s * s for s in a)
-        v2 = sum(a[u] * a[v] for u, v in edges)
-        v3 = sum(abs(a[u] - a[v]) for u, v in edges)
-        for k, val in ((1, v1), (2, v2), (3, v3)):
-            slot = best.get(k)
-            if slot is None:
-                best[k] = [val, c, val, c]
-            else:
-                if val < slot[0]:
-                    slot[0], slot[1] = val, c
-                if val > slot[2]:
-                    slot[2], slot[3] = val, c
-    return {k: (s[0], s[1], s[2], s[3]) for k, s in best.items()}
+        sums = zagreb_sums(c.assignment, edges)
+        if not best:
+            best = [[val, c, val, c] for val in sums]
+            continue
+        for slot, val in zip(best, sums):
+            if val < slot[0]:
+                slot[0], slot[1] = val, c
+            if val > slot[2]:
+                slot[2], slot[3] = val, c
+    return {k: tuple(slot) for k, slot in enumerate(best, 1)}
 
 
 def _sweep_all_semantics(g: Graph, ell: int, budget: Budget):
@@ -259,24 +260,7 @@ class IndexReport:
         return getattr(self, key)
 
     def to_json_dict(self, include_witnesses: bool = False) -> dict:
-        out = {
-            "label": self.label,
-            "order": self.order,
-            "size": self.size,
-            "m1": self.m1,
-            "m2": self.m2,
-            "m3": self.m3,
-            "cm1_min": self.cm1_min,
-            "cm1_max": self.cm1_max,
-            "cm2_min": self.cm2_min,
-            "cm2_max": self.cm2_max,
-            "cm3_min": self.cm3_min,
-            "cm3_max": self.cm3_max,
-            "semantics_used": self.semantics_used,
-            "paper_compat_defaults_applied": self.paper_compat_defaults_applied,
-            "connected": self.connected,
-            "status": self.status,
-        }
+        out = {f: getattr(self, f) for f in self.CSV_FIELDS}
         if include_witnesses:
             out["witnesses"] = {
                 key: (list(c.assignment) if c is not None else None)
@@ -328,19 +312,19 @@ def full_report(
     for key, w in witnesses.items():
         if w is None:
             continue
-        index = int(key[2])
-        got = _eval_index(index, w.assignment, g.edges)
+        got = zagreb_sums(w.assignment, g.edges)[int(key[2]) - 1]
         if not is_proper(g, w) or got != values[key]:
             raise AssertionError(f"witness for {key} failed re-validation")
     for index in (1, 2, 3):
         if values[f"cm{index}_min"] > values[f"cm{index}_max"]:
             raise AssertionError(f"extrema inverted for index {index}")
+    m1, m2, m3 = zagreb_sums(g.degree_sequence(), g.edges)
     return IndexReport(
         order=g.order,
         size=g.size,
-        m1=classical_m1(g),
-        m2=classical_m2(g),
-        m3=classical_m3(g),
+        m1=m1,
+        m2=m2,
+        m3=m3,
         semantics_used=semantics_used,
         paper_compat_defaults_applied=compat_applied,
         connected=g.is_connected(),

@@ -9,6 +9,7 @@ perfectly stable instead of receiving a verdict.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -121,18 +122,7 @@ class StabilityReport:
     label: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "order": self.order,
-            "size": self.size,
-            "chi": self.chi,
-            "stable": self.stable,
-            "perfectly_stable": self.perfectly_stable,
-            "rho": self.rho,
-            "method": self.method,
-            "rho_status": self.rho_status,
-            "connected": self.connected,
-        }
+        return dataclasses.asdict(self)
 
     def verdict_line(self) -> str:
         if self.perfectly_stable:

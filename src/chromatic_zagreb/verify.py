@@ -6,6 +6,10 @@ runner that yields one ClaimResult per instance. Claims tagged must-hold
 process exit status; the remaining claims record their verdicts, and a
 counterexample there is a finding, not a failure of this tool.
 
+Most claims compare one IndexReport per corpus graph with a prediction;
+those are rows of the registry, each a corpus and a check. The rest
+(subgraph pairs, thorn skips, stability, oracles) keep their own runner.
+
 Results are deterministic for a fixed CorpusConfig: corpora derive from
 SplitMix64 streams seeded per claim, and reports serialize with sorted
 keys and stable instance ordering.
@@ -13,11 +17,12 @@ keys and stable instance ordering.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import families
 from .coloring import Coloring, chromatic_number, enumerate_min_colorings
@@ -33,7 +38,13 @@ from .corpus import (
 )
 from .generators import FamilySpec, generate, thorn
 from .graph import Graph
-from .indices import DEFAULT_BUDGET, IndexReport, full_report, thorn_base_data
+from .indices import (
+    DEFAULT_BUDGET,
+    EXTREMA_KEYS,
+    IndexReport,
+    full_report,
+    thorn_base_data,
+)
 from .oracle import oracle_extrema, oracle_min_colorings
 from .stability import (
     StabilityBudgetExceeded,
@@ -46,6 +57,8 @@ from .stability import (
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
 SKIPPED = "skipped_budget"
+
+_ROMAN = ("i", "ii", "iii", "iv", "v", "vi")
 
 
 class UnknownClaimError(ValueError):
@@ -84,15 +97,8 @@ class CorpusConfig:
         return min(7, self.max_order)
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "seed": self.seed,
-            "families": list(self.families),
-            "random_graph_count": self.random_graph_count,
-            "random_tree_count": self.random_tree_count,
-            "monotonicity_samples": self.monotonicity_samples,
-            "tree_max_order": self.tree_max_order,
-        }
+        # a JSON array: the report schema rejects a tuple
+        return {**dataclasses.asdict(self), "families": list(self.families)}
 
 
 @dataclass(frozen=True)
@@ -106,15 +112,8 @@ class ClaimResult:
     witness: list | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "instance": self.instance,
-            "expected": self.expected,
-            "actual": self.actual,
-            "verdict": self.verdict,
-            "must_hold": self.must_hold,
-            "witness": self.witness,
-        }
+        # shallow on purpose: asdict would deep-copy every witness list
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -128,6 +127,11 @@ class Claim:
 @functools.lru_cache(maxsize=None)
 def _report(g: Graph) -> IndexReport:
     return full_report(g, semantics="all", budget=DEFAULT_BUDGET)
+
+
+def _compat_report(g: Graph) -> IndexReport:
+    # the order-1 defaults are part of the observation set
+    return full_report(g, paper_compat=True)
 
 
 def _fam(kind: str, *sizes: int) -> Graph:
@@ -153,92 +157,96 @@ def _result(
     )
 
 
+def _report_claim(
+    claim_id: str,
+    title: str,
+    must_hold: bool,
+    corpus: Callable[[CorpusConfig], Iterable[tuple[str, Graph, object]]],
+    check: Callable[[IndexReport, object], tuple[bool, str, str, str]],
+    report: Callable[[Graph], IndexReport] = _report,
+) -> Claim:
+    """A claim judged on the IndexReport of each corpus graph.
+
+    corpus(config) yields (label, graph, context); check(report, context)
+    returns (ok, expected, actual, witness_key), and the report's witness
+    under that key goes into the result.
+    """
+
+    def run(config: CorpusConfig) -> list[ClaimResult]:
+        out = []
+        for label, g, context in corpus(config):
+            r = report(g)
+            ok, expected, actual, key = check(r, context)
+            out.append(_result(claim_id, label, expected, actual, ok, must_hold,
+                               _witness(r.witnesses.get(key))))
+        return out
+
+    return Claim(claim_id, title, must_hold, run)
+
+
+def _cm(r: IndexReport, k: int) -> str:
+    return f"cm{k}=({r.value(f'cm{k}_min')},{r.value(f'cm{k}_max')})"
+
+
+def _constant(r: IndexReport, k: int, value: int, note: str = ""):
+    """Check that cm_k takes the one predicted value over all minimum colorings."""
+    ok = r.value(f"cm{k}_min") == r.value(f"cm{k}_max") == value
+    return ok, f"cm{k} constant {value}{note}", _cm(r, k), f"cm{k}_min"
+
+
 # ---------------------------------------------------------------------------
 # golden observations
 
-_OBS_TABLE = (
-    # id, family args, check description, checker(report) -> (expected, actual, ok)
-    ("obs-i", ("path", 1), "cm1_min=cm1_max=1 > 0=m1"),
-    ("obs-ii", ("path", 2), "cm1_min=cm1_max=5 > 2=m1"),
-    ("obs-iii", ("path", 3), "cm1_max=9 > 6=m1 and cm1_min=6=m1"),
-    ("obs-iv", ("complete", 3), "cm1_min=cm1_max=14 > 12=m1"),
-    ("obs-v", ("path", 1), "cm2_min=cm2_max=0=m2"),
+_OBS = (
+    # id, family, expected, holds(report)
+    ("obs-i", FamilySpec("path", (1,)), "cm1_min=cm1_max=1 > 0=m1",
+     lambda r: r.cm1_min == r.cm1_max == 1 and r.m1 == 0),
+    ("obs-ii", FamilySpec("path", (2,)), "cm1_min=cm1_max=5 > 2=m1",
+     lambda r: r.cm1_min == r.cm1_max == 5 and r.m1 == 2),
+    ("obs-iii", FamilySpec("path", (3,)), "cm1_max=9 > 6=m1 and cm1_min=6=m1",
+     lambda r: r.cm1_max == 9 and r.cm1_min == 6 and r.m1 == 6),
+    ("obs-iv", FamilySpec("complete", (3,)), "cm1_min=cm1_max=14 > 12=m1",
+     lambda r: r.cm1_min == r.cm1_max == 14 and r.m1 == 12),
+    ("obs-v", FamilySpec("path", (1,)), "cm2_min=cm2_max=0=m2",
+     lambda r: r.cm2_min == r.cm2_max == 0 and r.m2 == 0),
     # the companion claim "= m2" does not recompute for this pair of
     # degree-1 endpoints (the edge product is 1); the golden content is
     # the chromatic value
-    ("obs-vi", ("path", 2), "cm2_min=cm2_max=2 (m2 recomputes to 1, not the printed 2)"),
-    ("obs-vii", ("path", 3), "cm2_min=cm2_max=4=m2"),
-    ("obs-viii", ("complete", 3), "cm2_min=cm2_max=11 < 12=m2"),
-    ("obs-ix", ("path", 1), "cm3_min=cm3_max=1 > 0=m3"),
-    ("obs-x", ("path", 2), "cm3_min=cm3_max=1 > 0=m3"),
-    ("obs-xi", ("path", 3), "cm3_min=cm3_max=2=m3"),
-    ("obs-xii", ("complete", 3), "cm3_min=cm3_max=4 > 0=m3"),
+    ("obs-vi", FamilySpec("path", (2,)),
+     "cm2_min=cm2_max=2 (m2 recomputes to 1, not the printed 2)",
+     lambda r: r.cm2_min == r.cm2_max == 2 and r.m2 == 1),
+    ("obs-vii", FamilySpec("path", (3,)), "cm2_min=cm2_max=4=m2",
+     lambda r: r.cm2_min == r.cm2_max == 4 and r.m2 == 4),
+    ("obs-viii", FamilySpec("complete", (3,)), "cm2_min=cm2_max=11 < 12=m2",
+     lambda r: r.cm2_min == r.cm2_max == 11 and r.m2 == 12),
+    ("obs-ix", FamilySpec("path", (1,)), "cm3_min=cm3_max=1 > 0=m3",
+     lambda r: r.cm3_min == r.cm3_max == 1 and r.m3 == 0),
+    ("obs-x", FamilySpec("path", (2,)), "cm3_min=cm3_max=1 > 0=m3",
+     lambda r: r.cm3_min == r.cm3_max == 1 and r.m3 == 0),
+    ("obs-xi", FamilySpec("path", (3,)), "cm3_min=cm3_max=2=m3",
+     lambda r: r.cm3_min == r.cm3_max == 2 and r.m3 == 2),
+    ("obs-xii", FamilySpec("complete", (3,)), "cm3_min=cm3_max=4 > 0=m3",
+     lambda r: r.cm3_min == r.cm3_max == 4 and r.m3 == 0),
 )
 
-_OBS_CHECKS = {
-    "obs-i": lambda r: r.cm1_min == r.cm1_max == 1 and r.m1 == 0,
-    "obs-ii": lambda r: r.cm1_min == r.cm1_max == 5 and r.m1 == 2,
-    "obs-iii": lambda r: r.cm1_max == 9 and r.cm1_min == 6 and r.m1 == 6,
-    "obs-iv": lambda r: r.cm1_min == r.cm1_max == 14 and r.m1 == 12,
-    "obs-v": lambda r: r.cm2_min == r.cm2_max == 0 and r.m2 == 0,
-    "obs-vi": lambda r: r.cm2_min == r.cm2_max == 2 and r.m2 == 1,
-    "obs-vii": lambda r: r.cm2_min == r.cm2_max == 4 and r.m2 == 4,
-    "obs-viii": lambda r: r.cm2_min == r.cm2_max == 11 and r.m2 == 12,
-    "obs-ix": lambda r: r.cm3_min == r.cm3_max == 1 and r.m3 == 0,
-    "obs-x": lambda r: r.cm3_min == r.cm3_max == 1 and r.m3 == 0,
-    "obs-xi": lambda r: r.cm3_min == r.cm3_max == 2 and r.m3 == 2,
-    "obs-xii": lambda r: r.cm3_min == r.cm3_max == 4 and r.m3 == 0,
-}
 
-
-def _make_obs_runner(claim_id: str, fam_args: tuple, expected: str):
-    def run(config: CorpusConfig) -> list[ClaimResult]:
-        spec = FamilySpec(fam_args[0], tuple(fam_args[1:]))
-        g = generate(spec)
-        # the order-1 defaults are part of the observation set
-        r = full_report(g, paper_compat=True)
-        actual = (
-            f"m1={r.m1} m2={r.m2} m3={r.m3} cm1=({r.cm1_min},{r.cm1_max}) "
-            f"cm2=({r.cm2_min},{r.cm2_max}) cm3=({r.cm3_min},{r.cm3_max})"
-        )
-        ok = _OBS_CHECKS[claim_id](r)
-        return [_result(claim_id, spec.label(), expected, actual, ok, True,
-                        _witness(r.witnesses.get("cm1_min")))]
-
-    return run
+def _obs_claim(claim_id: str, spec: FamilySpec, expected: str, holds) -> Claim:
+    return _report_claim(
+        claim_id, f"golden value check on {spec.label()}: {expected}", True,
+        lambda config: [(spec.label(), generate(spec), None)],
+        lambda r, _: (holds(r), expected,
+                      f"m1={r.m1} m2={r.m2} m3={r.m3} "
+                      f"{_cm(r, 1)} {_cm(r, 2)} {_cm(r, 3)}", "cm1_min"),
+        report=_compat_report,
+    )
 
 
 # ---------------------------------------------------------------------------
 # complete-graph dominance
 
-def _run_prop21(part: int):
-    def run(config: CorpusConfig) -> list[ClaimResult]:
-        out = []
-        cid = {1: "prop-2.1-i", 2: "prop-2.1-ii", 3: "prop-2.1-iii"}[part]
-        for n in range(4, config.complete_max_order + 1):
-            g = _fam("complete", n)
-            r = _report(g)
-            f = families.complete_graph_forms(n)
-            if part == 1:
-                ok = r.cm1_min == r.cm1_max == f.cm1 < f.m1 == r.m1
-                expected = f"cm1 constant {f.cm1} < m1 {f.m1}"
-                actual = f"cm1=({r.cm1_min},{r.cm1_max}) m1={r.m1}"
-                w = r.witnesses.get("cm1_min")
-            elif part == 2:
-                ok = r.cm2_min == r.cm2_max == f.cm2 < f.m2 == r.m2
-                expected = f"cm2 constant {f.cm2} < m2 {f.m2}"
-                actual = f"cm2=({r.cm2_min},{r.cm2_max}) m2={r.m2}"
-                w = r.witnesses.get("cm2_min")
-            else:
-                ok = r.cm3_min == r.cm3_max == f.cm3 > 0 == f.m3 == r.m3
-                expected = f"cm3 constant {f.cm3} > 0 = m3"
-                actual = f"cm3=({r.cm3_min},{r.cm3_max}) m3={r.m3}"
-                w = r.witnesses.get("cm3_min")
-            out.append(_result(cid, f"complete:{n}", expected, actual, ok, False,
-                               _witness(w)))
-        return out
-
-    return run
+def _complete_graphs(config: CorpusConfig):
+    for n in range(4, config.complete_max_order + 1):
+        yield f"complete:{n}", _fam("complete", n), families.complete_graph_forms(n)
 
 
 def _random_non_complete(n: int, rng: SplitMix64) -> Graph:
@@ -248,36 +256,25 @@ def _random_non_complete(n: int, rng: SplitMix64) -> Graph:
             return g
 
 
-def _run_thm22(part: int):
+def _non_complete_graphs(config: CorpusConfig):
+    """Random non-complete graphs; the context is (order, complete-graph forms)."""
+    rng = SplitMix64(config.seed * 0x9E37 + 22)
+    for n in range(4, config.complete_max_order + 1):
+        f = families.complete_graph_forms(n)
+        for i in range(config.monotonicity_samples):
+            yield f"random:{n}:{i:03d}", _random_non_complete(n, rng), (n, f)
+
+
+def _below_complete(r: IndexReport, context, k: int):
+    n, f = context
+    key, bound = f"cm{k}_max", getattr(f, f"cm{k}")
+    val = r.value(key)
+    return val < bound, f"{key}(G) < {bound} = cm{k}(complete:{n})", f"{key}(G)={val}", key
+
+
+def _run_cor23(k: int):
     def run(config: CorpusConfig) -> list[ClaimResult]:
-        cid = {1: "thm-2.2-i", 2: "thm-2.2-ii", 3: "thm-2.2-iii"}[part]
-        key = {1: ("cm1_max", "cm1"), 2: ("cm2_max", "cm2"), 3: ("cm3_max", "cm3")}[part]
-        rng = SplitMix64(config.seed * 0x9E37 + 22)
-        out = []
-        for n in range(4, config.complete_max_order + 1):
-            f = families.complete_graph_forms(n)
-            bound = getattr(f, key[1])
-            for i in range(config.monotonicity_samples):
-                g = _random_non_complete(n, rng)
-                r = _report(g)
-                val = getattr(r, key[0])
-                ok = val < bound
-                out.append(_result(
-                    cid, f"random:{n}:{i:03d}",
-                    f"{key[0]}(G) < {bound} = {key[1]}(complete:{n})",
-                    f"{key[0]}(G)={val}", ok, False,
-                    _witness(r.witnesses.get(key[0])),
-                ))
-        return out
-
-    return run
-
-
-def _run_cor23(part: int):
-    def run(config: CorpusConfig) -> list[ClaimResult]:
-        cid = {1: "cor-2.3-i", 2: "cor-2.3-ii", 3: "cor-2.3-iii"}[part]
-        lo_key = {1: "cm1_min", 2: "cm2_min", 3: "cm3_min"}[part]
-        hi_key = {1: "cm1_max", 2: "cm2_max", 3: "cm3_max"}[part]
+        lo_key, hi_key = f"cm{k}_min", f"cm{k}_max"
         rng = SplitMix64(config.seed * 0x9E37 + 23)
         out = []
         for n in range(4, config.complete_max_order + 1):
@@ -287,11 +284,11 @@ def _run_cor23(part: int):
                 if sub is None:  # trees admit no proper connected spanning subgraph
                     continue
                 rg, rs = _report(g), _report(sub)
-                lo_g, lo_s = getattr(rg, lo_key), getattr(rs, lo_key)
-                hi_g, hi_s = getattr(rg, hi_key), getattr(rs, hi_key)
+                lo_g, lo_s = rg.value(lo_key), rs.value(lo_key)
+                hi_g, hi_s = rg.value(hi_key), rs.value(hi_key)
                 ok = lo_s < lo_g and hi_s < hi_g
                 out.append(_result(
-                    cid, f"random:{n}:{i:03d}",
+                    f"cor-2.3-{_ROMAN[k - 1]}", f"random:{n}:{i:03d}",
                     f"{lo_key}(G') < {lo_key}(G) and {hi_key}(G') < {hi_key}(G)",
                     f"G'=({lo_s},{hi_s}) G=({lo_g},{hi_g})", ok, False,
                     _witness(rs.witnesses.get(lo_key)),
@@ -306,147 +303,34 @@ def _run_cor23(part: int):
 
 def _tree_corpus(config: CorpusConfig):
     hi = config.tree_max_order
-    for n in range(4, hi + 1):
-        yield f"path:{n}", _fam("path", n)
-        yield f"star:{n}", _fam("star", n)
+    trees = [(f"{kind}:{n}", _fam(kind, n))
+             for n in range(4, hi + 1) for kind in ("path", "star")]
     for n in range(4, hi + 1):
         for profile in caterpillar_profiles(n):
-            label = ",".join(map(str, profile))
-            yield f"caterpillar:{label}", generate(FamilySpec("caterpillar", profile))
-    for label, g in random_tree_corpus(
-        config.random_tree_count, hi, config.seed * 0x9E37 + 31
-    ):
-        yield label, g
-
-
-def _run_thm31(part: int):
-    def run(config: CorpusConfig) -> list[ClaimResult]:
-        cid = {1: "thm-3.1-i", 2: "thm-3.1-ii", 3: "thm-3.1-iii"}[part]
-        out = []
-        for label, g in _tree_corpus(config):
-            n = g.order
-            f = families.tree_forms(n)
-            r = _report(g)
-            if part == 1:
-                ok = f.cm1_lo <= r.cm1_min <= r.cm1_max <= f.cm1_hi
-                expected = f"{f.cm1_lo} <= cm1_min <= cm1_max <= {f.cm1_hi}"
-                actual = f"cm1=({r.cm1_min},{r.cm1_max})"
-                w = r.witnesses.get("cm1_min")
-            elif part == 2:
-                ok = r.cm2_min == r.cm2_max == f.cm2
-                expected = f"cm2_min = cm2_max = {f.cm2}"
-                actual = f"cm2=({r.cm2_min},{r.cm2_max})"
-                w = r.witnesses.get("cm2_min")
-            else:
-                ok = r.cm3_min == r.cm3_max == f.cm3
-                expected = f"cm3_min = cm3_max = {f.cm3}"
-                actual = f"cm3=({r.cm3_min},{r.cm3_max})"
-                w = r.witnesses.get("cm3_min")
-            out.append(_result(cid, label, expected, actual, ok, False, _witness(w)))
-        return out
-
-    return run
+            spec = FamilySpec("caterpillar", profile)
+            trees.append((spec.label(), generate(spec)))
+    trees += random_tree_corpus(config.random_tree_count, hi, config.seed * 0x9E37 + 31)
+    for label, g in trees:
+        yield label, g, families.tree_forms(g.order)
 
 
 # ---------------------------------------------------------------------------
 # complete multipartite
 
-def _multipartite_instances():
-    import itertools
-
+def _multipartite_graphs(config: CorpusConfig, variant: str = "as_printed"):
     for r in (2, 3, 4):
         for sizes in itertools.combinations_with_replacement((1, 2, 3), r):
-            yield sizes
+            yield ("multipartite:" + ",".join(map(str, sizes)),
+                   generate(FamilySpec("complete_multipartite", sizes)),
+                   families.multipartite_forms(sizes, variant))
 
 
-def _run_lem32(which: str):
-    def run(config: CorpusConfig) -> list[ClaimResult]:
-        out = []
-        for sizes in _multipartite_instances():
-            label = "multipartite:" + ",".join(map(str, sizes))
-            g = generate(FamilySpec("complete_multipartite", sizes))
-            r = _report(g)
-            printed = families.multipartite_forms(sizes, "as_printed")
-            corrected = families.multipartite_forms(sizes, "corrected")
-            if which == "i":
-                ok = printed.cm1_max == r.cm1_max and printed.cm1_min == r.cm1_min
-                expected = f"cm1_min={printed.cm1_min} cm1_max={printed.cm1_max}"
-                actual = f"cm1=({r.cm1_min},{r.cm1_max})"
-                w = r.witnesses.get("cm1_min")
-            elif which == "ii-max":
-                ok = printed.cm2_max == r.cm2_max
-                expected = f"cm2_max={printed.cm2_max}"
-                actual = f"cm2_max={r.cm2_max}"
-                w = r.witnesses.get("cm2_max")
-            elif which == "ii-min-printed":
-                ok = printed.cm2_min == r.cm2_min
-                expected = f"cm2_min={printed.cm2_min} (as printed)"
-                actual = f"cm2_min={r.cm2_min}"
-                w = r.witnesses.get("cm2_min")
-            elif which == "ii-min-corrected":
-                ok = corrected.cm2_min == r.cm2_min
-                expected = f"cm2_min={corrected.cm2_min} (reversal weights)"
-                actual = f"cm2_min={r.cm2_min}"
-                w = r.witnesses.get("cm2_min")
-            elif which == "iii-printed":
-                ok = printed.cm3 == r.cm3_min == r.cm3_max
-                expected = f"cm3_min=cm3_max={printed.cm3}"
-                actual = f"cm3=({r.cm3_min},{r.cm3_max})"
-                w = r.witnesses.get("cm3_max")
-            elif which == "iii-minmax":
-                ok = r.cm3_min == r.cm3_max
-                expected = "cm3_min = cm3_max over all labelings"
-                actual = f"cm3=({r.cm3_min},{r.cm3_max})"
-                w = r.witnesses.get("cm3_max")
-            else:
-                raise AssertionError(which)
-            out.append(_result(f"lem-3.2-{which}", label, expected, actual, ok,
-                               False, _witness(w)))
-        return out
-
-    return run
-
-
-def _equal_multipartite_instances():
+def _equal_multipartite_graphs(config: CorpusConfig):
     for n in (1, 2, 3):
         for r in (2, 3, 4):
-            if n * r <= 12:
-                yield n, r
-
-
-def _run_prop33(which: str):
-    def run(config: CorpusConfig) -> list[ClaimResult]:
-        out = []
-        for n, r in _equal_multipartite_instances():
-            label = f"equal-multipartite:{n},{r}"
-            g = generate(FamilySpec("complete_multipartite", tuple([n] * r)))
-            rep = _report(g)
-            f = families.equal_multipartite_forms(n, r)
-            if which == "i":
-                ok = rep.cm1_min == rep.cm1_max == f.cm1
-                expected = f"cm1 constant {f.cm1}"
-                actual = f"cm1=({rep.cm1_min},{rep.cm1_max})"
-                w = rep.witnesses.get("cm1_min")
-            elif which == "ii":
-                ok = rep.cm2_min == rep.cm2_max == f.cm2
-                expected = f"cm2 constant {f.cm2}"
-                actual = f"cm2=({rep.cm2_min},{rep.cm2_max})"
-                w = rep.witnesses.get("cm2_min")
-            elif which == "iii-printed":
-                ok = rep.cm3_min == rep.cm3_max == f.cm3_printed
-                expected = f"cm3 constant {f.cm3_printed} (as printed)"
-                actual = f"cm3=({rep.cm3_min},{rep.cm3_max})"
-                w = rep.witnesses.get("cm3_min")
-            else:
-                ok = rep.cm3_min == rep.cm3_max == f.cm3_pairsum
-                expected = f"cm3 constant {f.cm3_pairsum} (pair sum)"
-                actual = f"cm3=({rep.cm3_min},{rep.cm3_max})"
-                w = rep.witnesses.get("cm3_min")
-            out.append(_result(f"prop-3.3-{which}", label, expected, actual, ok,
-                               False, _witness(w)))
-        return out
-
-    return run
+            yield (f"equal-multipartite:{n},{r}",
+                   generate(FamilySpec("complete_multipartite", (n,) * r)),
+                   families.equal_multipartite_forms(n, r))
 
 
 # ---------------------------------------------------------------------------
@@ -462,42 +346,31 @@ _THORN_BASES = (
 _THORN_ORACLE_MAX = 9
 
 
-def _run_thm34(part: int):
-    roman = {1: "i", 2: "ii", 3: "iii", 4: "iv", 5: "v", 6: "vi"}[part]
-    form_key = {
-        1: "cm1_min", 2: "cm1_max", 3: "cm2_min",
-        4: "cm2_max", 5: "cm3_min", 6: "cm3_max",
-    }[part]
-
+def _run_thm34(claim_id: str, form_key: str):
     def run(config: CorpusConfig) -> list[ClaimResult]:
-        cid = f"thm-3.4-{roman}"
         out = []
         for base_spec in _THORN_BASES:
             base = generate(base_spec)
-            base_report = _report(base)
-            data = thorn_base_data(base, base_report)
+            data = thorn_base_data(base, _report(base))
             for m in (0, 1, 2):
                 spec = thorn(base_spec, m)
                 label = spec.label()
-                forms = families.thorn_forms(data, m)
-                predicted = getattr(forms, form_key)
+                predicted = getattr(families.thorn_forms(data, m), form_key)
                 total = spec.order()
                 if total > _THORN_ORACLE_MAX:
                     out.append(ClaimResult(
-                        cid, label,
+                        claim_id, label,
                         f"{form_key}={predicted}",
                         f"order {total} exceeds enumeration budget {_THORN_ORACLE_MAX}",
                         SKIPPED, False, None,
                     ))
                     continue
-                tg = generate(spec)
-                tr = _report(tg)
-                actual_val = getattr(tr, form_key)
-                ok = predicted == actual_val
+                tr = _report(generate(spec))
+                actual_val = tr.value(form_key)
                 out.append(_result(
-                    cid, label,
+                    claim_id, label,
                     f"{form_key}={predicted}",
-                    f"{form_key}={actual_val}", ok, False,
+                    f"{form_key}={actual_val}", predicted == actual_val, False,
                     _witness(tr.witnesses.get(form_key)),
                 ))
         return out
@@ -508,7 +381,10 @@ def _run_thm34(part: int):
 # ---------------------------------------------------------------------------
 # tree minimality over all connected graphs
 
-def _minimality_corpus(config: CorpusConfig):
+def _oracle_corpus(config: CorpusConfig):
+    """The family corpus plus every seeded random graph; random draws that
+    happen to repeat a labeled graph stay in (the count is part of the
+    corpus contract, and the engine memoizes repeats anyway)."""
     hi = config.oracle_max_order
     yield from family_corpus(hi, config.families)
     yield from random_connected_corpus(
@@ -516,30 +392,18 @@ def _minimality_corpus(config: CorpusConfig):
     )
 
 
-def _run_thm42(part: int):
-    def run(config: CorpusConfig) -> list[ClaimResult]:
-        cid = {1: "thm-4.2-i", 2: "thm-4.2-ii"}[part]
-        out = []
-        seen = set()
-        for label, g in _minimality_corpus(config):
-            if g in seen or not g.is_connected():
-                continue
+def _distinct_connected(config: CorpusConfig):
+    seen = set()
+    for label, g in _oracle_corpus(config):
+        if g not in seen and g.is_connected():
             seen.add(g)
-            n = g.order
-            bound = 2 * (n - 1) if part == 1 else n - 1
-            key = "cm2_min" if part == 1 else "cm3_min"
-            r = _report(g)
-            val = getattr(r, key)
-            is_tree = g.size == n - 1
-            ok = val >= bound and (val == bound) == is_tree
-            out.append(_result(
-                cid, label,
-                f"{key} >= {bound}, equality iff tree (tree={is_tree})",
-                f"{key}={val}", ok, False, _witness(r.witnesses.get(key)),
-            ))
-        return out
+            yield label, g, None
 
-    return run
+
+def _tree_minimal(r: IndexReport, key: str, bound: int):
+    val, is_tree = r.value(key), r.size == r.order - 1
+    return (val >= bound and (val == bound) == is_tree,
+            f"{key} >= {bound}, equality iff tree (tree={is_tree})", f"{key}={val}", key)
 
 
 # ---------------------------------------------------------------------------
@@ -604,17 +468,6 @@ def _run_stability_cycles(config: CorpusConfig) -> list[ClaimResult]:
 # ---------------------------------------------------------------------------
 # oracle equivalence (must hold)
 
-def _oracle_corpus(config: CorpusConfig):
-    """The family corpus plus every seeded random graph; random draws that
-    happen to repeat a labeled graph stay in (the count is part of the
-    corpus contract, and the engine memoizes repeats anyway)."""
-    hi = config.oracle_max_order
-    yield from family_corpus(hi, config.families)
-    yield from random_connected_corpus(
-        config.random_graph_count, hi, config.seed * 0x9E37 + 42
-    )
-
-
 def _run_oracle_extrema(config: CorpusConfig) -> list[ClaimResult]:
     out = []
     for label, g in _oracle_corpus(config):
@@ -662,119 +515,120 @@ def _run_oracle_enumeration(config: CorpusConfig) -> list[ClaimResult]:
 # ---------------------------------------------------------------------------
 # registry
 
-def _build_registry() -> tuple[Claim, ...]:
-    claims: list[Claim] = []
-    for cid, fam_args, expected in _OBS_TABLE:
-        claims.append(Claim(
-            cid, f"golden value check on {fam_args[0]}:{fam_args[1]}: {expected}",
-            True, _make_obs_runner(cid, fam_args, expected),
-        ))
-    claims.append(Claim(
-        "prop-2.1-i",
-        "complete graphs: cm1 is constant n(n+1)(2n+1)/6 and below m1",
-        False, _run_prop21(1)))
-    claims.append(Claim(
-        "prop-2.1-ii",
-        "complete graphs: cm2 is constant sum(i*j) and below m2",
-        False, _run_prop21(2)))
-    claims.append(Claim(
-        "prop-2.1-iii",
-        "complete graphs: cm3 is constant and above m3 = 0",
-        False, _run_prop21(3)))
-    claims.append(Claim(
-        "thm-2.2-i", "cm1_max of any connected graph is below cm1 of the complete graph",
-        False, _run_thm22(1)))
-    claims.append(Claim(
-        "thm-2.2-ii", "cm2_max of any connected graph is below cm2 of the complete graph",
-        False, _run_thm22(2)))
-    claims.append(Claim(
-        "thm-2.2-iii", "cm3_max of any connected graph is below cm3 of the complete graph",
-        False, _run_thm22(3)))
-    claims.append(Claim(
-        "cor-2.3-i", "spanning subgraphs: cm1 extrema drop strictly",
-        False, _run_cor23(1)))
-    claims.append(Claim(
-        "cor-2.3-ii", "spanning subgraphs: cm2 extrema drop strictly",
-        False, _run_cor23(2)))
-    claims.append(Claim(
-        "cor-2.3-iii", "spanning subgraphs: cm3 extrema drop strictly",
-        False, _run_cor23(3)))
-    claims.append(Claim(
-        "thm-3.1-i", "trees: n+3 <= cm1_min <= cm1_max <= 4n-3",
-        False, _run_thm31(1)))
-    claims.append(Claim(
-        "thm-3.1-ii", "trees: cm2 is constant 2(n-1)",
-        False, _run_thm31(2)))
-    claims.append(Claim(
-        "thm-3.1-iii", "trees: cm3 is constant n-1",
-        False, _run_thm31(3)))
-    claims.append(Claim(
+REGISTRY: tuple[Claim, ...] = (
+    *(_obs_claim(*row) for row in _OBS),
+    _report_claim(
+        "prop-2.1-i", "complete graphs: cm1 is constant n(n+1)(2n+1)/6 and below m1",
+        False, _complete_graphs,
+        lambda r, f: (r.cm1_min == r.cm1_max == f.cm1 < f.m1 == r.m1,
+                      f"cm1 constant {f.cm1} < m1 {f.m1}", f"{_cm(r, 1)} m1={r.m1}",
+                      "cm1_min")),
+    _report_claim(
+        "prop-2.1-ii", "complete graphs: cm2 is constant sum(i*j) and below m2",
+        False, _complete_graphs,
+        lambda r, f: (r.cm2_min == r.cm2_max == f.cm2 < f.m2 == r.m2,
+                      f"cm2 constant {f.cm2} < m2 {f.m2}", f"{_cm(r, 2)} m2={r.m2}",
+                      "cm2_min")),
+    _report_claim(
+        "prop-2.1-iii", "complete graphs: cm3 is constant and above m3 = 0",
+        False, _complete_graphs,
+        lambda r, f: (r.cm3_min == r.cm3_max == f.cm3 > 0 == f.m3 == r.m3,
+                      f"cm3 constant {f.cm3} > 0 = m3", f"{_cm(r, 3)} m3={r.m3}",
+                      "cm3_min")),
+    *(_report_claim(
+        f"thm-2.2-{_ROMAN[k - 1]}",
+        f"cm{k}_max of any connected graph is below cm{k} of the complete graph",
+        False, _non_complete_graphs, functools.partial(_below_complete, k=k))
+      for k in (1, 2, 3)),
+    *(Claim(f"cor-2.3-{_ROMAN[k - 1]}", f"spanning subgraphs: cm{k} extrema drop strictly",
+            False, _run_cor23(k))
+      for k in (1, 2, 3)),
+    _report_claim(
+        "thm-3.1-i", "trees: n+3 <= cm1_min <= cm1_max <= 4n-3", False, _tree_corpus,
+        lambda r, f: (f.cm1_lo <= r.cm1_min <= r.cm1_max <= f.cm1_hi,
+                      f"{f.cm1_lo} <= cm1_min <= cm1_max <= {f.cm1_hi}", _cm(r, 1),
+                      "cm1_min")),
+    _report_claim(
+        "thm-3.1-ii", "trees: cm2 is constant 2(n-1)", False, _tree_corpus,
+        lambda r, f: (r.cm2_min == r.cm2_max == f.cm2,
+                      f"cm2_min = cm2_max = {f.cm2}", _cm(r, 2), "cm2_min")),
+    _report_claim(
+        "thm-3.1-iii", "trees: cm3 is constant n-1", False, _tree_corpus,
+        lambda r, f: (r.cm3_min == r.cm3_max == f.cm3,
+                      f"cm3_min = cm3_max = {f.cm3}", _cm(r, 3), "cm3_min")),
+    _report_claim(
         "lem-3.2-i", "multipartite cm1 extrema match the sorted-part formulas",
-        False, _run_lem32("i")))
-    claims.append(Claim(
+        False, _multipartite_graphs,
+        lambda r, p: (p.cm1_max == r.cm1_max and p.cm1_min == r.cm1_min,
+                      f"cm1_min={p.cm1_min} cm1_max={p.cm1_max}", _cm(r, 1), "cm1_min")),
+    _report_claim(
         "lem-3.2-ii-max", "multipartite cm2_max matches the identity-weight formula",
-        False, _run_lem32("ii-max")))
-    claims.append(Claim(
+        False, _multipartite_graphs,
+        lambda r, p: (p.cm2_max == r.cm2_max,
+                      f"cm2_max={p.cm2_max}", f"cm2_max={r.cm2_max}", "cm2_max")),
+    _report_claim(
         "lem-3.2-ii-min-printed",
         "multipartite cm2_min matches the printed (r-i)(r-j) weights",
-        False, _run_lem32("ii-min-printed")))
-    claims.append(Claim(
+        False, _multipartite_graphs,
+        lambda r, p: (p.cm2_min == r.cm2_min,
+                      f"cm2_min={p.cm2_min} (as printed)", f"cm2_min={r.cm2_min}",
+                      "cm2_min")),
+    _report_claim(
         "lem-3.2-ii-min-corrected",
         "multipartite cm2_min matches the reversal (r+1-i)(r+1-j) weights",
-        False, _run_lem32("ii-min-corrected")))
-    claims.append(Claim(
+        False, functools.partial(_multipartite_graphs, variant="corrected"),
+        lambda r, c: (c.cm2_min == r.cm2_min,
+                      f"cm2_min={c.cm2_min} (reversal weights)", f"cm2_min={r.cm2_min}",
+                      "cm2_min")),
+    _report_claim(
         "lem-3.2-iii-printed",
         "multipartite cm3 equals the identity pair-sum formula for every labeling",
-        False, _run_lem32("iii-printed")))
-    claims.append(Claim(
+        False, _multipartite_graphs,
+        lambda r, p: (p.cm3 == r.cm3_min == r.cm3_max,
+                      f"cm3_min=cm3_max={p.cm3}", _cm(r, 3), "cm3_max")),
+    _report_claim(
         "lem-3.2-iii-minmax", "multipartite cm3 takes one value across labelings",
-        False, _run_lem32("iii-minmax")))
-    claims.append(Claim(
+        False, _multipartite_graphs,
+        lambda r, _: (r.cm3_min == r.cm3_max,
+                      "cm3_min = cm3_max over all labelings", _cm(r, 3), "cm3_max")),
+    _report_claim(
         "prop-3.3-i", "equal multipartite cm1 = (n/6)r(r+1)(2r+1)",
-        False, _run_prop33("i")))
-    claims.append(Claim(
+        False, _equal_multipartite_graphs, lambda r, f: _constant(r, 1, f.cm1)),
+    _report_claim(
         "prop-3.3-ii", "equal multipartite cm2 = (n^2/2) sum i^2(i-1)",
-        False, _run_prop33("ii")))
-    claims.append(Claim(
+        False, _equal_multipartite_graphs, lambda r, f: _constant(r, 2, f.cm2)),
+    _report_claim(
         "prop-3.3-iii-printed", "equal multipartite cm3 = n^2 sum i(r-1) as printed",
-        False, _run_prop33("iii-printed")))
-    claims.append(Claim(
+        False, _equal_multipartite_graphs,
+        lambda r, f: _constant(r, 3, f.cm3_printed, " (as printed)")),
+    _report_claim(
         "prop-3.3-iii-corrected", "equal multipartite cm3 = n^2 sum i(r-i) pair sum",
-        False, _run_prop33("iii-corrected")))
-    for part in range(1, 7):
-        roman = {1: "i", 2: "ii", 3: "iii", 4: "iv", 5: "v", 6: "vi"}[part]
-        claims.append(Claim(
-            f"thm-3.4-{roman}",
+        False, _equal_multipartite_graphs,
+        lambda r, f: _constant(r, 3, f.cm3_pairsum, " (pair sum)")),
+    *(Claim(f"thm-3.4-{roman}",
             f"thorn formula part {roman} matches enumeration on small thorn graphs",
-            False, _run_thm34(part)))
-    claims.append(Claim(
+            False, _run_thm34(f"thm-3.4-{roman}", key))
+      for roman, key in zip(_ROMAN, EXTREMA_KEYS)),
+    _report_claim(
         "thm-4.2-i", "cm2_min >= 2(n-1) over connected graphs, equality exactly on trees",
-        False, _run_thm42(1)))
-    claims.append(Claim(
+        False, _distinct_connected,
+        lambda r, _: _tree_minimal(r, "cm2_min", 2 * (r.order - 1))),
+    _report_claim(
         "thm-4.2-ii", "cm3_min >= n-1 over connected graphs, equality exactly on trees",
-        False, _run_thm42(2)))
-    claims.append(Claim(
-        "thm-4.4",
-        "2-chromatic graphs: stable iff not complete bipartite (exhaustive by order)",
-        False, _run_thm44))
-    claims.append(Claim(
-        "prop-4.6", "bipartite stability number: closed form equals breadth-first oracle",
-        False, _run_prop46))
-    claims.append(Claim(
-        "stability-cycles", "recorded verdicts for the cycle stability remark",
-        False, _run_stability_cycles))
-    claims.append(Claim(
-        "oracle-extrema",
-        "engine extrema equal the naive filter-all-assignments oracle",
-        True, _run_oracle_extrema))
-    claims.append(Claim(
-        "oracle-enumeration",
-        "engine coloring stream equals the naive filter, order and all",
-        True, _run_oracle_enumeration))
-    return tuple(claims)
-
-
-REGISTRY: tuple[Claim, ...] = _build_registry()
+        False, _distinct_connected,
+        lambda r, _: _tree_minimal(r, "cm3_min", r.order - 1)),
+    Claim("thm-4.4",
+          "2-chromatic graphs: stable iff not complete bipartite (exhaustive by order)",
+          False, _run_thm44),
+    Claim("prop-4.6", "bipartite stability number: closed form equals breadth-first oracle",
+          False, _run_prop46),
+    Claim("stability-cycles", "recorded verdicts for the cycle stability remark",
+          False, _run_stability_cycles),
+    Claim("oracle-extrema", "engine extrema equal the naive filter-all-assignments oracle",
+          True, _run_oracle_extrema),
+    Claim("oracle-enumeration", "engine coloring stream equals the naive filter, order and all",
+          True, _run_oracle_enumeration),
+)
 _REGISTRY_IDS = [c.claim_id for c in REGISTRY]
 
 
@@ -816,21 +670,11 @@ def select_claims(selection: str) -> list[Claim]:
     return [c for c in REGISTRY if c.claim_id in chosen]
 
 
-def run_claims(
-    config: CorpusConfig,
-    selection: str = "all",
-    jobs: int = 1,
-) -> list[ClaimResult]:
+def run_claims(config: CorpusConfig, selection: str = "all") -> list[ClaimResult]:
     """Run the selected claims; results ordered by registry position then instance."""
-    claims = select_claims(selection)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda c: c.runner(config), claims))
-    else:
-        chunks = [c.runner(config) for c in claims]
     out: list[ClaimResult] = []
-    for claim, chunk in zip(claims, chunks):
-        out.extend(sorted(chunk, key=lambda r: r.instance))
+    for claim in select_claims(selection):
+        out.extend(sorted(claim.runner(config), key=lambda r: r.instance))
     return out
 
 

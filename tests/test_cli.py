@@ -157,8 +157,10 @@ class TestFamily:
         assert code == 2 and "no closed forms" in err
 
     def test_parameter_validation(self, capsys):
-        code, _, err = run_cli(capsys, "family", "multipartite:3,1")
-        assert code != 0
+        for spec in ("multipartite:3,1", "complete:abc", "tree:abc", "complete:0"):
+            code, _, err = run_cli(capsys, "family", spec)
+            assert code == 2, spec
+            assert "invalid literal" not in err
 
 
 class TestStability:
@@ -218,7 +220,7 @@ class TestVerify:
     def test_must_hold_failure_exit_code(self, capsys, monkeypatch):
         from chromatic_zagreb.verify import ClaimResult
 
-        def fake_run_claims(config, selection, jobs=1):
+        def fake_run_claims(config, selection):
             return [ClaimResult("oracle-extrema", "g", "x", "y",
                                 "counterexample", True)]
 
@@ -234,14 +236,3 @@ class TestVerify:
         for cid in ("obs-i", "obs-xii", "lem-3.2-ii-min-printed", "thm-4.4",
                     "oracle-extrema"):
             assert cid in out
-
-    def test_jobs_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("CZI_JOBS", "3")
-        parser = cli.build_parser()
-        args = parser.parse_args(["verify"])
-        assert args.jobs == 3
-
-    def test_jobs_flag_runs(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--claims", "obs-i..obs-iii",
-                               "--jobs", "2")
-        assert code == 0 and json.loads(out)["summary"]["verified"] == 3

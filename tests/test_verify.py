@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -24,6 +25,11 @@ from chromatic_zagreb.verify import (
 
 SMALL = CorpusConfig(max_order=5, random_graph_count=12, random_tree_count=10,
                      monotonicity_samples=1, tree_max_order=6)
+
+# sha256 of report_to_json(build_report(SMALL, run_claims(SMALL, "all"))) as
+# the per-claim runners wrote it before they became rows of one claim table;
+# it pins every expected / actual string, verdict and witness in the report
+SMALL_REPORT_SHA256 = "fd22c4bccd639562edd98e832d50b26cb31a48d4c7e4c4ef87ba1276951a0925"
 
 
 class TestRegistry:
@@ -93,10 +99,9 @@ class TestDeterminism:
         b = report_to_json(build_report(SMALL, run_claims(SMALL, "all")))
         assert a == b
 
-    def test_jobs_do_not_change_results(self):
-        seq = run_claims(SMALL, "obs-i..thm-3.1-iii", jobs=1)
-        par = run_claims(SMALL, "obs-i..thm-3.1-iii", jobs=4)
-        assert seq == par
+    def test_report_matches_pinned_digest(self):
+        text = report_to_json(build_report(SMALL, run_claims(SMALL, "all")))
+        assert hashlib.sha256(text.encode()).hexdigest() == SMALL_REPORT_SHA256
 
     def test_family_list_restricts_corpus(self):
         cfg = CorpusConfig(max_order=5, random_graph_count=0, random_tree_count=5,
