@@ -40,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _count(text: str) -> int:
+    """argparse type for sizes and budgets: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="czi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -59,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="include witness colorings in JSON output")
     p_compute.add_argument("--format", choices=("json", "csv"), default="json")
     p_compute.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    p_compute.add_argument("--budget-order", type=int, default=Budget.max_order,
+    p_compute.add_argument("--budget-order", type=_count, default=Budget.max_order,
                            help="order cap for full enumeration")
-    p_compute.add_argument("--budget-colorings", type=int, default=Budget.max_colorings,
+    p_compute.add_argument("--budget-colorings", type=_count, default=Budget.max_colorings,
                            help="coloring-count cap for full enumeration")
     p_compute.add_argument("--strict", action="store_true",
                            help="exit 4 when results fall back to bounds")
@@ -76,14 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--variant", choices=("as_printed", "corrected", "both"),
                           default="both")
     p_family.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_family.add_argument("--oracle-max-order", type=int, default=9,
+    p_family.add_argument("--oracle-max-order", type=_count, default=9,
                           help="enumerate the instance when its order is at most this")
     p_family.add_argument("--out", metavar="PATH")
 
     p_stab = sub.add_parser("stability", help="chromatic stability verdict and number")
     p_stab.add_argument("--input", metavar="FILE")
     p_stab.add_argument("--family", metavar="SPEC")
-    p_stab.add_argument("--rho-budget", type=int, default=9,
+    p_stab.add_argument("--rho-budget", type=_count, default=9,
                         help="order cap for the brute-force stability number")
     p_stab.add_argument("--format", choices=("line", "json"), default="line")
     p_stab.add_argument("--out", metavar="PATH", help="also write the JSON report here")
@@ -96,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="claim ids:\n  " + "\n  ".join(id_lines),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p_verify.add_argument("--max-order", type=int, default=8)
+    p_verify.add_argument("--max-order", type=_count, default=8)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--claims", default="all",
                           help="comma list of ids, prefixes, or ranges like obs-i..obs-xii")
@@ -105,11 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--strict", action="store_true",
                           help="exit 4 when any instance was skipped for budget")
-    p_verify.add_argument("--random-graphs", type=int, default=200)
-    p_verify.add_argument("--random-trees", type=int, default=100)
-    p_verify.add_argument("--samples", type=int, default=2,
+    p_verify.add_argument("--random-graphs", type=_count, default=200)
+    p_verify.add_argument("--random-trees", type=_count, default=100)
+    p_verify.add_argument("--samples", type=_count, default=2,
                           help="random instances per order in the monotonicity suites")
-    p_verify.add_argument("--tree-max-order", type=int, default=10)
+    p_verify.add_argument("--tree-max-order", type=_count, default=10)
     return parser
 
 

@@ -124,7 +124,7 @@ def _greedy_clique(masks: tuple[int, ...], n: int) -> int:
     """Greedy clique size, used as a lower bound on chi."""
     if n == 0:
         return 0
-    order = sorted(range(n), key=lambda v: -bin(masks[v]).count("1"))
+    order = sorted(range(n), key=lambda v: -masks[v].bit_count())
     best = 1
     for start in order[: min(n, 8)]:
         clique_mask = 1 << start
@@ -138,7 +138,7 @@ def _greedy_clique(masks: tuple[int, ...], n: int) -> int:
                 low = m & -m
                 v = low.bit_length() - 1
                 m ^= low
-                d = bin(masks[v] & candidates).count("1")
+                d = (masks[v] & candidates).bit_count()
                 if d > pick_deg:
                     pick, pick_deg = v, d
             clique_mask |= 1 << pick
@@ -148,30 +148,34 @@ def _greedy_clique(masks: tuple[int, ...], n: int) -> int:
     return best
 
 
-def _greedy_coloring(masks: tuple[int, ...], n: int) -> int:
-    """DSATUR-style greedy upper bound on chi."""
+def _greedy_coloring(masks: tuple[int, ...], n: int) -> list[int]:
+    """DSATUR greedy coloring; colors 1..k with every one used.
+
+    The next vertex has the most distinct neighbour colors, then the
+    highest degree, then the lowest index; score = saturation * n + degree
+    orders the first two, and max() keeps the first of equal scores.
+    """
     colors = [0] * n
     forbidden = [0] * n  # bitmask of colors used by colored neighbours (bit c-1)
-    uncolored = set(range(n))
-    used = 0
+    score = [m.bit_count() for m in masks]
+    uncolored = list(range(n))
     while uncolored:
-        v = max(
-            uncolored,
-            key=lambda u: (bin(forbidden[u]).count("1"), bin(masks[u]).count("1"), -u),
-        )
+        v = max(uncolored, key=score.__getitem__)
+        uncolored.remove(v)
         c = 1
         while forbidden[v] >> (c - 1) & 1:
             c += 1
         colors[v] = c
-        used = max(used, c)
-        uncolored.remove(v)
+        bit = 1 << (c - 1)
         m = masks[v]
         while m:
             low = m & -m
             w = low.bit_length() - 1
             m ^= low
-            forbidden[w] |= 1 << (c - 1)
-    return used
+            if not forbidden[w] & bit:
+                forbidden[w] |= bit
+                score[w] += n
+    return colors
 
 
 def _search_k_coloring(masks: tuple[int, ...], n: int, k: int) -> list[int] | None:
@@ -185,7 +189,7 @@ def _search_k_coloring(masks: tuple[int, ...], n: int, k: int) -> list[int] | No
         return []
     if k < 1:
         return None
-    order = sorted(range(n), key=lambda v: (-bin(masks[v]).count("1"), v))
+    order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
     colors = [0] * n
     max_used = [0]
 
@@ -236,29 +240,44 @@ def find_coloring(g: Graph, k: int) -> Coloring | None:
     return Coloring.from_assignment(out)
 
 
+def _min_coloring(masks: tuple[int, ...], n: int) -> list[int]:
+    """A proper coloring of the graph on masks that uses exactly chi colors.
+
+    Colors are 1..chi, every one used. The witness comes from the
+    two-coloring sweep on bipartite inputs, from DSATUR when its count
+    meets the lower bound, and otherwise from the first k-coloring the
+    backtracking search finds between the clique bound and DSATUR.
+    """
+    if not any(masks):
+        return [1] * n
+    sides = _bipartition(masks, n)
+    if sides is not None:
+        colors = [1] * n
+        for v in sides[1]:
+            colors[v] = 2
+        return colors
+    greedy = _greedy_coloring(masks, n)
+    upper = max(greedy)
+    if upper == 3:  # chi >= 3 without a two-coloring, so DSATUR is optimal
+        return greedy
+    for k in range(max(3, _greedy_clique(masks, n)), upper):
+        found = _search_k_coloring(masks, n, k)
+        if found is not None:
+            return found
+    return greedy
+
+
 def chromatic_number(g: Graph) -> int:
     """Exact chi(g), for any simple graph of order >= 1.
 
-    Bounded below by a greedily grown clique and above by a DSATUR greedy
-    coloring; the gap is closed by exhaustive backtracking. Bipartite
-    inputs short-circuit through a two-coloring sweep.
+    The number of colors of the witness :func:`_min_coloring` builds:
+    edgeless and bipartite inputs are read off directly; otherwise a DSATUR
+    greedy coloring bounds chi from above, 3 and a greedily grown clique
+    from below, and exhaustive backtracking closes the gap.
     """
-    n = g.order
-    if n < 1:
+    if g.order < 1:
         raise ValueError("chromatic number needs order >= 1")
-    if g.size == 0:
-        return 1
-    masks = g.adjacency_masks
-    if _bipartition(masks, n) is not None:
-        return 2
-    lower = max(3, _greedy_clique(masks, n))
-    upper = _greedy_coloring(masks, n)
-    if upper < lower:  # greedy bounds never cross; guard stays for safety
-        upper = lower
-    for k in range(lower, upper):
-        if _search_k_coloring(masks, n, k) is not None:
-            return k
-    return upper
+    return max(_min_coloring(g.adjacency_masks, g.order))
 
 
 # ---------------------------------------------------------------------------

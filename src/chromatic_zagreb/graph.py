@@ -60,10 +60,10 @@ class Graph:
     def degree(self, v: int) -> int:
         if not 0 <= v < self._order:
             raise IndexError(f"vertex {v} out of range for order {self._order}")
-        return bin(self._masks[v]).count("1")
+        return self._masks[v].bit_count()
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(bin(m).count("1") for m in self._masks)
+        return tuple(m.bit_count() for m in self._masks)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self._order:
@@ -83,12 +83,15 @@ class Graph:
 
     def non_edges(self) -> tuple[tuple[int, int], ...]:
         """All vertex pairs u < v that are not edges."""
-        return tuple(
-            (u, v)
-            for u in range(self._order)
-            for v in range(u + 1, self._order)
-            if not self._masks[u] >> v & 1
-        )
+        full = (1 << self._order) - 1
+        pairs = []
+        for u in range(self._order):
+            rest = (full & ~self._masks[u]) >> (u + 1)
+            while rest:
+                low = rest & -rest
+                pairs.append((u, u + low.bit_length()))
+                rest ^= low
+        return tuple(pairs)
 
     def with_extra_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
         """New graph with the given pairs added as edges."""

@@ -13,7 +13,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 
-from .coloring import chromatic_number, _bipartition
+from .coloring import _bipartition, _min_coloring, chromatic_number
 from .graph import Graph
 
 
@@ -34,17 +34,24 @@ def is_complete_bipartite(g: Graph) -> bool:
 def is_chromatically_stable(g: Graph) -> bool | None:
     """Stability verdict: True/False, or None for complete graphs.
 
-    True iff there exists a non-edge e with chi(G+e) = chi(G), decided by
-    recomputing the chromatic number for every candidate addition (no
-    structural shortcuts, so this stays an independent check of the
-    complete-bipartite characterization).
+    True iff there exists a non-edge e with chi(G+e) = chi(G). One
+    chi-coloring c of G certifies True: a non-edge uv with c(u) != c(v)
+    can be added and c stays a proper chi-coloring of G+uv. Only when c
+    puts every non-edge inside one color class is the answer decided by
+    recomputing the chromatic number for every candidate addition, so a
+    False verdict is always exhaustive (no structural shortcuts, which
+    keeps it an independent check of the complete-bipartite
+    characterization).
     """
     if g.order < 2:
         raise ValueError("stability needs order >= 2")
     candidates = g.non_edges()
     if not candidates:
         return None
-    chi = chromatic_number(g)
+    coloring = _min_coloring(g.adjacency_masks, g.order)
+    if any(coloring[u] != coloring[v] for u, v in candidates):
+        return True
+    chi = max(coloring)
     for e in candidates:
         if chromatic_number(g.with_extra_edges([e])) == chi:
             return True
@@ -129,7 +136,9 @@ class StabilityReport:
             middle = "perfectly stable (complete graph)"
         elif self.stable:
             middle = "chromatically stable"
-            if self.rho is not None:
+            if self.rho_status == "upper_bound":
+                middle += f", rho<={self.rho} ({self.method}, upper bound)"
+            elif self.rho is not None:
                 middle += f", rho={self.rho} ({self.method})"
             elif self.rho_status == "unknown_budget":
                 middle += ", rho unknown (budget)"

@@ -671,7 +671,11 @@ def select_claims(selection: str) -> list[Claim]:
 
 
 def run_claims(config: CorpusConfig, selection: str = "all") -> list[ClaimResult]:
-    """Run the selected claims; results ordered by registry position then instance."""
+    """Run the selected claims; results ordered by registry position then instance.
+
+    The report cache is emptied on entry, so it holds one run's reports.
+    """
+    _report.cache_clear()
     out: list[ClaimResult] = []
     for claim in select_claims(selection):
         out.extend(sorted(claim.runner(config), key=lambda r: r.instance))

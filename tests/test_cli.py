@@ -113,6 +113,32 @@ class TestCompute:
         assert json.loads(out)["status"] == "bounds_only"
 
 
+class TestCountArguments:
+    @pytest.mark.parametrize("argv", [
+        ("stability", "--family", "path:4", "--rho-budget", "-1"),
+        ("compute", "--family", "path:4", "--budget-order", "-1"),
+        ("compute", "--family", "path:4", "--budget-colorings", "-5"),
+        ("verify", "--claims", "obs-i", "--max-order", "-1"),
+        ("verify", "--claims", "obs-i", "--random-graphs", "-1"),
+        ("verify", "--claims", "obs-i", "--random-trees", "-1"),
+        ("verify", "--claims", "obs-i", "--samples", "-2"),
+        ("verify", "--claims", "obs-i", "--tree-max-order", "-1"),
+        ("family", "complete:4", "--oracle-max-order", "-1"),
+        ("stability", "--family", "path:4", "--rho-budget", "two"),
+    ])
+    def test_negative_or_non_integer_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "non-negative integer" in err or "invalid int value" in err
+
+    def test_zero_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "stability", "--family", "path:4",
+                               "--rho-budget", "0", "--format", "json")
+        assert code == 0 and json.loads(out)["rho_status"] == "upper_bound"
+
+
 class TestFamily:
     def test_multipartite_table(self, capsys):
         code, out, _ = run_cli(capsys, "family", "multipartite:1,1,1",

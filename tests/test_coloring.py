@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from chromatic_zagreb.coloring import (
     Coloring,
     EnumerationBudgetExceeded,
+    _greedy_coloring,
+    _min_coloring,
     canonical_partition,
     chromatic_number,
     enumerate_min_colorings,
@@ -90,6 +92,24 @@ class TestChromaticNumber:
         assert witness.palette_size <= chi
         if chi > 1:
             assert find_coloring(g, chi - 1) is None
+
+    @given(graphs(max_n=7))
+    @settings(max_examples=80, deadline=None)
+    def test_min_coloring_is_a_chi_witness(self, g):
+        colors = _min_coloring(g.adjacency_masks, g.order)
+        assert len(colors) == g.order
+        assert all(colors[u] != colors[v] for u, v in g.edges)
+        assert set(colors) == set(range(1, naive_chi(g) + 1))
+
+    def test_min_coloring_beats_dsatur(self):
+        # DSATUR needs 4 colors here, chi is 3: the witness must come from
+        # the backtracking search, not the greedy coloring
+        g = Graph(8, [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 5), (2, 5), (2, 6),
+                      (3, 5), (3, 6), (3, 7), (5, 6)])
+        assert max(_greedy_coloring(g.adjacency_masks, g.order)) == 4
+        colors = _min_coloring(g.adjacency_masks, g.order)
+        assert all(colors[u] != colors[v] for u, v in g.edges)
+        assert set(colors) == {1, 2, 3} and naive_chi(g) == 3
 
 
 class TestEnumeration:

@@ -81,6 +81,12 @@ class TestGraph:
                 assert g.has_edge(v, u)
         assert 2 * g.size == sum(g.degree_sequence())
 
+    @given(graphs())
+    def test_non_edges_complement_edges(self, g):
+        pairs = [(u, v) for u in range(g.order) for v in range(u + 1, g.order)]
+        assert g.non_edges() == tuple(p for p in pairs if p not in g.edges)
+        assert g.degree_sequence() == tuple(len(g.neighbors(v)) for v in range(g.order))
+
 
 class TestGraph6:
     def test_known_vectors(self):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromatic_zagreb.coloring import chromatic_number, _bipartition
 from chromatic_zagreb.corpus import (
@@ -21,7 +23,15 @@ from chromatic_zagreb.stability import (
     stability_report,
 )
 
-from conftest import complete, cycle, path, star
+from conftest import complete, cycle, naive_chi, path, star
+
+
+@st.composite
+def graphs(draw, max_n=7):
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, keep in zip(pairs, picks) if keep])
 
 
 def double_star_3_4() -> Graph:
@@ -68,6 +78,16 @@ class TestStabilityVerdict:
     def test_order_one_rejected(self):
         with pytest.raises(ValueError):
             is_chromatically_stable(Graph(1))
+
+    @given(graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_naive_definition(self, g):
+        non_edges = [(u, v) for u in range(g.order) for v in range(u + 1, g.order)
+                     if (u, v) not in g.edges]
+        chi = naive_chi(g)
+        expected = (any(naive_chi(g.with_extra_edges([e])) == chi for e in non_edges)
+                    if non_edges else None)
+        assert is_chromatically_stable(g) is expected
 
 
 class TestStabilityNumber:
@@ -190,3 +210,12 @@ class TestStabilityReport:
         assert "perfectly stable" in stability_report(complete(4)).verdict_line()
         assert "unstable" in stability_report(star(4)).verdict_line()
         assert "rho=1" in stability_report(path(4)).verdict_line()
+
+    def test_verdict_line_prints_an_upper_bound_as_a_bound(self):
+        r = stability_report(path(10))  # beyond the brute-force order budget
+        assert (r.rho, r.rho_status) == (16, "upper_bound")
+        assert r.verdict_line() == \
+            "chi=2: chromatically stable, rho<=16 (closed_form, upper bound)"
+        assert r.to_json_dict()["rho"] == 16
+        assert stability_report(path(4)).verdict_line() == \
+            "chi=2: chromatically stable, rho=1 (closed_form)"

@@ -15,6 +15,7 @@ from chromatic_zagreb.verify import (
     ClaimResult,
     CorpusConfig,
     UnknownClaimError,
+    _report,
     build_report,
     claim_ids,
     report_to_csv,
@@ -102,6 +103,17 @@ class TestDeterminism:
     def test_report_matches_pinned_digest(self):
         text = report_to_json(build_report(SMALL, run_claims(SMALL, "all")))
         assert hashlib.sha256(text.encode()).hexdigest() == SMALL_REPORT_SHA256
+
+    def test_report_cache_holds_one_run(self):
+        second = CorpusConfig(max_order=4, random_graph_count=3, random_tree_count=3,
+                              monotonicity_samples=1, tree_max_order=5, seed=1)
+        _report.cache_clear()
+        run_claims(second, "oracle-extrema")
+        alone = _report.cache_info().currsize
+        run_claims(SMALL, "oracle-extrema")
+        assert _report.cache_info().currsize > alone
+        run_claims(second, "oracle-extrema")
+        assert _report.cache_info().currsize == alone
 
     def test_family_list_restricts_corpus(self):
         cfg = CorpusConfig(max_order=5, random_graph_count=0, random_tree_count=5,
