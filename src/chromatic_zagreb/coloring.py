@@ -336,47 +336,59 @@ def _iter_chi_partitions(
     """Yield every partition of V into exactly ell independent classes.
 
     Classes are discovered in first-vertex order (restricted-growth
-    search), so each set partition appears exactly once.
+    search), so each set partition appears exactly once, with its classes
+    in first-vertex order and each class ascending. The search keeps an
+    explicit stack, so its depth is not bounded by the recursion limit.
     """
     n = g.order
     masks = g.adjacency_masks
     class_masks: list[int] = []
+    placed = [0] * n  # the class each placed vertex joined or opened
+    # next option at each depth: k < len(class_masks) joins class k,
+    # k == len(class_masks) opens a new class
+    option = [0] * (n + 1)
     count = 0
-
-    def extend(v: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        nonlocal count
+    v = 0
+    while v >= 0:
         if v == n:
             if len(class_masks) == ell:
                 count += 1
                 if max_partitions is not None and count > max_partitions:
                     raise EnumerationBudgetExceeded()
-                classes = []
-                for cm in class_masks:
-                    members = []
-                    m = cm
-                    while m:
-                        low = m & -m
-                        members.append(low.bit_length() - 1)
-                        m ^= low
-                    classes.append(tuple(members))
-                yield tuple(sorted(classes))
-            return
-        remaining = n - v - 1
-        # joining an existing class leaves at most `remaining` chances to
-        # open the classes still missing
-        if len(class_masks) + remaining >= ell:
-            for idx in range(len(class_masks)):
-                if masks[v] & class_masks[idx]:
-                    continue
-                class_masks[idx] |= 1 << v
-                yield from extend(v + 1)
-                class_masks[idx] &= ~(1 << v)
-        if len(class_masks) < ell:
-            class_masks.append(1 << v)
-            yield from extend(v + 1)
-            class_masks.pop()
-
-    return extend(0)
+                classes: list[list[int]] = [[] for _ in range(ell)]
+                for u in range(n):
+                    classes[placed[u]].append(u)
+                # from a list: a tuple built from an iterator is resized, and
+                # CPython's tuple free list then keeps it once freed (peak RSS)
+                yield tuple([tuple(members) for members in classes])
+        else:
+            opened = len(class_masks)
+            k = option[v]
+            # joining an existing class leaves at most n - v - 1 chances
+            # to open the classes still missing
+            if opened + n - v - 1 >= ell:
+                while k < opened and masks[v] & class_masks[k]:
+                    k += 1
+            else:
+                k = max(k, opened)
+            if k < opened or (k == opened and opened < ell):
+                option[v] = k + 1
+                placed[v] = k
+                if k < opened:
+                    class_masks[k] |= 1 << v
+                else:
+                    class_masks.append(1 << v)
+                v += 1
+                option[v] = 0
+                continue
+        # every option at v is spent: undo the placement of v - 1
+        v -= 1
+        if v >= 0:
+            k = placed[v]
+            if class_masks[k] == 1 << v:  # v opened this class
+                class_masks.pop()
+            else:
+                class_masks[k] ^= 1 << v
 
 
 def canonical_partition(
@@ -403,20 +415,31 @@ def first_chi_partition(g: Graph, ell: int) -> tuple[tuple[int, ...], ...]:
     return next(iter(_iter_chi_partitions(g, ell)))
 
 
+def label_partition(
+    partition: tuple[tuple[int, ...], ...], labels: tuple[int, ...], n: int
+) -> tuple[int, ...]:
+    """The assignment that gives every vertex of partition[i] color labels[i]."""
+    assignment = [0] * n
+    for label, members in zip(labels, partition):
+        for v in members:
+            assignment[v] = label
+    return tuple(assignment)
+
+
 def colorings_of_partition(
     partition: tuple[tuple[int, ...], ...], n: int
-) -> list[Coloring]:
-    """All ell! labelings of one partition, sorted by assignment sequence."""
-    ell = len(partition)
-    out = []
-    for perm in itertools.permutations(range(1, ell + 1)):
-        assignment = [0] * n
-        for idx, members in enumerate(partition):
-            for v in members:
-                assignment[v] = perm[idx]
-        out.append(tuple(assignment))
-    out.sort()
-    return [Coloring(a, ell) for a in out]
+) -> Iterator[Coloring]:
+    """All ell! labelings of one partition, lazily, in assignment order.
+
+    With the classes in first-vertex order, two labelings first differ at
+    the first vertex of the first class they color differently, so the
+    lexicographic order of the label permutations is that of the
+    assignments.
+    """
+    classes = sorted(partition, key=min)
+    ell = len(classes)
+    for labels in itertools.permutations(range(1, ell + 1)):
+        yield Coloring(label_partition(classes, labels, n), ell)
 
 
 def enumerate_min_colorings(

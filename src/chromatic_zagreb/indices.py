@@ -2,13 +2,18 @@
 
 Classical indices are degree sums; chromatic ones replace degrees with
 1-based color indices of a minimum coloring and are then minimized /
-maximized over the coloring stream from :mod:`.coloring`.
+maximized over the minimum colorings from :mod:`.coloring`: under ``all``
+semantics per chi-partition and its labelings, under ``permutation``
+semantics over the coloring stream.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import permutations
+from operator import gt, itemgetter, mul, sub
 from typing import Literal
 
 from .coloring import (
@@ -20,8 +25,9 @@ from .coloring import (
     colorings_of_partition,
     first_chi_partition,
     is_proper,
+    label_partition,
     strengths,
-    _iter_all_min_colorings,
+    _iter_chi_partitions,
 )
 from .families import ThornBaseData
 from .graph import Graph
@@ -92,10 +98,12 @@ def chromatic_m3(g: Graph, c: Coloring) -> int:
 class Budget:
     """Work limits for the extrema search.
 
-    Full enumeration runs when the assignment-count estimate chi**order
-    stays within max_colorings, or (estimate notwithstanding) when the
-    order is at most max_order -- in which case the stream is capped and
-    aborts into the permutation fallback if the cap is hit.
+    The exact ``all`` sweep visits every chi-partition and its chi!
+    labelings. It runs uncapped when the assignment-count estimate
+    chi**order stays within max_colorings. Past the estimate it still runs
+    when the order is at most max_order, but it aborts into the
+    permutation fallback once the minimum colorings it has covered,
+    partitions times chi!, would exceed max_colorings.
     """
 
     max_order: int = 16
@@ -139,20 +147,131 @@ def _sweep(g: Graph, colorings) -> dict[int, tuple[int, Coloring, int, Coloring]
     return {k: tuple(slot) for k, slot in enumerate(best, 1)}
 
 
+def _twin_order(sizes: list[int], between: Counter) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, of consecutive twin classes of a quotient.
+
+    Twins have the same size and the same edge count to every third
+    class, so swapping their labels changes none of the three sums. Of
+    all labelings that differ only on twins, the one that labels each
+    twin group in increasing class order is the least, so the others can
+    be skipped without losing a value or a least witness.
+    """
+    ell = len(sizes)
+    counts = [[0] * ell for _ in range(ell)]
+    for (a, b), e in between.items():
+        counts[a][b] = counts[b][a] = e
+    order = []
+    for j in range(ell):
+        for i in range(j - 1, -1, -1):  # twinship is an equivalence: the nearest one will do
+            if sizes[i] == sizes[j] and all(
+                counts[i][k] == counts[j][k] for k in range(ell) if k != i and k != j
+            ):
+                order.append((i, j))
+                break
+    return order
+
+
+def _labeling_extrema(sizes: list[int], between: Counter):
+    """Per index, (min, labels, max, labels) over the l! labelings of one
+    partition quotient: class sizes, and edge counts between class pairs.
+
+    Labelings come in lexicographic order and only a strict improvement
+    replaces a witness, so each is the least labeling attaining its value.
+    """
+    # two zero-weight pairs keep itemgetter returning tuples; its keys are
+    # unpacked from lists, since a tuple built from an iterator is resized
+    # and, once freed, stays on CPython's tuple free list (peak RSS)
+    pairs = [*between.items(), ((0, 0), 0), ((0, 0), 0)]
+    at_first = itemgetter(*[a for (a, _), _ in pairs])
+    at_second = itemgetter(*[b for (_, b), _ in pairs])
+    weights = [e for _, e in pairs]
+    twins = _twin_order(sizes, between)
+    if twins:  # each key twice, for the same reason
+        at_lower = itemgetter(*[i for i, _ in twins] * 2)
+        at_upper = itemgetter(*[j for _, j in twins] * 2)
+    lo1 = lo2 = lo3 = math.inf
+    hi1 = hi2 = hi3 = -math.inf
+    for p in permutations(range(1, len(sizes) + 1)):
+        if twins and any(map(gt, at_lower(p), at_upper(p))):
+            continue
+        pa, pb = at_first(p), at_second(p)
+        s1 = sum(map(mul, sizes, map(mul, p, p)))
+        s2 = sum(map(mul, weights, map(mul, pa, pb)))
+        s3 = sum(map(mul, weights, map(abs, map(sub, pa, pb))))
+        if s1 < lo1:
+            lo1, lo1_p = s1, p
+        if s1 > hi1:
+            hi1, hi1_p = s1, p
+        if s2 < lo2:
+            lo2, lo2_p = s2, p
+        if s2 > hi2:
+            hi2, hi2_p = s2, p
+        if s3 < lo3:
+            lo3, lo3_p = s3, p
+        if s3 > hi3:
+            hi3, hi3_p = s3, p
+    return (lo1, lo1_p, hi1, hi1_p), (lo2, lo2_p, hi2, hi2_p), (lo3, lo3_p, hi3, hi3_p)
+
+
+def _sweep_partitions(g: Graph, ell: int, partitions):
+    """:func:`_sweep` over every labeling of every partition, without
+    building the colorings.
+
+    Each partition is reduced once to its quotient, on which a labeling p
+    (class i wears color p[i]) scores sum size_i p_i^2, sum e_ab p_a p_b
+    and sum e_ab |p_a - p_b|. With the classes in first-vertex order,
+    label order is assignment order, so a partition's witnesses are its
+    least attaining labelings; across partitions a tie goes to the smaller
+    assignment. Only the six witnesses become Coloring objects.
+    """
+    n = g.order
+    # per index: [min, its assignment, max, its assignment]
+    best = [[math.inf, None, -math.inf, None] for _ in range(3)]
+    for partition in partitions:
+        cls = [0] * n
+        for i, members in enumerate(partition):
+            for v in members:
+                cls[v] = i
+        between: Counter = Counter()
+        for u, v in g.edges:
+            a, b = cls[u], cls[v]
+            between[(a, b) if a < b else (b, a)] += 1
+        sizes = [len(members) for members in partition]
+        found = _labeling_extrema(sizes, between)
+        for slot, (lo, lo_p, hi, hi_p) in zip(best, found):
+            if lo <= slot[0]:
+                a = label_partition(partition, lo_p, n)
+                if lo < slot[0] or a < slot[1]:
+                    slot[0], slot[1] = lo, a
+            if hi >= slot[2]:
+                a = label_partition(partition, hi_p, n)
+                if hi > slot[2] or a < slot[3]:
+                    slot[2], slot[3] = hi, a
+    # one Coloring per distinct witness, shared between the slots it wins
+    witnesses = {a: Coloring(a, ell) for slot in best for a in (slot[1], slot[3])}
+    return {
+        k: (lo, witnesses[lo_a], hi, witnesses[hi_a])
+        for k, (lo, lo_a, hi, hi_a) in enumerate(best, 1)
+    }
+
+
 def _sweep_all_semantics(g: Graph, ell: int, budget: Budget):
-    """Full-enumeration sweep, or None when the budget rules it out."""
+    """Exact sweep over every chi-partition, or None when the budget rules
+    it out.
+
+    Every chi-partition carries ell! colorings, so more than
+    max_colorings colorings means more than max_colorings // ell!
+    partitions.
+    """
     estimate = ell ** g.order
     if estimate <= budget.max_colorings:
         cap = None
     elif g.order <= budget.max_order:
-        cap = budget.max_colorings
+        cap = budget.max_colorings // math.factorial(ell)
     else:
         return None
     try:
-        stream = (
-            Coloring(a, ell) for a in _iter_all_min_colorings(g, ell, cap)
-        )
-        return _sweep(g, stream)
+        return _sweep_partitions(g, ell, _iter_chi_partitions(g, ell, cap))
     except EnumerationBudgetExceeded:
         return None
 
@@ -173,19 +292,13 @@ def _sweep_permutation_semantics(g: Graph, ell: int, budget: Budget):
         colorings = colorings_of_partition(partition, g.order)
     else:
         # identity and reversed labelings only: still valid colorings,
-        # so the sweep yields bounds rather than exact extrema
+        # so the sweep yields bounds rather than exact extrema; with the
+        # classes in first-vertex order they are in assignment order
         exact = False
-        colorings = []
-        for perm in (
-            tuple(range(1, ell + 1)),
-            tuple(range(ell, 0, -1)),
-        ):
-            assignment = [0] * g.order
-            for idx, members in enumerate(partition):
-                for v in members:
-                    assignment[v] = perm[idx]
-            colorings.append(Coloring(tuple(assignment), ell))
-        colorings.sort(key=lambda c: c.assignment)
+        colorings = [
+            Coloring(label_partition(partition, labels, g.order), ell)
+            for labels in (tuple(range(1, ell + 1)), tuple(range(ell, 0, -1)))
+        ]
     return _sweep(g, colorings), exact
 
 

@@ -58,6 +58,29 @@ def naive_extrema(g: Graph) -> dict[int, tuple[int, int]]:
     return {k: (min(v), max(v)) for k, v in values.items()}
 
 
+def naive_extrema_witnesses(g: Graph) -> dict[str, tuple[int, tuple[int, ...]]]:
+    """Each of the six extrema with its lexicographically least witness.
+
+    itertools.product runs in lexicographic order, so the first strict
+    improvement is the least assignment attaining each value.
+    """
+    edges = g.edges
+    best: dict[str, tuple[int, tuple[int, ...]]] = {}
+    for ass in naive_min_colorings(g):
+        values = (
+            sum(c * c for c in ass),
+            sum(ass[u] * ass[v] for u, v in edges),
+            sum(abs(ass[u] - ass[v]) for u, v in edges),
+        )
+        for k, val in enumerate(values, 1):
+            lo, hi = f"cm{k}_min", f"cm{k}_max"
+            if lo not in best or val < best[lo][0]:
+                best[lo] = (val, ass)
+            if hi not in best or val > best[hi][0]:
+                best[hi] = (val, ass)
+    return best
+
+
 @pytest.fixture(scope="session")
 def schema_validator():
     jsonschema = pytest.importorskip("jsonschema")

@@ -105,6 +105,11 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--family", "wheel:4")
         assert code == 2
 
+    def test_deep_path_runs_without_recursion(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "--family", "path:1500")
+        assert code == 0
+        assert json.loads(out)["status"] == "bounds_only"
+
     def test_strict_budget_exit(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--family", "cycle:5",
                                "--budget-order", "3", "--budget-colorings", "5",

@@ -12,9 +12,11 @@ from chromatic_zagreb.coloring import (
     Coloring,
     EnumerationBudgetExceeded,
     _greedy_coloring,
+    _iter_chi_partitions,
     _min_coloring,
     canonical_partition,
     chromatic_number,
+    colorings_of_partition,
     enumerate_min_colorings,
     find_coloring,
     is_proper,
@@ -180,3 +182,22 @@ class TestCanonicalPartition:
 
     def test_complete_graph(self):
         assert canonical_partition(complete(3)) == ((0,), (1,), (2,))
+
+    @given(graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_partitions_in_restricted_growth_order(self, g):
+        ell = naive_chi(g)
+        words = set()  # class of each vertex, classes numbered by first vertex
+        for ass in naive_min_colorings(g, ell):
+            first: dict[int, int] = {}
+            words.add(tuple(first.setdefault(c, len(first)) for c in ass))
+        expected = [
+            tuple(tuple(v for v in range(g.order) if word[v] == i) for i in range(ell))
+            for word in sorted(words)
+        ]
+        assert list(_iter_chi_partitions(g, ell)) == expected
+
+    def test_labelings_come_in_assignment_order(self):
+        got = [c.assignment for c in colorings_of_partition(((1, 4), (0, 3), (2,)), 5)]
+        assert got == sorted(got) and len(got) == 6
+        assert got[0] == (1, 2, 3, 1, 2)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromatic_zagreb.coloring import Coloring, enumerate_min_colorings, is_proper
 from chromatic_zagreb.families import complete_graph_forms
 from chromatic_zagreb.graph import Graph
 from chromatic_zagreb.indices import (
+    EXTREMA_KEYS,
     Budget,
     ImproperColoringError,
     chromatic_extrema,
@@ -20,9 +21,10 @@ from chromatic_zagreb.indices import (
     classical_m2,
     classical_m3,
     full_report,
+    _sweep,
 )
 
-from conftest import complete, cycle, naive_extrema, path, star
+from conftest import complete, cycle, naive_extrema, naive_extrema_witnesses, path, star
 
 
 @st.composite
@@ -153,6 +155,14 @@ class TestExtrema:
         assert exact.minimum <= r.minimum and r.maximum <= exact.maximum
         assert is_proper(cycle(5), r.min_witness)
 
+    def test_budget_cap_counts_colorings(self):
+        # cycle:5 has 30 minimum colorings: 5 chi-partitions times 3! labelings
+        assert len(list(enumerate_min_colorings(cycle(5), "all"))) == 30
+        at_cap = chromatic_extrema(cycle(5), 1, budget=Budget(max_colorings=30))
+        assert at_cap.status == "exact" and at_cap.semantics_used == "all"
+        below = chromatic_extrema(cycle(5), 1, budget=Budget(max_colorings=29))
+        assert below.status == "bounds_only" and below.semantics_used == "permutation"
+
 
 class TestFullReport:
     def test_p4(self):
@@ -199,6 +209,21 @@ class TestFullReport:
                 assert w is not None and is_proper(g, w)
                 fn = {1: chromatic_m1, 2: chromatic_m2, 3: chromatic_m3}[k]
                 assert fn(g, w) == r.value(key)
+
+    @given(graphs(max_n=7))
+    @example(Graph(7))
+    @example(Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]))
+    @settings(max_examples=60, deadline=None)
+    def test_least_witnesses_match_naive_and_coloring_sweep(self, g):
+        r = full_report(g)
+        got = {key: (r.value(key), r.witnesses[key].assignment) for key in EXTREMA_KEYS}
+        assert got == naive_extrema_witnesses(g)
+        swept = _sweep(g, enumerate_min_colorings(g, "all"))
+        assert got == {
+            f"cm{k}_{end}": (value, witness.assignment)
+            for k, (lo, lo_w, hi, hi_w) in swept.items()
+            for end, value, witness in (("min", lo, lo_w), ("max", hi, hi_w))
+        }
 
     def test_json_and_csv_shapes(self, schema_validator):
         r = full_report(cycle(5), label="cycle:5")
