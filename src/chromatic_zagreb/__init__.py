@@ -2,7 +2,6 @@
 
 from .coloring import (
     Coloring,
-    StrengthVector,
     chromatic_number,
     enumerate_min_colorings,
     find_coloring,
@@ -52,7 +51,6 @@ __all__ = [
     "GraphParseError",
     "IndexReport",
     "StabilityReport",
-    "StrengthVector",
     "claim_ids",
     "run_claims",
     "chromatic_extrema",

@@ -94,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab = sub.add_parser("stability", help="chromatic stability verdict and number")
     p_stab.add_argument("--input", metavar="FILE")
     p_stab.add_argument("--family", metavar="SPEC")
-    p_stab.add_argument("--rho-budget", type=_count, default=9,
-                        help="order cap for the brute-force stability number")
     p_stab.add_argument("--format", choices=("line", "json"), default="line")
     p_stab.add_argument("--out", metavar="PATH", help="also write the JSON report here")
 
@@ -267,7 +265,7 @@ def _cmd_family(args, parser) -> int:
 
 def _cmd_stability(args, parser) -> int:
     g, label = _load_one_graph(args, parser)
-    report = stability_report(g, rho_order_budget=args.rho_budget, label=label)
+    report = stability_report(g, label=label)
     json_text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -62,22 +62,12 @@ class Coloring:
         return self.assignment[v]
 
 
-@dataclass(frozen=True)
-class StrengthVector:
-    """theta[j-1] = number of vertices wearing color j."""
-
-    theta: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(t < 1 for t in self.theta):
-            raise ValueError("every color class must be non-empty")
-
-
-def strengths(c: Coloring) -> StrengthVector:
+def strengths(c: Coloring) -> tuple[int, ...]:
+    """The color class sizes: entry j-1 counts the vertices wearing color j."""
     counts = [0] * c.palette_size
     for col in c.assignment:
         counts[col - 1] += 1
-    return StrengthVector(tuple(counts))
+    return tuple(counts)
 
 
 def is_proper(g: Graph, c: Coloring) -> bool:
@@ -178,48 +168,53 @@ def _greedy_coloring(masks: tuple[int, ...], n: int) -> list[int]:
     return colors
 
 
+def _colors_in(mask: int, colors: list[int]) -> int:
+    """Bit c-1 set for each color c > 0 that colors gives a vertex of mask."""
+    seen = 0
+    while mask:
+        low = mask & -mask
+        seen |= 1 << colors[low.bit_length() - 1] >> 1
+        mask ^= low
+    return seen
+
+
 def _search_k_coloring(masks: tuple[int, ...], n: int, k: int) -> list[int] | None:
     """Backtracking: find a proper coloring with at most k colors, else None.
 
     Vertices are tried in descending-degree order; the first vertex is
     pinned to color 1 and each vertex may open at most one new color,
-    which breaks color-label symmetry without losing completeness.
+    which breaks color-label symmetry without losing completeness. An
+    explicit stack keeps deep searches clear of the recursion limit.
     """
     if n == 0:
         return []
     if k < 1:
         return None
     order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
-    colors = [0] * n
-    max_used = [0]
-
-    def extend(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        banned = 0
-        m = masks[v]
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            if colors[w]:
-                banned |= 1 << (colors[w] - 1)
-        limit = min(k, max_used[0] + 1)
-        for c in range(1, limit + 1):
-            if banned >> (c - 1) & 1:
-                continue
-            colors[v] = c
-            prev = max_used[0]
-            if c > prev:
-                max_used[0] = c
-            if extend(idx + 1):
-                return True
+    colors = [0] * n  # at depth i, colors[order[i]] is the color tried last
+    banned = [0] * n  # at depth i: the colors of order[i]'s colored neighbours
+    opened = [0] * (n + 1)  # opened[i]: colors used by order[:i]
+    i = 0
+    while i >= 0:
+        v = order[i]
+        c = colors[v]
+        if not c:  # entering depth i
+            banned[i] = _colors_in(masks[v], colors)
+        forbidden = banned[i]
+        limit = min(k, opened[i] + 1)
+        c += 1
+        while c <= limit and forbidden >> (c - 1) & 1:
+            c += 1
+        if c > limit:  # every color at depth i is spent: back up
             colors[v] = 0
-            max_used[0] = prev
-        return False
-
-    return colors[:] if extend(0) else None
+            i -= 1
+            continue
+        colors[v] = c
+        opened[i + 1] = max(opened[i], c)
+        i += 1
+        if i == n:
+            return colors
+    return None
 
 
 def find_coloring(g: Graph, k: int) -> Coloring | None:
@@ -291,47 +286,50 @@ def _iter_all_min_colorings(
 
     Properness is pruned against already-assigned neighbours and a
     surjectivity-feasibility bound (unused colors cannot exceed remaining
-    vertices) keeps the search from wandering.
+    vertices) keeps the search from wandering. An explicit stack keeps
+    deep searches clear of the recursion limit.
     """
     n = g.order
     masks = g.adjacency_masks
-    assignment = [0] * n
+    assignment = [0] * n  # the color tried last at each vertex, 0 before the first
+    banned = [0] * n  # the colors of each vertex's earlier neighbours
     used_counts = [0] * (ell + 1)
+    unused = ell
     emitted = 0
-
-    def extend(v: int, unused: int) -> Iterator[tuple[int, ...]]:
-        nonlocal emitted
+    v = 0
+    while v >= 0:
         if v == n:
             if unused == 0:
                 emitted += 1
                 if max_emitted is not None and emitted > max_emitted:
                     raise EnumerationBudgetExceeded()
                 yield tuple(assignment)
-            return
-        banned = 0
-        m = masks[v] & ((1 << v) - 1)  # only earlier vertices are assigned
-        while m:
-            low = m & -m
-            banned |= 1 << (assignment[low.bit_length() - 1] - 1)
-            m ^= low
-        remaining = n - v - 1
-        for c in range(1, ell + 1):
-            if banned >> (c - 1) & 1:
-                continue
-            opens = 1 if used_counts[c] == 0 else 0
-            if unused - opens > remaining:
-                continue
-            assignment[v] = c
-            used_counts[c] += 1
-            yield from extend(v + 1, unused - opens)
+            v -= 1
+            continue
+        c = assignment[v]
+        if c:  # take back the color tried last at v
             used_counts[c] -= 1
+            unused += used_counts[c] == 0
+        else:  # entering v: only earlier vertices are assigned
+            banned[v] = _colors_in(masks[v] & ((1 << v) - 1), assignment)
+        forbidden = banned[v]
+        remaining = n - v - 1
+        c += 1
+        while c <= ell and (forbidden >> (c - 1) & 1
+                            or unused - (used_counts[c] == 0) > remaining):
+            c += 1
+        if c > ell:  # every color at v is spent: back up
             assignment[v] = 0
-
-    return extend(0, ell)
+            v -= 1
+            continue
+        assignment[v] = c
+        unused -= used_counts[c] == 0
+        used_counts[c] += 1
+        v += 1
 
 
 def _iter_chi_partitions(
-    g: Graph, ell: int, max_partitions: int | None = None
+    g: Graph, ell: int, max_partitions: int | None = None, max_steps: int | None = None
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every partition of V into exactly ell independent classes.
 
@@ -339,6 +337,9 @@ def _iter_chi_partitions(
     search), so each set partition appears exactly once, with its classes
     in first-vertex order and each class ascending. The search keeps an
     explicit stack, so its depth is not bounded by the recursion limit.
+    Past ``max_partitions`` partitions, or ``max_steps`` steps (one per
+    backtrack, dead ends too, and n per partition), it raises
+    EnumerationBudgetExceeded.
     """
     n = g.order
     masks = g.adjacency_masks
@@ -348,6 +349,7 @@ def _iter_chi_partitions(
     # k == len(class_masks) opens a new class
     option = [0] * (n + 1)
     count = 0
+    backtracks = 0
     v = 0
     while v >= 0:
         if v == n:
@@ -382,6 +384,9 @@ def _iter_chi_partitions(
                 option[v] = 0
                 continue
         # every option at v is spent: undo the placement of v - 1
+        backtracks += 1
+        if max_steps is not None and backtracks + n * count > max_steps:
+            raise EnumerationBudgetExceeded()
         v -= 1
         if v >= 0:
             k = placed[v]

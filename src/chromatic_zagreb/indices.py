@@ -459,7 +459,7 @@ def thorn_base_data(g: Graph, report: IndexReport) -> ThornBaseData:
         w = report.witnesses.get(f"cm{idx}_min")
         if w is None:
             raise ValueError("thorn base data needs minimum witnesses in the report")
-        thetas[idx] = tuple(sorted(strengths(w).theta, reverse=True))
+        thetas[idx] = tuple(sorted(strengths(w), reverse=True))
     return ThornBaseData(
         n=g.order,
         ell=len(thetas[1]),

@@ -174,6 +174,8 @@ def parse_dimacs(text: str) -> Graph:
                 order = int(parts[2])
             except ValueError:
                 raise GraphParseError(f"non-integer order in {line!r}", line=lineno) from None
+            if order < 0:
+                raise GraphParseError(f"negative order {order}", line=lineno)
         elif parts[0] == "e":
             if order is None:
                 raise GraphParseError("edge line before problem line", line=lineno)

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
-from .coloring import _bipartition, _min_coloring, chromatic_number
+from .coloring import (EnumerationBudgetExceeded, _bipartition, _iter_chi_partitions,
+                       _min_coloring, chromatic_number)
 from .graph import Graph
+
+# work cap of the stability-number search for each class count, in search
+# steps: one per backtrack, the order per partition visited
+RHO_WORK_CAP = 2_000_000
 
 
 class StabilityBudgetExceeded(Exception):
@@ -31,7 +37,7 @@ def is_complete_bipartite(g: Graph) -> bool:
     return g.size == len(sides[0]) * len(sides[1])
 
 
-def is_chromatically_stable(g: Graph) -> bool | None:
+def is_chromatically_stable(g: Graph, coloring: list[int] | None = None) -> bool | None:
     """Stability verdict: True/False, or None for complete graphs.
 
     True iff there exists a non-edge e with chi(G+e) = chi(G). One
@@ -41,14 +47,16 @@ def is_chromatically_stable(g: Graph) -> bool | None:
     recomputing the chromatic number for every candidate addition, so a
     False verdict is always exhaustive (no structural shortcuts, which
     keeps it an independent check of the complete-bipartite
-    characterization).
+    characterization). A caller that already holds a chi-coloring of g
+    (colors 1..chi, as from ``_min_coloring``) may pass it.
     """
     if g.order < 2:
         raise ValueError("stability needs order >= 2")
     candidates = g.non_edges()
     if not candidates:
         return None
-    coloring = _min_coloring(g.adjacency_masks, g.order)
+    if coloring is None:
+        coloring = _min_coloring(g.adjacency_masks, g.order)
     if any(coloring[u] != coloring[v] for u, v in candidates):
         return True
     chi = max(coloring)
@@ -104,17 +112,36 @@ def stability_number_bruteforce(
     raise AssertionError("completing the graph always removes every non-edge")
 
 
+def _stability_number(g: Graph, coloring: list[int]) -> tuple[int, str]:
+    """(rho, exact | upper_bound) for a stable g and a chi-coloring of it.
+
+    A graph with a non-edge is unstable iff it is complete multipartite, so
+    rho = C(n,2) - size - max sum C(|P_i|,2) over partitions of V into
+    k = chi..n-1 independent sets, of which the coloring's classes are one;
+    k sets hold at most C(n-k+1,2) pairs. A walk past RHO_WORK_CAP steps
+    leaves the best partition seen as an upper bound.
+    """
+    n = g.order
+    sizes = Counter(coloring).values()
+    pairs = sum([s * (s - 1) for s in sizes]) // 2
+    for k in range(len(sizes), n):
+        if (n - k + 1) * (n - k) // 2 <= pairs:
+            break
+        try:
+            for partition in _iter_chi_partitions(g, k, max_steps=RHO_WORK_CAP):
+                pairs = max(pairs, sum([len(c) * (len(c) - 1) for c in partition]) // 2)
+        except EnumerationBudgetExceeded:
+            return n * (n - 1) // 2 - g.size - pairs, "upper_bound"
+    return n * (n - 1) // 2 - g.size - pairs, "exact"
+
+
 @dataclass(frozen=True)
 class StabilityReport:
-    """Verdict record: chi, stability, and the stability number when known.
+    """Verdict record: chi, stability, and the stability number rho.
 
-    The bipartite closed form counts the cross-partition non-edges, but a
-    cheaper route to an unstable graph can leave the bipartite world (the
-    smallest case is the order-7 double star, where completing the two
-    centers against all leaves yields an unstable complete tripartite
-    graph one edge sooner). The closed form is therefore only an upper
-    bound until the breadth-first search confirms it, and rho_status says
-    which situation applies.
+    rho comes from the partition search of :func:`_stability_number`
+    (``cluster_deletion`` on the complement); it is an ``upper_bound`` only
+    when the search hit its work cap.
     """
 
     order: int
@@ -123,8 +150,8 @@ class StabilityReport:
     stable: bool | None
     perfectly_stable: bool
     rho: int | None
-    method: str  # closed_form | brute_force | not_applicable
-    rho_status: str  # exact | upper_bound | unknown_budget | not_applicable
+    method: str  # cluster_deletion | not_applicable
+    rho_status: str  # exact | upper_bound | not_applicable
     connected: bool
     label: str | None = None
 
@@ -138,58 +165,27 @@ class StabilityReport:
             middle = "chromatically stable"
             if self.rho_status == "upper_bound":
                 middle += f", rho<={self.rho} ({self.method}, upper bound)"
-            elif self.rho is not None:
+            else:
                 middle += f", rho={self.rho} ({self.method})"
-            elif self.rho_status == "unknown_budget":
-                middle += ", rho unknown (budget)"
         else:
             middle = "chromatically unstable"
         return f"chi={self.chi}: {middle}"
 
 
-def stability_report(
-    g: Graph, rho_order_budget: int = 9, label: str | None = None
-) -> StabilityReport:
+def stability_report(g: Graph, label: str | None = None) -> StabilityReport:
     """Full stability analysis for one graph.
 
     Disconnected inputs are still analyzed but flagged via ``connected``.
-    For the stability number, the breadth-first search is authoritative
-    within its budget; the bipartite closed form is reported as the method
-    when the two agree, and as an unconfirmed upper bound when the search
-    was out of budget.
     """
     if g.order < 2:
         raise ValueError("stability needs order >= 2")
-    chi = chromatic_number(g)
-    connected = g.is_connected()
-    stable = is_chromatically_stable(g)
-    if stable is None:
-        return StabilityReport(
-            g.order, g.size, chi, None, True, None,
-            "not_applicable", "not_applicable", connected, label,
-        )
-    rho: int | None = None
-    method = "not_applicable"
-    rho_status = "not_applicable"
-    if stable:
-        closed = None
-        if connected and chi == 2 and not is_complete_bipartite(g):
-            closed = stability_number_bipartite(g)
-        brute = None
-        if g.order <= rho_order_budget:
-            try:
-                brute = stability_number_bruteforce(g, max_order=rho_order_budget)
-            except StabilityBudgetExceeded:
-                brute = None
-        if brute is not None:
-            if closed == brute:
-                rho, method, rho_status = closed, "closed_form", "exact"
-            else:
-                rho, method, rho_status = brute, "brute_force", "exact"
-        elif closed is not None:
-            rho, method, rho_status = closed, "closed_form", "upper_bound"
-        else:
-            method, rho_status = "brute_force", "unknown_budget"
+    coloring = _min_coloring(g.adjacency_masks, g.order)
+    stable = is_chromatically_stable(g, coloring)
+    rho, method, rho_status = None, "not_applicable", "not_applicable"
+    if stable:  # not for unstable or complete (None) graphs
+        rho, rho_status = _stability_number(g, coloring)
+        method = "cluster_deletion"
     return StabilityReport(
-        g.order, g.size, chi, stable, False, rho, method, rho_status, connected, label,
+        g.order, g.size, max(coloring), stable, stable is None, rho,
+        method, rho_status, g.is_connected(), label,
     )

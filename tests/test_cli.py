@@ -120,7 +120,7 @@ class TestCompute:
 
 class TestCountArguments:
     @pytest.mark.parametrize("argv", [
-        ("stability", "--family", "path:4", "--rho-budget", "-1"),
+        ("family", "complete:4", "--oracle-max-order", "two"),
         ("compute", "--family", "path:4", "--budget-order", "-1"),
         ("compute", "--family", "path:4", "--budget-colorings", "-5"),
         ("verify", "--claims", "obs-i", "--max-order", "-1"),
@@ -129,7 +129,7 @@ class TestCountArguments:
         ("verify", "--claims", "obs-i", "--samples", "-2"),
         ("verify", "--claims", "obs-i", "--tree-max-order", "-1"),
         ("family", "complete:4", "--oracle-max-order", "-1"),
-        ("stability", "--family", "path:4", "--rho-budget", "two"),
+        ("compute", "--family", "path:4", "--budget-order", "two"),
     ])
     def test_negative_or_non_integer_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -139,9 +139,9 @@ class TestCountArguments:
         assert "non-negative integer" in err or "invalid int value" in err
 
     def test_zero_is_accepted(self, capsys):
-        code, out, _ = run_cli(capsys, "stability", "--family", "path:4",
-                               "--rho-budget", "0", "--format", "json")
-        assert code == 0 and json.loads(out)["rho_status"] == "upper_bound"
+        code, out, _ = run_cli(capsys, "compute", "--family", "path:4",
+                               "--budget-colorings", "0", "--format", "json")
+        assert code == 0 and json.loads(out)["status"] == "bounds_only"
 
 
 class TestFamily:

@@ -49,8 +49,8 @@ class TestColoringType:
         assert c.palette_size == 2
 
     def test_strengths(self):
-        assert strengths(Coloring((1, 2, 1), 2)).theta == (2, 1)
-        assert strengths(Coloring((1, 2, 3), 3)).theta == (1, 1, 1)
+        assert strengths(Coloring((1, 2, 1), 2)) == (2, 1)
+        assert strengths(Coloring((1, 2, 3), 3)) == (1, 1, 1)
 
     def test_is_proper(self):
         k2 = complete(2)
@@ -113,6 +113,21 @@ class TestChromaticNumber:
         assert all(colors[u] != colors[v] for u, v in g.edges)
         assert set(colors) == {1, 2, 3} and naive_chi(g) == 3
 
+    def test_deep_searches_run_without_recursion(self):
+        long_path = path(1500)
+        c = find_coloring(long_path, 2)
+        assert c.palette_size == 2 and is_proper(long_path, c)
+        # the DSATUR-hard graph above with a 1200-vertex path hung off vertex
+        # 7: DSATUR still needs 4 colors, so chi comes from the backtracking
+        # search, whose depth is the order
+        g = Graph(1208, [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 5), (2, 5),
+                         (2, 6), (3, 5), (3, 6), (3, 7), (5, 6), (7, 8)]
+                  + [(v, v + 1) for v in range(8, 1207)])
+        assert max(_greedy_coloring(g.adjacency_masks, g.order)) == 4
+        colors = _min_coloring(g.adjacency_masks, g.order)
+        assert all(colors[u] != colors[v] for u, v in g.edges)
+        assert set(colors) == {1, 2, 3} and chromatic_number(g) == 3
+
 
 class TestEnumeration:
     def test_p3_all(self):
@@ -125,6 +140,10 @@ class TestEnumeration:
     def test_k1(self):
         got = list(enumerate_min_colorings(Graph(1), "all"))
         assert [c.assignment for c in got] == [(1,)]
+
+    def test_all_on_a_deep_path(self):
+        got = [c.assignment for c in enumerate_min_colorings(path(1500), "all")]
+        assert got == [tuple(1 + (v + s) % 2 for v in range(1500)) for s in (0, 1)]
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
@@ -182,6 +201,16 @@ class TestCanonicalPartition:
 
     def test_complete_graph(self):
         assert canonical_partition(complete(3)) == ((0,), (1,), (2,))
+
+    def test_step_cap_counts_dead_ends(self):
+        # K6 has no partition into 5 independent sets: every step is a dead end
+        assert list(_iter_chi_partitions(complete(6), 5)) == []
+        with pytest.raises(EnumerationBudgetExceeded):
+            list(_iter_chi_partitions(complete(6), 5, max_steps=5))
+        # P4's one bipartition: 4 steps for the partition, 5 backtracks
+        assert len(list(_iter_chi_partitions(path(4), 2, max_steps=9))) == 1
+        with pytest.raises(EnumerationBudgetExceeded):
+            list(_iter_chi_partitions(path(4), 2, max_steps=8))
 
     @given(graphs())
     @settings(max_examples=40, deadline=None)

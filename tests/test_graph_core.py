@@ -217,6 +217,8 @@ class TestDimacs:
             parse_dimacs("p col 2 1\ne 1 2\n")
         with pytest.raises(GraphParseError):
             parse_dimacs("p edge 2 1\nq 1 2\n")
+        with pytest.raises(GraphParseError):
+            parse_dimacs("p edge -3 0\n")
 
 
 class TestGenerators:

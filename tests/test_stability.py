@@ -5,9 +5,10 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from chromatic_zagreb import generate, parse_family_spec, stability
 from chromatic_zagreb.coloring import chromatic_number, _bipartition
 from chromatic_zagreb.corpus import (
     connected_bipartite_graphs,
@@ -172,7 +173,8 @@ class TestExhaustiveCorpora:
 class TestStabilityReport:
     def test_p4(self):
         r = stability_report(path(4))
-        assert (r.stable, r.rho, r.method, r.rho_status) == (True, 1, "closed_form", "exact")
+        assert (r.stable, r.rho, r.method, r.rho_status) == \
+            (True, 1, "cluster_deletion", "exact")
 
     def test_complete(self):
         r = stability_report(complete(5))
@@ -180,22 +182,55 @@ class TestStabilityReport:
         assert r.method == "not_applicable" and r.rho is None
 
     def test_double_star_reports_true_value(self):
+        # the partition search finds the tripartite route the closed form misses
         r = stability_report(double_star_3_4())
-        assert (r.rho, r.method, r.rho_status) == (5, "brute_force", "exact")
+        assert (r.rho, r.method, r.rho_status) == (5, "cluster_deletion", "exact")
 
-    def test_budget_degrades_to_upper_bound(self):
-        r = stability_report(path(9))
-        assert (r.rho, r.method, r.rho_status) == (20 - 8, "closed_form", "upper_bound")
+    @pytest.mark.parametrize("spec,rho", [
+        ("path:9", 12), ("cycle:9", 15), ("thorn(path:4;1)", 9),
+        ("path:10", 16), ("cycle:10", 15), ("cycle:7", 8),
+    ])
+    def test_exact_values(self, spec, rho):
+        r = stability_report(generate(parse_family_spec(spec)))
+        assert (r.rho, r.method, r.rho_status) == (rho, "cluster_deletion", "exact")
+
+    @given(graphs(max_n=6))
+    @example(double_star_3_4())
+    @settings(max_examples=80, deadline=None)
+    def test_rho_matches_bruteforce(self, g):
+        assume(is_chromatically_stable(g) is True)
+        r = stability_report(g)
+        assert (r.rho, r.rho_status) == (stability_number_bruteforce(g), "exact")
 
     def test_unstable_has_no_rho(self):
         r = stability_report(star(4))
         assert r.stable is False and r.rho is None
 
-    def test_chi3_stable_uses_bruteforce(self):
+    def test_chi3_stable_is_exact(self):
         # odd cycle: chi = 3; some addition preserves 3, so it is stable
         r = stability_report(cycle(5))
         assert r.chi == 3 and r.stable is True
-        assert r.method == "brute_force" and r.rho is not None
+        assert (r.rho, r.method, r.rho_status) == \
+            (stability_number_bruteforce(cycle(5)), "cluster_deletion", "exact")
+
+    def test_budget_degrades_to_upper_bound(self, monkeypatch):
+        # the walk stops at once, leaving the chi-coloring's bound: here the
+        # bipartition, that is the closed form
+        monkeypatch.setattr(stability, "RHO_WORK_CAP", 1)
+        r = stability_report(double_star_3_4())
+        assert (r.rho, r.method, r.rho_status) == (6, "cluster_deletion", "upper_bound")
+        # here the search backtracks before its first partition, so the
+        # bound (exact rho is 8) comes from the chi-coloring's classes
+        g = Graph(8, [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 5), (2, 5), (2, 6),
+                      (3, 5), (3, 6), (3, 7), (5, 6)])
+        r = stability_report(g)
+        assert (r.rho, r.rho_status) == (9, "upper_bound")
+
+    def test_work_cap_bounds_large_inputs(self, schema_validator):
+        # capped; the chi-coloring is the bipartition, so the bound is the closed form
+        r = stability_report(path(1500))
+        assert (r.rho, r.rho_status) == (750 * 750 - 1499, "upper_bound")
+        schema_validator(r.to_json_dict(), "stability_report.schema.json")
 
     def test_disconnected_flagged(self):
         r = stability_report(Graph(4, [(0, 1), (2, 3)]))
@@ -211,11 +246,11 @@ class TestStabilityReport:
         assert "unstable" in stability_report(star(4)).verdict_line()
         assert "rho=1" in stability_report(path(4)).verdict_line()
 
-    def test_verdict_line_prints_an_upper_bound_as_a_bound(self):
-        r = stability_report(path(10))  # beyond the brute-force order budget
-        assert (r.rho, r.rho_status) == (16, "upper_bound")
+    def test_verdict_line_prints_an_upper_bound_as_a_bound(self, monkeypatch):
+        assert stability_report(double_star_3_4()).verdict_line() == \
+            "chi=2: chromatically stable, rho=5 (cluster_deletion)"
+        monkeypatch.setattr(stability, "RHO_WORK_CAP", 1)
+        r = stability_report(double_star_3_4())
         assert r.verdict_line() == \
-            "chi=2: chromatically stable, rho<=16 (closed_form, upper bound)"
-        assert r.to_json_dict()["rho"] == 16
-        assert stability_report(path(4)).verdict_line() == \
-            "chi=2: chromatically stable, rho=1 (closed_form)"
+            "chi=2: chromatically stable, rho<=6 (cluster_deletion, upper bound)"
+        assert r.to_json_dict()["rho"] == 6
