@@ -217,6 +217,20 @@ def _search_k_coloring(masks: tuple[int, ...], n: int, k: int) -> list[int] | No
     return None
 
 
+def _k_coloring(masks: tuple[int, ...] | list[int], n: int, k: int) -> list[int] | None:
+    """A proper coloring with at most k >= 2 colors, or None: the
+    two-coloring sweep for k = 2, the backtracking search above that."""
+    if k == 2:
+        sides = _bipartition(masks, n)
+        if sides is None:
+            return None
+        colors = [1] * n
+        for v in sides[1]:
+            colors[v] = 2
+        return colors
+    return _search_k_coloring(tuple(masks), n, k)
+
+
 def find_coloring(g: Graph, k: int) -> Coloring | None:
     """A proper coloring of g using at most k colors, or None if impossible.
 
@@ -245,12 +259,9 @@ def _min_coloring(masks: tuple[int, ...], n: int) -> list[int]:
     """
     if not any(masks):
         return [1] * n
-    sides = _bipartition(masks, n)
-    if sides is not None:
-        colors = [1] * n
-        for v in sides[1]:
-            colors[v] = 2
-        return colors
+    two = _k_coloring(masks, n, 2)
+    if two is not None:
+        return two
     greedy = _greedy_coloring(masks, n)
     upper = max(greedy)
     if upper == 3:  # chi >= 3 without a two-coloring, so DSATUR is optimal
@@ -396,28 +407,104 @@ def _iter_chi_partitions(
                 class_masks[k] ^= 1 << v
 
 
-def canonical_partition(
-    g: Graph, ell: int | None = None, max_partitions: int | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """The lexicographically least proper chi-partition (sorted representation).
+def _vertices(mask: int) -> Iterator[int]:
+    """The vertices of a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    With ``max_partitions`` set, enumeration past the cap aborts with
-    EnumerationBudgetExceeded rather than returning a possibly wrong pick.
+
+def _induced(masks: tuple[int, ...], live: int) -> list[int]:
+    """The masks of the subgraph induced by live; other vertices isolated."""
+    sub = [0] * len(masks)
+    for v in _vertices(live):
+        sub[v] = masks[v] & live
+    return sub
+
+
+def _classes_of(colors: list[int], live: int, k: int) -> list[int]:
+    """Per color 1..k, the bitmask of the vertices of live that wear it."""
+    classes = [0] * k
+    for v in _vertices(live):
+        classes[colors[v] - 1] |= 1 << v
+    return classes
+
+
+def canonical_partition(g: Graph, ell: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The lexicographically least proper chi-partition, built class by class.
+
+    Partitions compare as tuples of ascending classes in first-vertex
+    order, and a class that is a proper prefix of another is the smaller.
+    So each class opens at the smallest unplaced vertex, closes as soon as
+    the unplaced rest has a proper coloring with the classes still
+    missing, and otherwise takes the smallest later vertex that keeps a
+    completion feasible. A vertex skipped there stays out of the class
+    with no further check: a completion holding it and later members
+    would also complete the members it was refused with.
+
+    Each step is answered first from a witness coloring of the unplaced
+    vertices, kept as per-color class bitmasks and started from
+    :func:`_min_coloring`: it says yes when its open class holds the
+    candidate, or equals the members. Otherwise a candidate asks for a
+    k-coloring of the unplaced vertices with the open class's members
+    merged into one vertex, and the coloring that answers yes becomes the
+    witness. ``ell`` must equal chi, so that "at most k colors" for the
+    rest means exactly k.
     """
+    n = g.order
+    masks = g.adjacency_masks
+    colors = _min_coloring(masks, n)
+    chi = max(colors, default=0)
     if ell is None:
-        ell = chromatic_number(g)
-    best: tuple[tuple[int, ...], ...] | None = None
-    for partition in _iter_chi_partitions(g, ell, max_partitions):
-        if best is None or partition < best:
-            best = partition
-    if best is None:
-        raise ValueError(f"graph admits no proper partition into {ell} classes")
-    return best
-
-
-def first_chi_partition(g: Graph, ell: int) -> tuple[tuple[int, ...], ...]:
-    """First chi-partition in restricted-growth search order (cheap fallback)."""
-    return next(iter(_iter_chi_partitions(g, ell)))
+        ell = chi
+    elif ell != chi:
+        raise ValueError(f"the canonical partition needs ell = chi = {chi}, got {ell}")
+    unplaced = (1 << n) - 1
+    witness = _classes_of(colors, unplaced, ell)
+    partition = []
+    while unplaced:
+        k = ell - len(partition)  # classes still to build, the open one included
+        opener = (unplaced & -unplaced).bit_length() - 1
+        members = 1 << opener
+        blocked = masks[opener]  # the neighbours of the members
+        while True:
+            open_i = next(i for i, cls in enumerate(witness) if cls >> opener & 1)
+            own = witness[open_i]
+            rest = unplaced ^ members
+            if own == members:
+                del witness[open_i]
+                break
+            if k == 2:  # the rest is edgeless unless own - members has a neighbour in it
+                other = rest & ~own
+                if not any(masks[v] & other for v in _vertices(own ^ members)):
+                    witness = [rest]
+                    break
+            elif k > 2:
+                found = _k_coloring(_induced(masks, rest), n, k - 1)
+                if found is not None:
+                    witness = _classes_of(found, rest, k - 1)
+                    break
+            for x in _vertices(unplaced & ~blocked & -(1 << members.bit_length())):
+                if own >> x & 1:
+                    break
+                grown = members | 1 << x
+                live = unplaced & ~grown
+                sub = _induced(masks, live | 1 << opener)
+                merged = (blocked | masks[x]) & live
+                sub[opener] = merged
+                for v in _vertices(merged):
+                    sub[v] |= 1 << opener
+                found = _k_coloring(sub, n, k)
+                if found is not None:
+                    witness = _classes_of(found, live, k)
+                    witness[found[opener] - 1] |= grown
+                    break
+            members |= 1 << x
+            blocked |= masks[x]
+        partition.append(tuple(_vertices(members)))
+        unplaced ^= members
+    return tuple(partition)
 
 
 def label_partition(
@@ -466,7 +553,10 @@ def enumerate_min_colorings(
         for assignment in _iter_all_min_colorings(g, ell, max_emitted):
             yield Coloring(assignment, ell)
     elif semantics == "permutation":
-        partition = canonical_partition(g, ell, max_partitions=max_emitted)
-        yield from colorings_of_partition(partition, g.order)
+        partition = canonical_partition(g, ell)
+        for emitted, c in enumerate(colorings_of_partition(partition, g.order), 1):
+            if max_emitted is not None and emitted > max_emitted:
+                raise EnumerationBudgetExceeded()
+            yield c
     else:
         raise ValueError(f"unknown semantics {semantics!r}")

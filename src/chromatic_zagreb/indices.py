@@ -23,7 +23,6 @@ from .coloring import (
     canonical_partition,
     chromatic_number,
     colorings_of_partition,
-    first_chi_partition,
     is_proper,
     label_partition,
     strengths,
@@ -279,27 +278,20 @@ def _sweep_all_semantics(g: Graph, ell: int, budget: Budget):
 def _sweep_permutation_semantics(g: Graph, ell: int, budget: Budget):
     """Sweep over labelings of the canonical partition.
 
-    Returns (results, exact) where exact means the canonical partition was
-    confirmed and every one of the ell! labelings was evaluated.
+    Returns (results, exact) where exact means every one of the ell!
+    labelings was evaluated.
     """
-    exact = True
-    try:
-        partition = canonical_partition(g, ell, max_partitions=budget.max_colorings)
-    except EnumerationBudgetExceeded:
-        partition = first_chi_partition(g, ell)
-        exact = False
+    partition = canonical_partition(g, ell)
     if math.factorial(ell) <= budget.max_colorings:
-        colorings = colorings_of_partition(partition, g.order)
-    else:
-        # identity and reversed labelings only: still valid colorings,
-        # so the sweep yields bounds rather than exact extrema; with the
-        # classes in first-vertex order they are in assignment order
-        exact = False
-        colorings = [
-            Coloring(label_partition(partition, labels, g.order), ell)
-            for labels in (tuple(range(1, ell + 1)), tuple(range(ell, 0, -1)))
-        ]
-    return _sweep(g, colorings), exact
+        return _sweep(g, colorings_of_partition(partition, g.order)), True
+    # identity and reversed labelings only: still valid colorings, so the
+    # sweep yields bounds rather than exact extrema; with the classes in
+    # first-vertex order they are in assignment order
+    colorings = [
+        Coloring(label_partition(partition, labels, g.order), ell)
+        for labels in (tuple(range(1, ell + 1)), tuple(range(ell, 0, -1)))
+    ]
+    return _sweep(g, colorings), False
 
 
 def _compute_extrema(g: Graph, semantics: Semantics, budget: Budget):

@@ -50,17 +50,23 @@ def is_chromatically_stable(g: Graph, coloring: list[int] | None = None) -> bool
     characterization). A caller that already holds a chi-coloring of g
     (colors 1..chi, as from ``_min_coloring``) may pass it.
     """
-    if g.order < 2:
+    n = g.order
+    if n < 2:
         raise ValueError("stability needs order >= 2")
-    candidates = g.non_edges()
-    if not candidates:
+    if g.size == n * (n - 1) // 2:
         return None
+    masks = g.adjacency_masks
     if coloring is None:
-        coloring = _min_coloring(g.adjacency_masks, g.order)
-    if any(coloring[u] != coloring[v] for u, v in candidates):
+        coloring = _min_coloring(masks, n)
+    classes = [0] * (max(coloring) + 1)
+    for v, c in enumerate(coloring):
+        classes[c] |= 1 << v
+    full = (1 << n) - 1
+    # a non-neighbour of v outside v's own class is a bichromatic non-edge
+    if any(full & ~(masks[v] | classes[c]) for v, c in enumerate(coloring)):
         return True
     chi = max(coloring)
-    for e in candidates:
+    for e in g.non_edges():
         if chromatic_number(g.with_extra_edges([e])) == chi:
             return True
     return False

@@ -48,6 +48,30 @@ def naive_min_colorings(g: Graph, ell: int | None = None) -> list[tuple[int, ...
     return out
 
 
+def naive_set_partitions(n: int) -> list[list[list[int]]]:
+    """Every partition of range(n), classes ascending and in first-vertex order."""
+    if n == 0:
+        return [[]]
+    out = []
+    for p in naive_set_partitions(n - 1):
+        for i in range(len(p)):
+            out.append(p[:i] + [p[i] + [n - 1]] + p[i + 1:])
+        out.append(p + [[n - 1]])
+    return out
+
+
+def naive_canonical_partition(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The least of the partitions into chi independent classes, compared as
+    tuples of ascending classes in first-vertex order."""
+    independent = [
+        tuple(tuple(cls) for cls in p)
+        for p in naive_set_partitions(g.order)
+        if not any(g.has_edge(u, v) for cls in p for u, v in itertools.combinations(cls, 2))
+    ]
+    chi = min(len(p) for p in independent)
+    return min(p for p in independent if len(p) == chi)
+
+
 def naive_extrema(g: Graph) -> dict[int, tuple[int, int]]:
     edges = g.edges
     values = {1: [], 2: [], 3: []}

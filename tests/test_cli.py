@@ -110,6 +110,13 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["status"] == "bounds_only"
 
+    def test_large_odd_cycles_get_a_canonical_partition(self, capsys):
+        # past the exact sweep's budget, so the canonical partition is built
+        for spec in ("cycle:1501", "thorn(cycle:501;2)"):
+            code, out, _ = run_cli(capsys, "compute", "--family", spec)
+            assert code == 0
+            assert json.loads(out)["semantics_used"] == "permutation"
+
     def test_strict_budget_exit(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--family", "cycle:5",
                                "--budget-order", "3", "--budget-colorings", "5",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromatic_zagreb.coloring import (
@@ -25,7 +25,15 @@ from chromatic_zagreb.coloring import (
 from chromatic_zagreb.corpus import connected_bipartite_graphs
 from chromatic_zagreb.graph import Graph
 
-from conftest import complete, cycle, naive_chi, naive_min_colorings, path, star
+from conftest import (
+    complete,
+    cycle,
+    naive_canonical_partition,
+    naive_chi,
+    naive_min_colorings,
+    path,
+    star,
+)
 
 
 @st.composite
@@ -187,6 +195,11 @@ class TestEnumeration:
     def test_budget_abort(self):
         with pytest.raises(EnumerationBudgetExceeded):
             list(enumerate_min_colorings(complete(6), "all", max_emitted=10))
+        # the cap counts colorings under permutation too: K6 has one
+        # partition but 6! labelings
+        with pytest.raises(EnumerationBudgetExceeded):
+            list(enumerate_min_colorings(complete(6), "permutation", max_emitted=10))
+        assert len(list(enumerate_min_colorings(complete(3), "permutation", max_emitted=6))) == 6
 
 
 class TestCanonicalPartition:
@@ -201,6 +214,24 @@ class TestCanonicalPartition:
 
     def test_complete_graph(self):
         assert canonical_partition(complete(3)) == ((0,), (1,), (2,))
+        with pytest.raises(ValueError):
+            canonical_partition(complete(3), 2)  # ell must be chi
+
+    @given(graphs(max_n=8))
+    @settings(max_examples=150, deadline=None)
+    @example(Graph(8))
+    @example(Graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5), (6, 7)]))
+    @example(Graph(8, [(0, 5), (5, 2), (2, 7), (7, 0), (1, 6), (6, 3), (3, 1)]))
+    def test_construction_is_the_least_partition(self, g):
+        least = naive_canonical_partition(g)
+        assert canonical_partition(g) == least
+        assert min(_iter_chi_partitions(g, len(least))) == least
+
+    def test_deep_inputs(self):
+        odds, evens = tuple(range(1, 1501, 2)), tuple(range(2, 1501, 2))
+        assert canonical_partition(cycle(1501)) == ((0,), odds, evens)
+        assert canonical_partition(path(1500)) == (tuple(range(0, 1500, 2)),
+                                                   tuple(range(1, 1500, 2)))
 
     def test_step_cap_counts_dead_ends(self):
         # K6 has no partition into 5 independent sets: every step is a dead end
