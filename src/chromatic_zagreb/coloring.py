@@ -431,7 +431,9 @@ def _classes_of(colors: list[int], live: int, k: int) -> list[int]:
     return classes
 
 
-def canonical_partition(g: Graph, ell: int | None = None) -> tuple[tuple[int, ...], ...]:
+def canonical_partition(
+    g: Graph, coloring: list[int] | None = None
+) -> tuple[tuple[int, ...], ...]:
     """The lexicographically least proper chi-partition, built class by class.
 
     Partitions compare as tuples of ascending classes in first-vertex
@@ -449,19 +451,17 @@ def canonical_partition(g: Graph, ell: int | None = None) -> tuple[tuple[int, ..
     candidate, or equals the members. Otherwise a candidate asks for a
     k-coloring of the unplaced vertices with the open class's members
     merged into one vertex, and the coloring that answers yes becomes the
-    witness. ``ell`` must equal chi, so that "at most k colors" for the
-    rest means exactly k.
+    witness. A caller that already holds a chi-coloring of g (colors
+    1..chi, as from :func:`_min_coloring`) may pass it; it must use chi
+    colors, so that "at most k colors" for the rest means exactly k.
     """
     n = g.order
     masks = g.adjacency_masks
-    colors = _min_coloring(masks, n)
-    chi = max(colors, default=0)
-    if ell is None:
-        ell = chi
-    elif ell != chi:
-        raise ValueError(f"the canonical partition needs ell = chi = {chi}, got {ell}")
+    if coloring is None:
+        coloring = _min_coloring(masks, n)
+    ell = max(coloring, default=0)
     unplaced = (1 << n) - 1
-    witness = _classes_of(colors, unplaced, ell)
+    witness = _classes_of(coloring, unplaced, ell)
     partition = []
     while unplaced:
         k = ell - len(partition)  # classes still to build, the open one included
@@ -548,12 +548,13 @@ def enumerate_min_colorings(
     """
     if g.order < 1:
         raise ValueError("enumeration needs order >= 1")
-    ell = chromatic_number(g)
+    coloring = _min_coloring(g.adjacency_masks, g.order)
+    ell = max(coloring)
     if semantics == "all":
         for assignment in _iter_all_min_colorings(g, ell, max_emitted):
             yield Coloring(assignment, ell)
     elif semantics == "permutation":
-        partition = canonical_partition(g, ell)
+        partition = canonical_partition(g, coloring)
         for emitted, c in enumerate(colorings_of_partition(partition, g.order), 1):
             if max_emitted is not None and emitted > max_emitted:
                 raise EnumerationBudgetExceeded()

@@ -2,9 +2,10 @@
 
 Classical indices are degree sums; chromatic ones replace degrees with
 1-based color indices of a minimum coloring and are then minimized /
-maximized over the minimum colorings from :mod:`.coloring`: under ``all``
-semantics per chi-partition and its labelings, under ``permutation``
-semantics over the coloring stream.
+maximized over the minimum colorings from :mod:`.coloring`. Either
+semantics scores chi-partitions and their labelings on the partition
+quotient: under ``all`` every chi-partition, under ``permutation`` the
+canonical one.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from .coloring import (
     EnumerationBudgetExceeded,
     Semantics,
     canonical_partition,
-    chromatic_number,
-    colorings_of_partition,
     is_proper,
     label_partition,
     strengths,
     _iter_chi_partitions,
+    _min_coloring,
 )
 from .families import ThornBaseData
 from .graph import Graph
@@ -129,7 +129,12 @@ def _sweep(g: Graph, colorings) -> dict[int, tuple[int, Coloring, int, Coloring]
     """One pass over a coloring stream tracking min/max of all three indices.
 
     Streams arrive in lexicographic order, so strict comparisons leave the
-    lexicographically least witness in place for ties.
+    lexicographically least witness in place for ties. Exact extrema come
+    from :func:`_sweep_partitions`; this scores only the two labelings of
+    the bounds-only fallback. It also stays as the coloring-stream
+    reference that the least-witness tests check the partition path
+    against, and ``perfbench/spans.py`` rebinds it by name to count the
+    colorings scored.
     """
     edges = g.edges
     best: list[list] = []  # per index: [min, its witness, max, its witness]
@@ -254,61 +259,42 @@ def _sweep_partitions(g: Graph, ell: int, partitions):
     }
 
 
-def _sweep_all_semantics(g: Graph, ell: int, budget: Budget):
-    """Exact sweep over every chi-partition, or None when the budget rules
-    it out.
+def _compute_extrema(g: Graph, semantics: Semantics, budget: Budget):
+    """Extrema of all three indices at once: (per-index results, semantics, status).
 
-    Every chi-partition carries ell! colorings, so more than
+    Under ``all`` every chi-partition is scored, unless the budget rules it
+    out: every chi-partition carries ell! colorings, so more than
     max_colorings colorings means more than max_colorings // ell!
-    partitions.
+    partitions. Otherwise, and always under ``permutation``, the canonical
+    partition's ell! labelings are scored. Past ell! > max_colorings only
+    its identity and reversed labelings are, which still are valid
+    colorings and so give bounds rather than extrema.
     """
-    estimate = ell ** g.order
-    if estimate <= budget.max_colorings:
-        cap = None
-    elif g.order <= budget.max_order:
-        cap = budget.max_colorings // math.factorial(ell)
-    else:
-        return None
-    try:
-        return _sweep_partitions(g, ell, _iter_chi_partitions(g, ell, cap))
-    except EnumerationBudgetExceeded:
-        return None
-
-
-def _sweep_permutation_semantics(g: Graph, ell: int, budget: Budget):
-    """Sweep over labelings of the canonical partition.
-
-    Returns (results, exact) where exact means every one of the ell!
-    labelings was evaluated.
-    """
-    partition = canonical_partition(g, ell)
+    if g.order < 1:
+        raise ValueError("extrema need order >= 1")
+    if semantics not in ("all", "permutation"):
+        raise ValueError(f"unknown semantics {semantics!r}")
+    coloring = _min_coloring(g.adjacency_masks, g.order)
+    ell = max(coloring)
+    if semantics == "all":
+        uncapped = ell ** g.order <= budget.max_colorings
+        if uncapped or g.order <= budget.max_order:
+            cap = None if uncapped else budget.max_colorings // math.factorial(ell)
+            try:
+                partitions = _iter_chi_partitions(g, ell, cap)
+                return _sweep_partitions(g, ell, partitions), "all", "exact"
+            except EnumerationBudgetExceeded:
+                pass
+    partition = canonical_partition(g, coloring)
     if math.factorial(ell) <= budget.max_colorings:
-        return _sweep(g, colorings_of_partition(partition, g.order)), True
-    # identity and reversed labelings only: still valid colorings, so the
-    # sweep yields bounds rather than exact extrema; with the classes in
-    # first-vertex order they are in assignment order
+        results = _sweep_partitions(g, ell, [partition])
+        return results, "permutation", "exact" if semantics == "permutation" else "bounds_only"
+    # with the classes in first-vertex order these two are in assignment order
     colorings = [
         Coloring(label_partition(partition, labels, g.order), ell)
         for labels in (tuple(range(1, ell + 1)), tuple(range(ell, 0, -1)))
     ]
-    return _sweep(g, colorings), False
-
-
-def _compute_extrema(g: Graph, semantics: Semantics, budget: Budget):
-    """Extrema of all three indices at once: (per-index results, semantics, status)."""
-    if g.order < 1:
-        raise ValueError("extrema need order >= 1")
-    ell = chromatic_number(g)
-    if semantics == "all":
-        results = _sweep_all_semantics(g, ell, budget)
-        if results is not None:
-            return results, "all", "exact"
-        results, _ = _sweep_permutation_semantics(g, ell, budget)
-        return results, "permutation", "bounds_only"
-    if semantics == "permutation":
-        results, exact = _sweep_permutation_semantics(g, ell, budget)
-        return results, "permutation", "exact" if exact else "bounds_only"
-    raise ValueError(f"unknown semantics {semantics!r}")
+    return _sweep(g, colorings), "permutation", "bounds_only"
 
 
 def chromatic_extrema(

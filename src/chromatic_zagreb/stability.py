@@ -41,14 +41,14 @@ def is_chromatically_stable(g: Graph, coloring: list[int] | None = None) -> bool
     """Stability verdict: True/False, or None for complete graphs.
 
     True iff there exists a non-edge e with chi(G+e) = chi(G). One
-    chi-coloring c of G certifies True: a non-edge uv with c(u) != c(v)
-    can be added and c stays a proper chi-coloring of G+uv. Only when c
-    puts every non-edge inside one color class is the answer decided by
-    recomputing the chromatic number for every candidate addition, so a
-    False verdict is always exhaustive (no structural shortcuts, which
-    keeps it an independent check of the complete-bipartite
-    characterization). A caller that already holds a chi-coloring of g
-    (colors 1..chi, as from ``_min_coloring``) may pass it.
+    chi-coloring c of G decides it. A non-edge uv with c(u) != c(v) can be
+    added and c stays a proper chi-coloring of G+uv, so the answer is
+    True. When c puts every non-edge inside one color class, G is
+    complete multipartite on the classes; a non-edge uv inside a class
+    then closes a clique of u, v and one vertex of every other class, so
+    chi(G+uv) = chi + 1 and the answer is False. A caller that already
+    holds a chi-coloring of g (colors 1..chi, as from ``_min_coloring``)
+    may pass it.
     """
     n = g.order
     if n < 2:
@@ -63,13 +63,7 @@ def is_chromatically_stable(g: Graph, coloring: list[int] | None = None) -> bool
         classes[c] |= 1 << v
     full = (1 << n) - 1
     # a non-neighbour of v outside v's own class is a bichromatic non-edge
-    if any(full & ~(masks[v] | classes[c]) for v, c in enumerate(coloring)):
-        return True
-    chi = max(coloring)
-    for e in g.non_edges():
-        if chromatic_number(g.with_extra_edges([e])) == chi:
-            return True
-    return False
+    return any(full & ~(masks[v] | classes[c]) for v, c in enumerate(coloring))
 
 
 def stability_number_bipartite(g: Graph) -> int:

@@ -214,8 +214,6 @@ class TestCanonicalPartition:
 
     def test_complete_graph(self):
         assert canonical_partition(complete(3)) == ((0,), (1,), (2,))
-        with pytest.raises(ValueError):
-            canonical_partition(complete(3), 2)  # ell must be chi
 
     @given(graphs(max_n=8))
     @settings(max_examples=150, deadline=None)
@@ -226,6 +224,11 @@ class TestCanonicalPartition:
         least = naive_canonical_partition(g)
         assert canonical_partition(g) == least
         assert min(_iter_chi_partitions(g, len(least))) == least
+        # a caller's chi-coloring, as given or relabelled, is only a start
+        colors = _min_coloring(g.adjacency_masks, g.order)
+        assert canonical_partition(g, colors) == least
+        ell = max(colors)
+        assert canonical_partition(g, [ell + 1 - c for c in colors]) == least
 
     def test_deep_inputs(self):
         odds, evens = tuple(range(1, 1501, 2)), tuple(range(2, 1501, 2))

@@ -35,6 +35,21 @@ def graphs(draw, max_n=6):
     return Graph(n, [p for p, keep in zip(pairs, picks) if keep])
 
 
+def _reported(g, semantics):
+    """Values and witnesses of full_report, by report key."""
+    r = full_report(g, semantics)
+    return {key: (r.value(key), r.witnesses[key].assignment) for key in EXTREMA_KEYS}
+
+
+def _swept(g, semantics):
+    """Values and least witnesses from the coloring-stream sweep, by report key."""
+    return {
+        f"cm{k}_{end}": (value, witness.assignment)
+        for k, (lo, lo_w, hi, hi_w) in _sweep(g, enumerate_min_colorings(g, semantics)).items()
+        for end, value, witness in (("min", lo, lo_w), ("max", hi, hi_w))
+    }
+
+
 class TestClassical:
     @pytest.mark.parametrize("g,m1,m2,m3", [
         (complete(3), 12, 12, 0),
@@ -215,15 +230,17 @@ class TestFullReport:
     @example(Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]))
     @settings(max_examples=60, deadline=None)
     def test_least_witnesses_match_naive_and_coloring_sweep(self, g):
-        r = full_report(g)
-        got = {key: (r.value(key), r.witnesses[key].assignment) for key in EXTREMA_KEYS}
+        got = _reported(g, "all")
         assert got == naive_extrema_witnesses(g)
-        swept = _sweep(g, enumerate_min_colorings(g, "all"))
-        assert got == {
-            f"cm{k}_{end}": (value, witness.assignment)
-            for k, (lo, lo_w, hi, hi_w) in swept.items()
-            for end, value, witness in (("min", lo, lo_w), ("max", hi, hi_w))
-        }
+        assert got == _swept(g, "all")
+
+    @given(graphs(max_n=7))
+    @example(Graph(7))
+    @example(Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]))
+    @example(complete(6))
+    @settings(max_examples=60, deadline=None)
+    def test_permutation_witnesses_match_coloring_sweep(self, g):
+        assert _reported(g, "permutation") == _swept(g, "permutation")
 
     def test_json_and_csv_shapes(self, schema_validator):
         r = full_report(cycle(5), label="cycle:5")
