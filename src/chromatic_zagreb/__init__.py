@@ -11,7 +11,6 @@ from .coloring import (
 from .generators import FamilySpec, generate, parse_family_spec, thorn
 from .graph import Graph
 from .indices import (
-    Budget,
     IndexReport,
     chromatic_extrema,
     chromatic_m1,
@@ -42,7 +41,6 @@ from .stability import (
 from .verify import ClaimResult, CorpusConfig, claim_ids, run_claims
 
 __all__ = [
-    "Budget",
     "ClaimResult",
     "Coloring",
     "CorpusConfig",

@@ -13,7 +13,7 @@ import sys
 from . import families as fam
 from .generators import FamilySpecError, generate, parse_family_spec
 from .graph import Graph
-from .indices import EXTREMA_KEYS, Budget, IndexReport, full_report, thorn_base_data
+from .indices import EXTREMA_KEYS, IndexReport, full_report, thorn_base_data
 from .io import GraphParseError, load_graph
 from .stability import stability_report
 from .verify import (
@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """argparse type for sizes and budgets: a non-negative integer."""
+    """argparse type for sizes and counts: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -70,10 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="include witness colorings in JSON output")
     p_compute.add_argument("--format", choices=("json", "csv"), default="json")
     p_compute.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    p_compute.add_argument("--budget-order", type=_count, default=Budget.max_order,
-                           help="order cap for full enumeration")
-    p_compute.add_argument("--budget-colorings", type=_count, default=Budget.max_colorings,
-                           help="coloring-count cap for full enumeration")
     p_compute.add_argument("--strict", action="store_true",
                            help="exit 4 when results fall back to bounds")
 
@@ -144,12 +140,10 @@ def _load_one_graph(args, parser: argparse.ArgumentParser) -> tuple[Graph, str]:
 
 def _cmd_compute(args, parser) -> int:
     g, label = _load_one_graph(args, parser)
-    budget = Budget(max_order=args.budget_order, max_colorings=args.budget_colorings)
     report = full_report(
         g,
         semantics=args.semantics,
         paper_compat=(args.paper_compat == "on"),
-        budget=budget,
         label=label,
     )
     if args.format == "csv":

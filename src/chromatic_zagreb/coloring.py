@@ -16,6 +16,7 @@ two semantics emit the same set.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
@@ -143,15 +144,19 @@ def _greedy_coloring(masks: tuple[int, ...], n: int) -> list[int]:
 
     The next vertex has the most distinct neighbour colors, then the
     highest degree, then the lowest index; score = saturation * n + degree
-    orders the first two, and max() keeps the first of equal scores.
+    orders the first two, and a heap of (-score, v) the three. Scores only
+    grow, so a raised score is pushed anew and the entry it outdates, or
+    one of a colored vertex, is skipped when popped.
     """
     colors = [0] * n
     forbidden = [0] * n  # bitmask of colors used by colored neighbours (bit c-1)
     score = [m.bit_count() for m in masks]
-    uncolored = list(range(n))
-    while uncolored:
-        v = max(uncolored, key=score.__getitem__)
-        uncolored.remove(v)
+    heap = [(-s, v) for v, s in enumerate(score)]
+    heapq.heapify(heap)
+    while heap:
+        s, v = heapq.heappop(heap)
+        if colors[v] or -s != score[v]:
+            continue
         c = 1
         while forbidden[v] >> (c - 1) & 1:
             c += 1
@@ -165,6 +170,8 @@ def _greedy_coloring(masks: tuple[int, ...], n: int) -> list[int]:
             if not forbidden[w] & bit:
                 forbidden[w] |= bit
                 score[w] += n
+                if not colors[w]:
+                    heapq.heappush(heap, (-score[w], w))
     return colors
 
 
@@ -290,9 +297,7 @@ def chromatic_number(g: Graph) -> int:
 # enumeration
 
 
-def _iter_all_min_colorings(
-    g: Graph, ell: int, max_emitted: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def _iter_all_min_colorings(g: Graph, ell: int) -> Iterator[tuple[int, ...]]:
     """Yield every proper surjective assignment V -> 1..ell, lexicographic.
 
     Properness is pruned against already-assigned neighbours and a
@@ -306,14 +311,10 @@ def _iter_all_min_colorings(
     banned = [0] * n  # the colors of each vertex's earlier neighbours
     used_counts = [0] * (ell + 1)
     unused = ell
-    emitted = 0
     v = 0
     while v >= 0:
         if v == n:
             if unused == 0:
-                emitted += 1
-                if max_emitted is not None and emitted > max_emitted:
-                    raise EnumerationBudgetExceeded()
                 yield tuple(assignment)
             v -= 1
             continue
@@ -534,30 +535,21 @@ def colorings_of_partition(
         yield Coloring(label_partition(classes, labels, n), ell)
 
 
-def enumerate_min_colorings(
-    g: Graph,
-    semantics: Semantics = "all",
-    max_emitted: int | None = None,
-) -> Iterator[Coloring]:
+def enumerate_min_colorings(g: Graph, semantics: Semantics = "all") -> Iterator[Coloring]:
     """Stream the minimum colorings of g under the chosen semantics.
 
     Emission is lazy and deterministic (lexicographic by assignment
-    sequence). ``max_emitted`` aborts long streams with
-    EnumerationBudgetExceeded part-way; callers that set it must be
-    prepared to fall back.
+    sequence) and uncapped: under ``all`` the stream can run to chi**order
+    colorings, so a consumer that needs a bound stops reading.
     """
     if g.order < 1:
         raise ValueError("enumeration needs order >= 1")
     coloring = _min_coloring(g.adjacency_masks, g.order)
     ell = max(coloring)
     if semantics == "all":
-        for assignment in _iter_all_min_colorings(g, ell, max_emitted):
+        for assignment in _iter_all_min_colorings(g, ell):
             yield Coloring(assignment, ell)
     elif semantics == "permutation":
-        partition = canonical_partition(g, coloring)
-        for emitted, c in enumerate(colorings_of_partition(partition, g.order), 1):
-            if max_emitted is not None and emitted > max_emitted:
-                raise EnumerationBudgetExceeded()
-            yield c
+        yield from colorings_of_partition(canonical_partition(g, coloring), g.order)
     else:
         raise ValueError(f"unknown semantics {semantics!r}")

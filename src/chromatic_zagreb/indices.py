@@ -93,23 +93,9 @@ def chromatic_m3(g: Graph, c: Coloring) -> int:
     return zagreb_sums(c.assignment, g.edges)[2]
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Work limits for the extrema search.
-
-    The exact ``all`` sweep visits every chi-partition and its chi!
-    labelings. It runs uncapped when the assignment-count estimate
-    chi**order stays within max_colorings. Past the estimate it still runs
-    when the order is at most max_order, but it aborts into the
-    permutation fallback once the minimum colorings it has covered,
-    partitions times chi!, would exceed max_colorings.
-    """
-
-    max_order: int = 16
-    max_colorings: int = 10_000_000
-
-
-DEFAULT_BUDGET = Budget()
+# work caps of the extrema search, read by _compute_extrema
+MAX_ORDER = 16
+MAX_COLORINGS = 10_000_000
 
 ExtremaStatus = Literal["exact", "bounds_only"]
 
@@ -259,16 +245,18 @@ def _sweep_partitions(g: Graph, ell: int, partitions):
     }
 
 
-def _compute_extrema(g: Graph, semantics: Semantics, budget: Budget):
+def _compute_extrema(g: Graph, semantics: Semantics):
     """Extrema of all three indices at once: (per-index results, semantics, status).
 
-    Under ``all`` every chi-partition is scored, unless the budget rules it
-    out: every chi-partition carries ell! colorings, so more than
-    max_colorings colorings means more than max_colorings // ell!
-    partitions. Otherwise, and always under ``permutation``, the canonical
-    partition's ell! labelings are scored. Past ell! > max_colorings only
-    its identity and reversed labelings are, which still are valid
-    colorings and so give bounds rather than extrema.
+    Under ``all`` every chi-partition is scored when the assignment-count
+    estimate ell**order stays within MAX_COLORINGS, or the order within
+    MAX_ORDER, and the walk stops past MAX_COLORINGS // ell! partitions:
+    every chi-partition carries ell! minimum colorings. Within the
+    estimate that cap never fires, as the partitions times ell! are at
+    most ell**order. Otherwise, and always under ``permutation``, the
+    canonical partition's ell! labelings are scored. Past ell! >
+    MAX_COLORINGS only its identity and reversed labelings are, which
+    still are valid colorings and so give bounds rather than extrema.
     """
     if g.order < 1:
         raise ValueError("extrema need order >= 1")
@@ -276,17 +264,14 @@ def _compute_extrema(g: Graph, semantics: Semantics, budget: Budget):
         raise ValueError(f"unknown semantics {semantics!r}")
     coloring = _min_coloring(g.adjacency_masks, g.order)
     ell = max(coloring)
-    if semantics == "all":
-        uncapped = ell ** g.order <= budget.max_colorings
-        if uncapped or g.order <= budget.max_order:
-            cap = None if uncapped else budget.max_colorings // math.factorial(ell)
-            try:
-                partitions = _iter_chi_partitions(g, ell, cap)
-                return _sweep_partitions(g, ell, partitions), "all", "exact"
-            except EnumerationBudgetExceeded:
-                pass
+    if semantics == "all" and (ell ** g.order <= MAX_COLORINGS or g.order <= MAX_ORDER):
+        try:
+            partitions = _iter_chi_partitions(g, ell, MAX_COLORINGS // math.factorial(ell))
+            return _sweep_partitions(g, ell, partitions), "all", "exact"
+        except EnumerationBudgetExceeded:
+            pass
     partition = canonical_partition(g, coloring)
-    if math.factorial(ell) <= budget.max_colorings:
+    if math.factorial(ell) <= MAX_COLORINGS:
         results = _sweep_partitions(g, ell, [partition])
         return results, "permutation", "exact" if semantics == "permutation" else "bounds_only"
     # with the classes in first-vertex order these two are in assignment order
@@ -301,18 +286,19 @@ def chromatic_extrema(
     g: Graph,
     index: int,
     semantics: Semantics = "all",
-    budget: Budget = DEFAULT_BUDGET,
     paper_compat: bool = False,
 ) -> ExtremaResult:
-    """Exact min and max of one chromatic index over minimum colorings.
+    """Min and max of one chromatic index over minimum colorings.
 
+    They are exact unless the search passes the MAX_ORDER / MAX_COLORINGS
+    caps of :func:`_compute_extrema`; status then reads ``bounds_only``.
     With paper_compat set, an edgeless input reports the index-3 extrema
     as the conventional default 1 instead of the raw empty edge sum 0;
     no witness evaluates to a defaulted value, so the witness is dropped.
     """
     if index not in (1, 2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {index}")
-    results, semantics_used, status = _compute_extrema(g, semantics, budget)
+    results, semantics_used, status = _compute_extrema(g, semantics)
     lo, lo_w, hi, hi_w = results[index]
     if paper_compat and g.size == 0 and index == 3:
         return ExtremaResult(index, 1, 1, None, None, semantics_used, status)
@@ -377,7 +363,6 @@ def full_report(
     g: Graph,
     semantics: Semantics = "all",
     paper_compat: bool = False,
-    budget: Budget = DEFAULT_BUDGET,
     label: str | None = None,
 ) -> IndexReport:
     """Aggregate classical values and all six chromatic extrema for one graph.
@@ -385,7 +370,7 @@ def full_report(
     Every surviving witness is re-validated (proper, surjective, evaluates
     to its reported value) before the report is emitted.
     """
-    results, semantics_used, status = _compute_extrema(g, semantics, budget)
+    results, semantics_used, status = _compute_extrema(g, semantics)
     values: dict[str, int] = {}
     witnesses: dict[str, Coloring | None] = {}
     # the index-2 default 0 coincides with the raw empty sum, so only

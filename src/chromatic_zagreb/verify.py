@@ -38,20 +38,13 @@ from .corpus import (
 )
 from .generators import FamilySpec, generate, thorn
 from .graph import Graph
-from .indices import (
-    DEFAULT_BUDGET,
-    EXTREMA_KEYS,
-    IndexReport,
-    full_report,
-    thorn_base_data,
-)
+from .indices import EXTREMA_KEYS, IndexReport, full_report, thorn_base_data
 from .oracle import oracle_extrema, oracle_min_colorings
 from .stability import (
-    StabilityBudgetExceeded,
     is_chromatically_stable,
     is_complete_bipartite,
     stability_number_bipartite,
-    stability_number_bruteforce,
+    stability_report,
 )
 
 VERIFIED = "verified"
@@ -126,7 +119,7 @@ class Claim:
 
 @functools.lru_cache(maxsize=None)
 def _report(g: Graph) -> IndexReport:
-    return full_report(g, semantics="all", budget=DEFAULT_BUDGET)
+    return full_report(g, semantics="all")
 
 
 def _compat_report(g: Graph) -> IndexReport:
@@ -432,19 +425,11 @@ def _run_prop46(config: CorpusConfig) -> list[ClaimResult]:
         if is_complete_bipartite(g):
             continue
         closed = stability_number_bipartite(g)
-        try:
-            brute = stability_number_bruteforce(g, max_order=config.rho_max_order)
-        except StabilityBudgetExceeded:
-            out.append(ClaimResult(
-                "prop-4.6", label, f"rho={closed}",
-                "brute-force budget exceeded", SKIPPED, False, None,
-            ))
-            continue
-        ok = closed == brute
+        rho = stability_report(g).rho
         out.append(_result(
             "prop-4.6", label,
             f"rho = theta1*theta2 - size = {closed}",
-            f"breadth-first search rho = {brute}", ok, False,
+            f"exact rho = {rho}", closed == rho, False,
             [list(e) for e in g.edges],
         ))
     return out
@@ -620,7 +605,7 @@ REGISTRY: tuple[Claim, ...] = (
     Claim("thm-4.4",
           "2-chromatic graphs: stable iff not complete bipartite (exhaustive by order)",
           False, _run_thm44),
-    Claim("prop-4.6", "bipartite stability number: closed form equals breadth-first oracle",
+    Claim("prop-4.6", "bipartite stability number: closed form equals the exact rho",
           False, _run_prop46),
     Claim("stability-cycles", "recorded verdicts for the cycle stability remark",
           False, _run_stability_cycles),

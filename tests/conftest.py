@@ -37,6 +37,21 @@ def naive_chi(g: Graph) -> int:
     raise AssertionError
 
 
+def naive_dsatur(g: Graph) -> list[int]:
+    """DSATUR from its definition: color next the uncolored vertex with the
+    most distinct neighbour colors, then the highest degree, then the lowest
+    index, with the smallest color its neighbours leave free."""
+    colors = [0] * g.order
+    for _ in range(g.order):
+        def rank(v):
+            saturation = len({colors[w] for w in g.neighbors(v)} - {0})
+            return (-saturation, -g.degree(v), v)
+        v = min((u for u in range(g.order) if not colors[u]), key=rank)
+        taken = {colors[w] for w in g.neighbors(v)}
+        colors[v] = next(c for c in itertools.count(1) if c not in taken)
+    return colors
+
+
 def naive_min_colorings(g: Graph, ell: int | None = None) -> list[tuple[int, ...]]:
     if ell is None:
         ell = naive_chi(g)

@@ -118,9 +118,8 @@ class TestCompute:
             assert json.loads(out)["semantics_used"] == "permutation"
 
     def test_strict_budget_exit(self, capsys):
-        code, out, _ = run_cli(capsys, "compute", "--family", "cycle:5",
-                               "--budget-order", "3", "--budget-colorings", "5",
-                               "--strict")
+        # 3**17 colorings and order 17 are past both caps of the exact sweep
+        code, out, _ = run_cli(capsys, "compute", "--family", "cycle:17", "--strict")
         assert code == 4
         assert json.loads(out)["status"] == "bounds_only"
 
@@ -128,15 +127,15 @@ class TestCompute:
 class TestCountArguments:
     @pytest.mark.parametrize("argv", [
         ("family", "complete:4", "--oracle-max-order", "two"),
-        ("compute", "--family", "path:4", "--budget-order", "-1"),
-        ("compute", "--family", "path:4", "--budget-colorings", "-5"),
+        ("verify", "--claims", "obs-i", "--max-order", "two"),
+        ("verify", "--claims", "obs-i", "--random-graphs", "1.5"),
         ("verify", "--claims", "obs-i", "--max-order", "-1"),
         ("verify", "--claims", "obs-i", "--random-graphs", "-1"),
         ("verify", "--claims", "obs-i", "--random-trees", "-1"),
         ("verify", "--claims", "obs-i", "--samples", "-2"),
         ("verify", "--claims", "obs-i", "--tree-max-order", "-1"),
         ("family", "complete:4", "--oracle-max-order", "-1"),
-        ("compute", "--family", "path:4", "--budget-order", "two"),
+        ("verify", "--claims", "obs-i", "--samples", "x"),
     ])
     def test_negative_or_non_integer_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -146,9 +145,9 @@ class TestCountArguments:
         assert "non-negative integer" in err or "invalid int value" in err
 
     def test_zero_is_accepted(self, capsys):
-        code, out, _ = run_cli(capsys, "compute", "--family", "path:4",
-                               "--budget-colorings", "0", "--format", "json")
-        assert code == 0 and json.loads(out)["status"] == "bounds_only"
+        code, out, _ = run_cli(capsys, "family", "complete:4", "--oracle-max-order", "0",
+                               "--format", "json")
+        assert code == 0 and all(r["oracle"] is None for r in json.loads(out))
 
 
 class TestFamily:

@@ -30,6 +30,7 @@ from conftest import (
     cycle,
     naive_canonical_partition,
     naive_chi,
+    naive_dsatur,
     naive_min_colorings,
     path,
     star,
@@ -121,6 +122,14 @@ class TestChromaticNumber:
         assert all(colors[u] != colors[v] for u, v in g.edges)
         assert set(colors) == {1, 2, 3} and naive_chi(g) == 3
 
+    @given(graphs(max_n=12))
+    @example(cycle(5))
+    @example(Graph(8, [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 5), (2, 5), (2, 6),
+                       (3, 5), (3, 6), (3, 7), (5, 6)]))
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_coloring_is_dsatur(self, g):
+        assert _greedy_coloring(g.adjacency_masks, g.order) == naive_dsatur(g)
+
     def test_deep_searches_run_without_recursion(self):
         long_path = path(1500)
         c = find_coloring(long_path, 2)
@@ -191,15 +200,6 @@ class TestEnumeration:
         a = list(enumerate_min_colorings(g, "all"))
         p = list(enumerate_min_colorings(g, "permutation"))
         assert len(a) == 4 and len(p) == 2
-
-    def test_budget_abort(self):
-        with pytest.raises(EnumerationBudgetExceeded):
-            list(enumerate_min_colorings(complete(6), "all", max_emitted=10))
-        # the cap counts colorings under permutation too: K6 has one
-        # partition but 6! labelings
-        with pytest.raises(EnumerationBudgetExceeded):
-            list(enumerate_min_colorings(complete(6), "permutation", max_emitted=10))
-        assert len(list(enumerate_min_colorings(complete(3), "permutation", max_emitted=6))) == 6
 
 
 class TestCanonicalPartition:

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chromatic_zagreb import indices
 from chromatic_zagreb.coloring import Coloring, enumerate_min_colorings, is_proper
 from chromatic_zagreb.families import complete_graph_forms
 from chromatic_zagreb.graph import Graph
 from chromatic_zagreb.indices import (
     EXTREMA_KEYS,
-    Budget,
     ImproperColoringError,
     chromatic_extrema,
     chromatic_m1,
@@ -160,22 +160,26 @@ class TestExtrema:
             values = {chromatic_m1(g, c) for c in enumerate_min_colorings(g, "permutation")}
             assert values == {expected}
 
-    def test_budget_fallback_flags_bounds(self):
-        tight = Budget(max_order=3, max_colorings=5)
-        r = chromatic_extrema(cycle(5), 1, budget=tight)
+    def test_budget_fallback_flags_bounds(self, monkeypatch):
+        monkeypatch.setattr(indices, "MAX_ORDER", 3)
+        monkeypatch.setattr(indices, "MAX_COLORINGS", 5)
+        r = chromatic_extrema(cycle(5), 1)
         assert r.status == "bounds_only"
         assert r.semantics_used == "permutation"
         # fallback values are genuine coloring values, hence valid bounds
+        monkeypatch.undo()
         exact = chromatic_extrema(cycle(5), 1)
         assert exact.minimum <= r.minimum and r.maximum <= exact.maximum
         assert is_proper(cycle(5), r.min_witness)
 
-    def test_budget_cap_counts_colorings(self):
+    def test_budget_cap_counts_colorings(self, monkeypatch):
         # cycle:5 has 30 minimum colorings: 5 chi-partitions times 3! labelings
         assert len(list(enumerate_min_colorings(cycle(5), "all"))) == 30
-        at_cap = chromatic_extrema(cycle(5), 1, budget=Budget(max_colorings=30))
+        monkeypatch.setattr(indices, "MAX_COLORINGS", 30)
+        at_cap = chromatic_extrema(cycle(5), 1)
         assert at_cap.status == "exact" and at_cap.semantics_used == "all"
-        below = chromatic_extrema(cycle(5), 1, budget=Budget(max_colorings=29))
+        monkeypatch.setattr(indices, "MAX_COLORINGS", 29)
+        below = chromatic_extrema(cycle(5), 1)
         assert below.status == "bounds_only" and below.semantics_used == "permutation"
 
 

@@ -128,7 +128,11 @@ class TestStabilityNumber:
         for _, g in connected_bipartite_graphs(6):
             if is_complete_bipartite(g):
                 continue
-            assert stability_number_bipartite(g) >= stability_number_bruteforce(g)
+            brute = stability_number_bruteforce(g)
+            assert stability_number_bipartite(g) >= brute
+            # the rho that prop-4.6 compares the closed form with
+            r = stability_report(g)
+            assert (r.rho, r.rho_status) == (brute, "exact")
 
 
 class TestExhaustiveCorpora:
