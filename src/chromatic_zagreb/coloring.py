@@ -5,7 +5,10 @@ chi(G) colors and every color at least once. Two enumeration semantics
 are provided:
 
 * ``all``: every proper surjective assignment V -> {1..chi}, each exactly
-  once, in lexicographic order of the assignment sequence.
+  once, in lexicographic order of the assignment sequence. These are the
+  chi! labelings of every chi-partition (partitions of V into chi
+  independent classes), merged from one restricted-growth walk over the
+  partitions.
 * ``permutation``: one canonical chi-partition (lexicographically least
   sorted vertex-set representation over all proper chi-partitions)
   crossed with all chi! color label permutations.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Literal
 
 from .graph import Graph
@@ -297,49 +301,6 @@ def chromatic_number(g: Graph) -> int:
 # enumeration
 
 
-def _iter_all_min_colorings(g: Graph, ell: int) -> Iterator[tuple[int, ...]]:
-    """Yield every proper surjective assignment V -> 1..ell, lexicographic.
-
-    Properness is pruned against already-assigned neighbours and a
-    surjectivity-feasibility bound (unused colors cannot exceed remaining
-    vertices) keeps the search from wandering. An explicit stack keeps
-    deep searches clear of the recursion limit.
-    """
-    n = g.order
-    masks = g.adjacency_masks
-    assignment = [0] * n  # the color tried last at each vertex, 0 before the first
-    banned = [0] * n  # the colors of each vertex's earlier neighbours
-    used_counts = [0] * (ell + 1)
-    unused = ell
-    v = 0
-    while v >= 0:
-        if v == n:
-            if unused == 0:
-                yield tuple(assignment)
-            v -= 1
-            continue
-        c = assignment[v]
-        if c:  # take back the color tried last at v
-            used_counts[c] -= 1
-            unused += used_counts[c] == 0
-        else:  # entering v: only earlier vertices are assigned
-            banned[v] = _colors_in(masks[v] & ((1 << v) - 1), assignment)
-        forbidden = banned[v]
-        remaining = n - v - 1
-        c += 1
-        while c <= ell and (forbidden >> (c - 1) & 1
-                            or unused - (used_counts[c] == 0) > remaining):
-            c += 1
-        if c > ell:  # every color at v is spent: back up
-            assignment[v] = 0
-            v -= 1
-            continue
-        assignment[v] = c
-        unused -= used_counts[c] == 0
-        used_counts[c] += 1
-        v += 1
-
-
 def _iter_chi_partitions(
     g: Graph, ell: int, max_partitions: int | None = None, max_steps: int | None = None
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -535,20 +496,34 @@ def colorings_of_partition(
         yield Coloring(label_partition(classes, labels, n), ell)
 
 
+def _iter_all_min_colorings(g: Graph, ell: int) -> Iterator[Coloring]:
+    """Every minimum coloring of g with ell = chi colors, lexicographic.
+
+    A minimum coloring labels exactly one chi-partition, and the labelings
+    of each come in assignment order, so merging the partitions' streams
+    orders them all. The first ``next()`` walks, and holds, every
+    chi-partition.
+    """
+    # one call per partition: each stream binds its own partition
+    streams = [colorings_of_partition(p, g.order) for p in _iter_chi_partitions(g, ell)]
+    yield from heapq.merge(*streams, key=attrgetter("assignment"))
+
+
 def enumerate_min_colorings(g: Graph, semantics: Semantics = "all") -> Iterator[Coloring]:
     """Stream the minimum colorings of g under the chosen semantics.
 
-    Emission is lazy and deterministic (lexicographic by assignment
-    sequence) and uncapped: under ``all`` the stream can run to chi**order
-    colorings, so a consumer that needs a bound stops reading.
+    Emission is deterministic (lexicographic by assignment sequence) and
+    uncapped. Under ``permutation`` it is lazy. Under ``all`` the first
+    coloring comes only after every chi-partition has been walked and held,
+    and the stream then runs to chi! colorings per partition; stopping
+    early saves the labelings, not the partition walk.
     """
     if g.order < 1:
         raise ValueError("enumeration needs order >= 1")
     coloring = _min_coloring(g.adjacency_masks, g.order)
     ell = max(coloring)
     if semantics == "all":
-        for assignment in _iter_all_min_colorings(g, ell):
-            yield Coloring(assignment, ell)
+        yield from _iter_all_min_colorings(g, ell)
     elif semantics == "permutation":
         yield from colorings_of_partition(canonical_partition(g, coloring), g.order)
     else:

@@ -14,8 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .coloring import (EnumerationBudgetExceeded, _bipartition, _iter_chi_partitions,
-                       _min_coloring, chromatic_number)
+from .coloring import EnumerationBudgetExceeded, _bipartition, _iter_chi_partitions, _min_coloring
 from .graph import Graph
 
 # work cap of the stability-number search for each class count, in search
@@ -74,12 +73,13 @@ def stability_number_bipartite(g: Graph) -> int:
     """
     if not g.is_connected():
         raise ValueError("closed form needs a connected graph")
-    if chromatic_number(g) != 2:
-        raise ValueError("closed form applies to 2-chromatic graphs only")
-    if is_complete_bipartite(g):
-        raise ValueError("graph is already complete bipartite (unstable)")
     sides = _bipartition(g.adjacency_masks, g.order)
-    return len(sides[0]) * len(sides[1]) - g.size
+    if g.size == 0 or sides is None:  # 2-chromatic: an edge and a bipartition
+        raise ValueError("closed form applies to 2-chromatic graphs only")
+    cross = len(sides[0]) * len(sides[1])
+    if g.size == cross:
+        raise ValueError("graph is already complete bipartite (unstable)")
+    return cross - g.size
 
 
 def stability_number_bruteforce(

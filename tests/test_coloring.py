@@ -164,6 +164,10 @@ class TestEnumeration:
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
+    @example(Graph(4))  # one chi-partition, chi = 1
+    # several chi-partitions, whose labelings interleave in assignment order
+    @example(Graph(4, [(0, 1), (2, 3)]))
+    @example(Graph(4, [(0, 1), (0, 2), (1, 2)]))
     def test_all_semantics_matches_naive_filter(self, g):
         engine = [c.assignment for c in enumerate_min_colorings(g, "all")]
         assert engine == naive_min_colorings(g)

@@ -107,6 +107,8 @@ class TestStabilityNumber:
             stability_number_bipartite(complete(3))  # not 2-chromatic
         with pytest.raises(ValueError):
             stability_number_bipartite(Graph(4, [(0, 1), (2, 3)]))  # disconnected
+        with pytest.raises(ValueError):
+            stability_number_bipartite(Graph(1))  # connected, but chi = 1
 
     def test_bruteforce_preconditions(self):
         with pytest.raises(ValueError):
