@@ -2,8 +2,11 @@
 
 Classical indices are degree sums; chromatic ones replace degrees with
 1-based color indices of a minimum coloring and are then minimized /
-maximized over the minimum colorings from :mod:`.coloring`. Either
-semantics scores chi-partitions and their labelings on the partition
+maximized over the minimum colorings from :mod:`.coloring`. Under
+``all`` a graph with a narrow frontier in its identity order takes a
+dynamic program over that order, whose states are the colors of the
+frontier and the set of colors used. Otherwise either semantics scores
+chi-partitions and their twin-ordered labelings on the partition
 quotient: under ``all`` every chi-partition, under ``permutation`` the
 canonical one.
 """
@@ -14,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations
-from operator import gt, itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Literal
 
 from .coloring import (
@@ -96,6 +99,11 @@ def chromatic_m3(g: Graph, c: Coloring) -> int:
 # work caps of the extrema search, read by _compute_extrema
 MAX_ORDER = 16
 MAX_COLORINGS = 10_000_000
+# the frontier DP runs when ell**width * 2**ell, its bound on the states of
+# one layer, stays within FRONTIER_STATES, and that bound times the order
+# within FRONTIER_WORK: it holds every layer until its witnesses are walked
+FRONTIER_STATES = 2**14
+FRONTIER_WORK = 2**20
 
 ExtremaStatus = Literal["exact", "bounds_only"]
 
@@ -116,11 +124,11 @@ def _sweep(g: Graph, colorings) -> dict[int, tuple[int, Coloring, int, Coloring]
 
     Streams arrive in lexicographic order, so strict comparisons leave the
     lexicographically least witness in place for ties. Exact extrema come
-    from :func:`_sweep_partitions`; this scores only the two labelings of
-    the bounds-only fallback. It also stays as the coloring-stream
-    reference that the least-witness tests check the partition path
-    against, and ``perfbench/spans.py`` rebinds it by name to count the
-    colorings scored.
+    from :func:`_frontier_extrema` and :func:`_sweep_partitions`; this
+    scores only the two labelings of the bounds-only fallback. It also
+    stays as the coloring-stream reference that the least-witness tests
+    check the partition path against, and ``perfbench/spans.py`` rebinds
+    it by name to count the colorings scored.
     """
     edges = g.edges
     best: list[list] = []  # per index: [min, its witness, max, its witness]
@@ -137,33 +145,87 @@ def _sweep(g: Graph, colorings) -> dict[int, tuple[int, Coloring, int, Coloring]
     return {k: tuple(slot) for k, slot in enumerate(best, 1)}
 
 
-def _twin_order(sizes: list[int], between: Counter) -> list[tuple[int, int]]:
-    """Pairs (i, j), i < j, of consecutive twin classes of a quotient.
+def _twin_lower(sizes: list[int], between: Counter) -> list[int]:
+    """Per class of a quotient, the nearest earlier class it is twin to, or -1.
 
     Twins have the same size and the same edge count to every third
     class, so swapping their labels changes none of the three sums. Of
     all labelings that differ only on twins, the one that labels each
     twin group in increasing class order is the least, so the others can
-    be skipped without losing a value or a least witness.
+    be left out without losing a value or a least witness.
     """
     ell = len(sizes)
     counts = [[0] * ell for _ in range(ell)]
     for (a, b), e in between.items():
         counts[a][b] = counts[b][a] = e
-    order = []
+    lower = [-1] * ell
     for j in range(ell):
         for i in range(j - 1, -1, -1):  # twinship is an equivalence: the nearest one will do
             if sizes[i] == sizes[j] and all(
                 counts[i][k] == counts[j][k] for k in range(ell) if k != i and k != j
             ):
-                order.append((i, j))
+                lower[j] = i
                 break
-    return order
+    return lower
+
+
+def _labeling_count(lower: list[int]) -> int:
+    """The number of twin-ordered labelings, l! / prod(twin group size!)."""
+    rank = []  # rank[j]: j's place in its twin group, from 1
+    for i in lower:
+        rank.append(rank[i] + 1 if i >= 0 else 1)
+    return math.factorial(len(lower)) // math.prod(rank)
+
+
+def _twin_ordered(lower: list[int]):
+    """The labelings p (class i wears p[i]) in which every class wears a
+    larger label than its lower twin, in lexicographic order.
+
+    A depth-first walk over the classes with an explicit stack. Each class
+    takes the free labels above its lower twin's, up to the one that
+    leaves too few free labels above it for the rest of its twin group.
+    """
+    ell = len(lower)
+    later = [0] * ell  # later[i]: the classes after i in its twin group
+    for j in range(ell - 1, -1, -1):
+        if lower[j] >= 0:
+            later[lower[j]] = later[j] + 1
+    labels = [0] * ell
+    free = (1 << ell + 1) - 2  # bit c: no class wears label c
+    i = 0
+    while i >= 0:
+        c = labels[i]
+        if c:
+            free |= 1 << c
+        elif lower[i] >= 0:
+            c = labels[lower[i]]
+        above = free >> c + 1
+        if above:
+            c += (above & -above).bit_length()
+        if not above or (free >> c + 1).bit_count() < later[i]:
+            labels[i] = 0  # class i has no label left: back up
+            i -= 1
+            continue
+        labels[i] = c
+        free ^= 1 << c
+        if i == ell - 1:
+            yield tuple(labels)
+        else:
+            i += 1
+
+
+def _labelings(lower: list[int]):
+    """The twin-ordered labelings of a quotient, lexicographic: all l!
+    from :func:`itertools.permutations` when it has no twins."""
+    if max(lower, default=-1) < 0:
+        return permutations(range(1, len(lower) + 1))
+    return _twin_ordered(lower)
 
 
 def _labeling_extrema(sizes: list[int], between: Counter):
-    """Per index, (min, labels, max, labels) over the l! labelings of one
-    partition quotient: class sizes, and edge counts between class pairs.
+    """Per index, (min, labels, max, labels) over the twin-ordered
+    labelings of one partition quotient: class sizes, and edge counts
+    between class pairs.
 
     Labelings come in lexicographic order and only a strict improvement
     replaces a witness, so each is the least labeling attaining its value.
@@ -175,15 +237,9 @@ def _labeling_extrema(sizes: list[int], between: Counter):
     at_first = itemgetter(*[a for (a, _), _ in pairs])
     at_second = itemgetter(*[b for (_, b), _ in pairs])
     weights = [e for _, e in pairs]
-    twins = _twin_order(sizes, between)
-    if twins:  # each key twice, for the same reason
-        at_lower = itemgetter(*[i for i, _ in twins] * 2)
-        at_upper = itemgetter(*[j for _, j in twins] * 2)
     lo1 = lo2 = lo3 = math.inf
     hi1 = hi2 = hi3 = -math.inf
-    for p in permutations(range(1, len(sizes) + 1)):
-        if twins and any(map(gt, at_lower(p), at_upper(p))):
-            continue
+    for p in _labelings(_twin_lower(sizes, between)):
         pa, pb = at_first(p), at_second(p)
         s1 = sum(map(mul, sizes, map(mul, p, p)))
         s2 = sum(map(mul, weights, map(mul, pa, pb)))
@@ -203,9 +259,22 @@ def _labeling_extrema(sizes: list[int], between: Counter):
     return (lo1, lo1_p, hi1, hi1_p), (lo2, lo2_p, hi2, hi2_p), (lo3, lo3_p, hi3, hi3_p)
 
 
+def _quotient(g: Graph, partition) -> tuple[list[int], Counter]:
+    """A partition's class sizes, and its edge counts between class pairs."""
+    cls = [0] * g.order
+    for i, members in enumerate(partition):
+        for v in members:
+            cls[v] = i
+    between: Counter = Counter()
+    for u, v in g.edges:
+        a, b = cls[u], cls[v]
+        between[(a, b) if a < b else (b, a)] += 1
+    return [len(members) for members in partition], between
+
+
 def _sweep_partitions(g: Graph, ell: int, partitions):
     """:func:`_sweep` over every labeling of every partition, without
-    building the colorings.
+    building the colorings; of labelings that only swap twins, the least.
 
     Each partition is reduced once to its quotient, on which a labeling p
     (class i wears color p[i]) scores sum size_i p_i^2, sum e_ab p_a p_b
@@ -218,16 +287,7 @@ def _sweep_partitions(g: Graph, ell: int, partitions):
     # per index: [min, its assignment, max, its assignment]
     best = [[math.inf, None, -math.inf, None] for _ in range(3)]
     for partition in partitions:
-        cls = [0] * n
-        for i, members in enumerate(partition):
-            for v in members:
-                cls[v] = i
-        between: Counter = Counter()
-        for u, v in g.edges:
-            a, b = cls[u], cls[v]
-            between[(a, b) if a < b else (b, a)] += 1
-        sizes = [len(members) for members in partition]
-        found = _labeling_extrema(sizes, between)
+        found = _labeling_extrema(*_quotient(g, partition))
         for slot, (lo, lo_p, hi, hi_p) in zip(best, found):
             if lo <= slot[0]:
                 a = label_partition(partition, lo_p, n)
@@ -245,18 +305,140 @@ def _sweep_partitions(g: Graph, ell: int, partitions):
     }
 
 
+def _frontier_width(masks: tuple[int, ...], n: int) -> int:
+    """The widest frontier of the identity order, in O(n + m): after
+    placing 0..v, the placed vertices that have a neighbour past v."""
+    leaving = [0] * n  # leaving[v]: frontier vertices whose last neighbour is v
+    width = widest = 0
+    for v in range(n):
+        last = masks[v].bit_length() - 1
+        if last > v:
+            width += 1
+            leaving[last] += 1
+        width -= leaving[v]
+        widest = max(widest, width)
+    return widest
+
+
+def _frontier_steps(masks: tuple[int, ...], n: int):
+    """Per vertex v of the identity order: the frontier positions of its
+    earlier neighbours, the positions that stay on the frontier, and
+    whether v joins it, the frontier kept ascending."""
+    steps = []
+    frontier: list[int] = []
+    for v in range(n):
+        later = -1 << v + 1  # the vertices past v
+        steps.append((
+            [k for k, u in enumerate(frontier) if masks[v] >> u & 1],
+            [k for k, u in enumerate(frontier) if masks[u] & later],
+            bool(masks[v] & later),
+        ))
+        frontier = [u for u in frontier if masks[u] & later]
+        if masks[v] & later:
+            frontier.append(v)
+    return steps
+
+
+def _frontier_extrema(g: Graph, ell: int):
+    """All six extrema and their least witnesses by a DP over the identity
+    order, in the shape of :func:`_sweep_partitions`.
+
+    Vertex v in color c adds c^2 to cm1 and, per earlier neighbour u,
+    c c(u) to cm2 and |c - c(u)| to cm3; every earlier neighbour is on the
+    frontier, the placed vertices with a later neighbour. A state is the
+    frontier's colors and the mask of colors used; one whose missing
+    colors outnumber the vertices still to place is dropped. A forward
+    pass collects the reachable states and their moves, a backward pass
+    stores each state's six suffix optima, and each witness is walked
+    forward taking the smallest color from which its optimum is still
+    reached: the lexicographically least assignment attaining it.
+    """
+    n = g.order
+    colors = range(1, ell + 1)
+    # frontier colorings are numbered per layer, and a state is the key
+    # front << ell | used-color mask
+    fronts: dict[tuple[int, ...], int] = {(): 0}
+    states = {0: 0}  # the reachable states of the layer, numbered
+    moves = []  # per vertex, per state: (next state's number, terms) per color it may take
+    for v, (earlier, keep, joins) in enumerate(_frontier_steps(g.adjacency_masks, n)):
+        need = ell - (n - v - 1)  # colors that must be used once v is placed
+        next_fronts: dict[tuple[int, ...], int] = {}
+        front_moves = []  # per frontier coloring: (color bit, next front, terms) per color
+        for f in fronts:
+            seen = [f[k] for k in earlier]
+            kept = [f[k] for k in keep]
+            total = sum(seen)
+            out = []
+            for c in colors:
+                if c in seen:
+                    continue
+                d3 = sum([abs(c - x) for x in seen])
+                nxt = (*kept, c) if joins else tuple(kept)
+                # the terms, twice to line up with the suffix's minima and
+                # maxima, then the color, which map(add, ...) stops short of
+                out.append((1 << c - 1, next_fronts.setdefault(nxt, len(next_fronts)),
+                            (c * c, c * total, d3, c * c, c * total, d3, c)))
+            front_moves.append(out)
+        reached: dict[int, int] = {}
+        layer = []
+        for key in states:
+            used = key & (1 << ell) - 1
+            # tuples, not lists: every layer is held until the witnesses are walked
+            layer.append(tuple([
+                (reached.setdefault(nxt << ell | used | bit, len(reached)), terms)
+                for bit, nxt, terms in front_moves[key >> ell]
+                if (used | bit).bit_count() >= need
+            ]))
+        moves.append(layer)
+        fronts, states = next_fronts, reached
+    # per layer, per state: the suffix's (cm1, cm2, cm3 minima, cm1, cm2, cm3 maxima), or None
+    suffix = [[(0,) * 6] * len(states)]
+    for layer in reversed(moves):
+        after = suffix[-1]
+        here = []
+        for out in layer:
+            options = [tuple(map(add, terms, after[j])) for j, terms in out
+                       if after[j] is not None]
+            if len(options) > 1:
+                lo1, lo2, lo3, hi1, hi2, hi3 = zip(*options)
+                options = [(min(lo1), min(lo2), min(lo3), max(hi1), max(hi2), max(hi3))]
+            here.append(options[0] if options else None)
+        suffix.append(here)
+    suffix.reverse()
+    targets = suffix[0][0]
+    witnesses: dict[tuple[int, ...], Coloring] = {}
+    found = []
+    for slot, target in enumerate(targets):
+        i = done = 0
+        assignment = []
+        for v in range(n):
+            after = suffix[v + 1]
+            for j, terms in moves[v][i]:
+                if after[j] is not None and done + terms[slot] + after[j][slot] == target:
+                    break
+            assignment.append(terms[6])
+            i, done = j, done + terms[slot]
+        a = tuple(assignment)
+        found.append(witnesses.setdefault(a, Coloring(a, ell)))
+    return {k: (targets[k - 1], found[k - 1], targets[k + 2], found[k + 2]) for k in (1, 2, 3)}
+
+
 def _compute_extrema(g: Graph, semantics: Semantics):
     """Extrema of all three indices at once: (per-index results, semantics, status).
 
-    Under ``all`` every chi-partition is scored when the assignment-count
-    estimate ell**order stays within MAX_COLORINGS, or the order within
-    MAX_ORDER, and the walk stops past MAX_COLORINGS // ell! partitions:
-    every chi-partition carries ell! minimum colorings. Within the
-    estimate that cap never fires, as the partitions times ell! are at
-    most ell**order. Otherwise, and always under ``permutation``, the
-    canonical partition's ell! labelings are scored. Past ell! >
-    MAX_COLORINGS only its identity and reversed labelings are, which
-    still are valid colorings and so give bounds rather than extrema.
+    Under ``all``, a graph whose identity order keeps the frontier DP's
+    bound ell**width * 2**ell on the states of a layer within
+    FRONTIER_STATES goes to :func:`_frontier_extrema`, at any order up to
+    FRONTIER_WORK over that bound. Otherwise every chi-partition is
+    scored when the assignment-count estimate ell**order stays within
+    MAX_COLORINGS, or the order within MAX_ORDER, and the walk stops past
+    MAX_COLORINGS // ell! partitions: every chi-partition carries ell!
+    minimum colorings. Within the estimate that cap never fires, as the
+    partitions times ell! are at most ell**order. Otherwise, and always
+    under ``permutation``, the canonical partition's twin-ordered
+    labelings are scored. Past MAX_COLORINGS of them only its identity
+    and reversed labelings are, which still are valid colorings and so
+    give bounds rather than extrema.
     """
     if g.order < 1:
         raise ValueError("extrema need order >= 1")
@@ -264,6 +446,10 @@ def _compute_extrema(g: Graph, semantics: Semantics):
         raise ValueError(f"unknown semantics {semantics!r}")
     coloring = _min_coloring(g.adjacency_masks, g.order)
     ell = max(coloring)
+    if semantics == "all":
+        states = ell ** _frontier_width(g.adjacency_masks, g.order) << ell
+        if states <= FRONTIER_STATES and states * g.order <= FRONTIER_WORK:
+            return _frontier_extrema(g, ell), "all", "exact"
     if semantics == "all" and (ell ** g.order <= MAX_COLORINGS or g.order <= MAX_ORDER):
         try:
             partitions = _iter_chi_partitions(g, ell, MAX_COLORINGS // math.factorial(ell))
@@ -271,7 +457,7 @@ def _compute_extrema(g: Graph, semantics: Semantics):
         except EnumerationBudgetExceeded:
             pass
     partition = canonical_partition(g, coloring)
-    if math.factorial(ell) <= MAX_COLORINGS:
+    if _labeling_count(_twin_lower(*_quotient(g, partition))) <= MAX_COLORINGS:
         results = _sweep_partitions(g, ell, [partition])
         return results, "permutation", "exact" if semantics == "permutation" else "bounds_only"
     # with the classes in first-vertex order these two are in assignment order
@@ -290,8 +476,9 @@ def chromatic_extrema(
 ) -> ExtremaResult:
     """Min and max of one chromatic index over minimum colorings.
 
-    They are exact unless the search passes the MAX_ORDER / MAX_COLORINGS
-    caps of :func:`_compute_extrema`; status then reads ``bounds_only``.
+    They are exact unless the input is too wide for the frontier DP and
+    past the MAX_ORDER / MAX_COLORINGS caps of the partition walk (see
+    :func:`_compute_extrema`); status then reads ``bounds_only``.
     With paper_compat set, an edgeless input reports the index-3 extrema
     as the conventional default 1 instead of the raw empty edge sum 0;
     no witness evaluates to a defaulted value, so the witness is dropped.

@@ -106,22 +106,49 @@ class TestCompute:
         assert code == 2
 
     def test_deep_path_runs_without_recursion(self, capsys):
+        # a frontier of width 1: the frontier DP makes it exact
         code, out, _ = run_cli(capsys, "compute", "--family", "path:1500")
         assert code == 0
-        assert json.loads(out)["status"] == "bounds_only"
+        assert json.loads(out)["status"] == "exact"
 
     def test_large_odd_cycles_get_a_canonical_partition(self, capsys):
-        # past the exact sweep's budget, so the canonical partition is built
-        for spec in ("cycle:1501", "thorn(cycle:501;2)"):
-            code, out, _ = run_cli(capsys, "compute", "--family", spec)
-            assert code == 0
-            assert json.loads(out)["semantics_used"] == "permutation"
+        # cycle:1501 has a frontier of width 2, so the frontier DP answers it
+        code, out, _ = run_cli(capsys, "compute", "--family", "cycle:1501")
+        assert code == 0
+        d = json.loads(out)
+        assert d["semantics_used"] == "all" and d["status"] == "exact"
+        assert (d["cm1_min"], d["cm1_max"], d["cm3_min"], d["cm3_max"]) == (3759, 9751, 1502, 3000)
+        # the thorn's pendants come after the whole base: too wide for the
+        # DP and past the exact sweep's budget, so the canonical partition is built
+        code, out, _ = run_cli(capsys, "compute", "--family", "thorn(cycle:501;2)")
+        assert code == 0
+        assert json.loads(out)["semantics_used"] == "permutation"
 
     def test_strict_budget_exit(self, capsys):
-        # 3**17 colorings and order 17 are past both caps of the exact sweep
-        code, out, _ = run_cli(capsys, "compute", "--family", "cycle:17", "--strict")
+        # 12! colorings of one chi-partition are past the exact sweep's cap,
+        # and a frontier of width 11 is past the DP's
+        code, out, _ = run_cli(capsys, "compute", "--family", "complete:12", "--strict")
         assert code == 4
         assert json.loads(out)["status"] == "bounds_only"
+
+    def test_thorn_of_k4_is_exact_in_seconds(self, capsys):
+        # 16 vertices, frontier width 4: the partition walk ran out its cap
+        # after most of a minute and reported cm3 as (25, 37)
+        code, out, _ = run_cli(capsys, "compute", "--family", "thorn(complete:4;3)")
+        assert code == 0
+        d = json.loads(out)
+        assert d["status"] == "exact" and d["semantics_used"] == "all"
+        assert (d["cm1_min"], d["cm1_max"]) == (51, 201)
+        assert (d["cm3_min"], d["cm3_max"]) == (22, 40)
+
+    def test_large_clique_permutation_is_exact(self, capsys):
+        # every class of K12 is a twin of every other: one labeling to score
+        code, out, _ = run_cli(capsys, "compute", "--family", "complete:12",
+                               "--semantics", "permutation")
+        assert code == 0
+        d = json.loads(out)
+        assert d["status"] == "exact" and d["semantics_used"] == "permutation"
+        assert d["cm1_min"] == d["cm1_max"] == 650
 
 
 class TestCountArguments:

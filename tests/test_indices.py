@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import permutations
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chromatic_zagreb import indices
-from chromatic_zagreb.coloring import Coloring, enumerate_min_colorings, is_proper
+from chromatic_zagreb.coloring import (
+    Coloring,
+    _iter_chi_partitions,
+    chromatic_number,
+    enumerate_min_colorings,
+    is_proper,
+)
 from chromatic_zagreb.families import complete_graph_forms
 from chromatic_zagreb.graph import Graph
 from chromatic_zagreb.indices import (
@@ -41,13 +50,18 @@ def _reported(g, semantics):
     return {key: (r.value(key), r.witnesses[key].assignment) for key in EXTREMA_KEYS}
 
 
-def _swept(g, semantics):
-    """Values and least witnesses from the coloring-stream sweep, by report key."""
+def _by_key(results):
+    """Extrema results by report key, as (value, witness assignment)."""
     return {
         f"cm{k}_{end}": (value, witness.assignment)
-        for k, (lo, lo_w, hi, hi_w) in _sweep(g, enumerate_min_colorings(g, semantics)).items()
+        for k, (lo, lo_w, hi, hi_w) in results.items()
         for end, value, witness in (("min", lo, lo_w), ("max", hi, hi_w))
     }
+
+
+def _swept(g, semantics):
+    """Values and least witnesses from the coloring-stream sweep, by report key."""
+    return _by_key(_sweep(g, enumerate_min_colorings(g, semantics)))
 
 
 class TestClassical:
@@ -161,26 +175,110 @@ class TestExtrema:
             assert values == {expected}
 
     def test_budget_fallback_flags_bounds(self, monkeypatch):
+        g = _cycle5_join_k2()
         monkeypatch.setattr(indices, "MAX_ORDER", 3)
         monkeypatch.setattr(indices, "MAX_COLORINGS", 5)
-        r = chromatic_extrema(cycle(5), 1)
+        r = chromatic_extrema(g, 1)
         assert r.status == "bounds_only"
         assert r.semantics_used == "permutation"
         # fallback values are genuine coloring values, hence valid bounds
         monkeypatch.undo()
-        exact = chromatic_extrema(cycle(5), 1)
+        exact = chromatic_extrema(g, 1)
         assert exact.minimum <= r.minimum and r.maximum <= exact.maximum
-        assert is_proper(cycle(5), r.min_witness)
+        assert is_proper(g, r.min_witness)
 
     def test_budget_cap_counts_colorings(self, monkeypatch):
-        # cycle:5 has 30 minimum colorings: 5 chi-partitions times 3! labelings
-        assert len(list(enumerate_min_colorings(cycle(5), "all"))) == 30
-        monkeypatch.setattr(indices, "MAX_COLORINGS", 30)
-        at_cap = chromatic_extrema(cycle(5), 1)
+        # 5 chi-partitions (those of the 5-cycle) times 5! labelings
+        g = _cycle5_join_k2()
+        assert len(list(enumerate_min_colorings(g, "all"))) == 600
+        monkeypatch.setattr(indices, "MAX_COLORINGS", 600)
+        at_cap = chromatic_extrema(g, 1)
         assert at_cap.status == "exact" and at_cap.semantics_used == "all"
-        monkeypatch.setattr(indices, "MAX_COLORINGS", 29)
-        below = chromatic_extrema(cycle(5), 1)
+        monkeypatch.setattr(indices, "MAX_COLORINGS", 599)
+        below = chromatic_extrema(g, 1)
         assert below.status == "bounds_only" and below.semantics_used == "permutation"
+
+    def test_clique_scores_one_labeling(self, monkeypatch):
+        # all ten classes of K10 are twins; 10! labelings took 4.7 s
+        scored = []
+
+        def counted(lower):
+            for p in labelings(lower):
+                scored.append(p)
+                yield p
+
+        labelings = indices._labelings
+        monkeypatch.setattr(indices, "_labelings", counted)
+        r = full_report(complete(10))
+        assert r.status == "exact" and r.semantics_used == "all"
+        assert scored == [tuple(range(1, 11))]
+        assert r.cm1_min == r.cm1_max == 385
+
+
+def _cycle5_join_k2() -> Graph:
+    """C5 joined to K2: chi 5, and a frontier too wide for the DP."""
+    edges = [*cycle(5).edges, *[(v, w) for v in range(5) for w in (5, 6)], (5, 6)]
+    g = Graph(7, edges)
+    assert 5 ** indices._frontier_width(g.adjacency_masks, 7) << 5 > indices.FRONTIER_STATES
+    return g
+
+
+class TestFrontierDP:
+    @given(graphs(max_n=8))
+    @example(Graph(8))
+    @example(complete(5))
+    @example(Graph(8, [(0, 7), (1, 2), (3, 4), (4, 5), (3, 5)]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_partition_path_and_naive(self, g):
+        ell = chromatic_number(g)
+        assume(ell ** g.order <= 4 ** 8)  # keeps the naive filter cheap
+        dp = _by_key(indices._frontier_extrema(g, ell))
+        assert dp == _by_key(indices._sweep_partitions(g, ell, _iter_chi_partitions(g, ell)))
+        assert dp == naive_extrema_witnesses(g)
+
+    def test_work_cap_sends_long_inputs_past_the_dp(self, monkeypatch):
+        # a cycle's frontier has width 2: at most 3**2 * 2**3 = 72 states a layer
+        monkeypatch.setattr(indices, "FRONTIER_WORK", 72 * 20)
+        assert full_report(cycle(19)).status == "exact"
+        r = full_report(cycle(21))
+        assert r.status == "bounds_only" and r.semantics_used == "permutation"
+
+    def test_frontier_width(self):
+        assert indices._frontier_width(path(9).adjacency_masks, 9) == 1
+        assert indices._frontier_width(cycle(9).adjacency_masks, 9) == 2
+        assert indices._frontier_width(complete(6).adjacency_masks, 6) == 5
+        assert indices._frontier_width(Graph(4).adjacency_masks, 4) == 0
+
+
+@st.composite
+def quotients(draw, max_ell=7):
+    """Class sizes and edge counts between class pairs; small ranges make twins common."""
+    ell = draw(st.integers(min_value=1, max_value=max_ell))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=ell, max_size=ell))
+    between = Counter()
+    for a in range(ell):
+        for b in range(a + 1, ell):
+            between[(a, b)] = draw(st.integers(0, 2))
+    return sizes, between
+
+
+class TestTwinOrderedLabelings:
+    @given(quotients())
+    @example(([1] * 7, Counter({(a, b): 1 for a in range(7) for b in range(a + 1, 7)})))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_filtered_permutations(self, quotient):
+        lower = indices._twin_lower(*quotient)
+        want = [
+            p for p in permutations(range(1, len(lower) + 1))
+            if all(p[i] < p[j] for j, i in enumerate(lower) if i >= 0)
+        ]
+        assert list(indices._labelings(lower)) == want
+        assert indices._labeling_count(lower) == len(want)
+
+    def test_one_large_group_has_one_labeling(self):
+        lower = [-1, *range(39)]
+        assert list(indices._labelings(lower)) == [tuple(range(1, 41))]
+        assert indices._labeling_count(lower) == 1
 
 
 class TestFullReport:
