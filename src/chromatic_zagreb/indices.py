@@ -6,9 +6,12 @@ maximized over the minimum colorings from :mod:`.coloring`. Under
 ``all`` a graph with a narrow frontier in its identity order takes a
 dynamic program over that order, whose states are the colors of the
 frontier and the set of colors used. Otherwise either semantics scores
-chi-partitions and their twin-ordered labelings on the partition
-quotient: under ``all`` every chi-partition, under ``permutation`` the
-canonical one.
+chi-partitions on their quotient, the class sizes and the edge counts
+between classes: under ``all`` every chi-partition, under
+``permutation`` the canonical one. On a quotient the cm1 extrema are a
+sort (the rearrangement inequality), the cm3 extrema a DP over the sets
+of classes labelled so far (a linear arrangement), and only cm2 walks
+the twin-ordered labelings.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul
 from typing import Literal
 
 from .coloring import (
@@ -100,8 +103,9 @@ def chromatic_m3(g: Graph, c: Coloring) -> int:
 MAX_ORDER = 16
 MAX_COLORINGS = 10_000_000
 # the frontier DP runs when ell**width * 2**ell, its bound on the states of
-# one layer, stays within FRONTIER_STATES, and that bound times the order
-# within FRONTIER_WORK: it holds every layer until its witnesses are walked
+# one layer, stays within FRONTIER_STATES, and hands over to the partition
+# route once the states it reaches pass FRONTIER_WORK: it holds every layer
+# until its witnesses are walked
 FRONTIER_STATES = 2**14
 FRONTIER_WORK = 2**20
 
@@ -222,10 +226,68 @@ def _labelings(lower: list[int]):
     return _twin_ordered(lower)
 
 
-def _labeling_extrema(sizes: list[int], between: Counter):
-    """Per index, (min, labels, max, labels) over the twin-ordered
-    labelings of one partition quotient: class sizes, and edge counts
-    between class pairs.
+def _square_extrema(sizes: list[int]):
+    """(min, labels, max, labels) of sum size_i p_i^2 over the labelings.
+
+    By the rearrangement inequality, strict between different sizes, the
+    min labels the classes largest first and the max smallest first; equal
+    sizes take ascending labels, which makes each the least labeling
+    attaining its value.
+    """
+    found = []
+    for sign in (-1, 1):
+        order = sorted(range(len(sizes)), key=lambda i: (sign * sizes[i], i))
+        labels = [0] * len(sizes)
+        for label, i in enumerate(order, 1):
+            labels[i] = label
+        found += [sum(map(mul, sizes, map(mul, labels, labels))), tuple(labels)]
+    return tuple(found)
+
+
+def _cut_extrema(between: Counter, lower: list[int]):
+    """(min, labels, max, labels) of sum e_ab |p_a - p_b| over the
+    twin-ordered labelings, by a DP over prefix sets.
+
+    The sum equals sum over k of cut(S_k), S_k the classes labelled <= k,
+    so it is a linear arrangement of the quotient. Classes are placed in
+    label order, each only after its lower twin: a twin group of size g
+    gives g + 1 prefix sets, not 2^g. Per set the DP keeps the min and max
+    of the cuts so far and the least partial labeling (0 where unplaced)
+    attaining each. Two chains into one set share every completion, so
+    their full labelings compare as their partial ones, and the least
+    partial labeling on a tie gives the least full one.
+    """
+    ell = len(lower)
+    counts = [[0] * ell for _ in range(ell)]
+    for (a, b), e in between.items():
+        counts[a][b] = counts[b][a] = e
+    need = [1 << i if i >= 0 else 0 for i in lower]  # the set bit of i's lower twin
+    unplaced = (0,) * ell
+    # set: (its cut, (min, labels), (-max, labels)), so both ends keep the least
+    layer = {0: (0, (0, unplaced), (0, unplaced))}
+    for label in range(1, ell + 1):
+        reached: dict[int, tuple] = {}
+        for placed, (cut, (lo, lo_p), (hi, hi_p)) in layer.items():
+            for i in range(ell):
+                if placed >> i & 1 or placed & need[i] != need[i]:
+                    continue
+                # i's edges into the placed classes leave the cut, the rest join it
+                row = counts[i]
+                after = cut + sum(row) - 2 * sum([e for j, e in enumerate(row) if placed >> j & 1])
+                low = (lo + after, (*lo_p[:i], label, *lo_p[i + 1:]))
+                high = (hi - after, (*hi_p[:i], label, *hi_p[i + 1:]))
+                old = reached.get(placed | 1 << i)
+                if old is not None:
+                    low, high = min(low, old[1]), min(high, old[2])
+                reached[placed | 1 << i] = (after, low, high)
+        layer = reached
+    (_, (lo, lo_p), (hi, hi_p)), = layer.values()
+    return lo, lo_p, -hi, hi_p
+
+
+def _product_extrema(between: Counter, lower: list[int]):
+    """(min, labels, max, labels) of sum e_ab p_a p_b over the twin-ordered
+    labelings, scoring each in turn.
 
     Labelings come in lexicographic order and only a strict improvement
     replaces a witness, so each is the least labeling attaining its value.
@@ -237,26 +299,27 @@ def _labeling_extrema(sizes: list[int], between: Counter):
     at_first = itemgetter(*[a for (a, _), _ in pairs])
     at_second = itemgetter(*[b for (_, b), _ in pairs])
     weights = [e for _, e in pairs]
-    lo1 = lo2 = lo3 = math.inf
-    hi1 = hi2 = hi3 = -math.inf
-    for p in _labelings(_twin_lower(sizes, between)):
-        pa, pb = at_first(p), at_second(p)
-        s1 = sum(map(mul, sizes, map(mul, p, p)))
-        s2 = sum(map(mul, weights, map(mul, pa, pb)))
-        s3 = sum(map(mul, weights, map(abs, map(sub, pa, pb))))
-        if s1 < lo1:
-            lo1, lo1_p = s1, p
-        if s1 > hi1:
-            hi1, hi1_p = s1, p
-        if s2 < lo2:
-            lo2, lo2_p = s2, p
-        if s2 > hi2:
-            hi2, hi2_p = s2, p
-        if s3 < lo3:
-            lo3, lo3_p = s3, p
-        if s3 > hi3:
-            hi3, hi3_p = s3, p
-    return (lo1, lo1_p, hi1, hi1_p), (lo2, lo2_p, hi2, hi2_p), (lo3, lo3_p, hi3, hi3_p)
+    lo = math.inf
+    hi = -math.inf
+    for p in _labelings(lower):
+        s = sum(map(mul, weights, map(mul, at_first(p), at_second(p))))
+        if s < lo:
+            lo, lo_p = s, p
+        if s > hi:
+            hi, hi_p = s, p
+    return lo, lo_p, hi, hi_p
+
+
+def _labeling_extrema(sizes: list[int], between: Counter):
+    """Per index, (min, labels, max, labels) over the labelings of one
+    partition quotient: class sizes, and edge counts between class pairs.
+
+    Each labels is the least labeling attaining its value. cm1 is a sort
+    and cm3 a DP over prefix sets, so only cm2 costs a pass over the
+    twin-ordered labelings, and only cm2 needs the callers' cap on them.
+    """
+    lower = _twin_lower(sizes, between)
+    return _square_extrema(sizes), _product_extrema(between, lower), _cut_extrema(between, lower)
 
 
 def _quotient(g: Graph, partition) -> tuple[list[int], Counter]:
@@ -274,11 +337,12 @@ def _quotient(g: Graph, partition) -> tuple[list[int], Counter]:
 
 def _sweep_partitions(g: Graph, ell: int, partitions):
     """:func:`_sweep` over every labeling of every partition, without
-    building the colorings; of labelings that only swap twins, the least.
+    building the colorings.
 
     Each partition is reduced once to its quotient, on which a labeling p
     (class i wears color p[i]) scores sum size_i p_i^2, sum e_ab p_a p_b
-    and sum e_ab |p_a - p_b|. With the classes in first-vertex order,
+    and sum e_ab |p_a - p_b|; :func:`_labeling_extrema` gives their
+    extrema and least labelings. With the classes in first-vertex order,
     label order is assignment order, so a partition's witnesses are its
     least attaining labelings; across partitions a tie goes to the smaller
     assignment. Only the six witnesses become Coloring objects.
@@ -351,7 +415,8 @@ def _frontier_extrema(g: Graph, ell: int):
     pass collects the reachable states and their moves, a backward pass
     stores each state's six suffix optima, and each witness is walked
     forward taking the smallest color from which its optimum is still
-    reached: the lexicographically least assignment attaining it.
+    reached: the lexicographically least assignment attaining it. None
+    once the states reached, all held until then, pass FRONTIER_WORK.
     """
     n = g.order
     colors = range(1, ell + 1)
@@ -360,6 +425,7 @@ def _frontier_extrema(g: Graph, ell: int):
     fronts: dict[tuple[int, ...], int] = {(): 0}
     states = {0: 0}  # the reachable states of the layer, numbered
     moves = []  # per vertex, per state: (next state's number, terms) per color it may take
+    held = 0
     for v, (earlier, keep, joins) in enumerate(_frontier_steps(g.adjacency_masks, n)):
         need = ell - (n - v - 1)  # colors that must be used once v is placed
         next_fronts: dict[tuple[int, ...], int] = {}
@@ -391,6 +457,9 @@ def _frontier_extrema(g: Graph, ell: int):
             ]))
         moves.append(layer)
         fronts, states = next_fronts, reached
+        held += len(states)
+        if held > FRONTIER_WORK:
+            return None
     # per layer, per state: the suffix's (cm1, cm2, cm3 minima, cm1, cm2, cm3 maxima), or None
     suffix = [[(0,) * 6] * len(states)]
     for layer in reversed(moves):
@@ -428,17 +497,18 @@ def _compute_extrema(g: Graph, semantics: Semantics):
 
     Under ``all``, a graph whose identity order keeps the frontier DP's
     bound ell**width * 2**ell on the states of a layer within
-    FRONTIER_STATES goes to :func:`_frontier_extrema`, at any order up to
-    FRONTIER_WORK over that bound. Otherwise every chi-partition is
-    scored when the assignment-count estimate ell**order stays within
-    MAX_COLORINGS, or the order within MAX_ORDER, and the walk stops past
+    FRONTIER_STATES goes to :func:`_frontier_extrema`, at any order; the
+    DP hands over to the partitions once the states it reaches pass
+    FRONTIER_WORK. Otherwise every chi-partition is scored when the
+    assignment-count estimate ell**order stays within MAX_COLORINGS, or
+    the order within MAX_ORDER, and the walk stops past
     MAX_COLORINGS // ell! partitions: every chi-partition carries ell!
     minimum colorings. Within the estimate that cap never fires, as the
     partitions times ell! are at most ell**order. Otherwise, and always
-    under ``permutation``, the canonical partition's twin-ordered
-    labelings are scored. Past MAX_COLORINGS of them only its identity
-    and reversed labelings are, which still are valid colorings and so
-    give bounds rather than extrema.
+    under ``permutation``, the canonical partition is scored. Past
+    MAX_COLORINGS twin-ordered labelings, more than the cm2 pass may walk,
+    only its identity and reversed labelings are, which still are valid
+    colorings and so give bounds rather than extrema.
     """
     if g.order < 1:
         raise ValueError("extrema need order >= 1")
@@ -448,8 +518,9 @@ def _compute_extrema(g: Graph, semantics: Semantics):
     ell = max(coloring)
     if semantics == "all":
         states = ell ** _frontier_width(g.adjacency_masks, g.order) << ell
-        if states <= FRONTIER_STATES and states * g.order <= FRONTIER_WORK:
-            return _frontier_extrema(g, ell), "all", "exact"
+        results = _frontier_extrema(g, ell) if states <= FRONTIER_STATES else None
+        if results is not None:
+            return results, "all", "exact"
     if semantics == "all" and (ell ** g.order <= MAX_COLORINGS or g.order <= MAX_ORDER):
         try:
             partitions = _iter_chi_partitions(g, ell, MAX_COLORINGS // math.factorial(ell))

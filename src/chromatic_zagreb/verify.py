@@ -377,7 +377,8 @@ def _run_thm34(claim_id: str, form_key: str):
 def _oracle_corpus(config: CorpusConfig):
     """The family corpus plus every seeded random graph; random draws that
     happen to repeat a labeled graph stay in (the count is part of the
-    corpus contract, and the engine memoizes repeats anyway)."""
+    corpus contract; the engine and the extrema oracle run once per
+    distinct graph)."""
     hi = config.oracle_max_order
     yield from family_corpus(hi, config.families)
     yield from random_connected_corpus(
@@ -455,6 +456,7 @@ def _run_stability_cycles(config: CorpusConfig) -> list[ClaimResult]:
 
 def _run_oracle_extrema(config: CorpusConfig) -> list[ClaimResult]:
     out = []
+    truths: dict[Graph, dict] = {}
     for label, g in _oracle_corpus(config):
         r = _report(g)
         if r.status != "exact":
@@ -463,7 +465,9 @@ def _run_oracle_extrema(config: CorpusConfig) -> list[ClaimResult]:
                 f"engine status {r.status}", SKIPPED, True, None,
             ))
             continue
-        truth = oracle_extrema(g)
+        if g not in truths:
+            truths[g] = oracle_extrema(g)
+        truth = truths[g]
         engine = {
             1: (r.cm1_min, r.cm1_max),
             2: (r.cm2_min, r.cm2_max),

@@ -18,6 +18,7 @@ from chromatic_zagreb.coloring import (
     is_proper,
 )
 from chromatic_zagreb.families import complete_graph_forms
+from chromatic_zagreb.generators import generate, parse_family_spec
 from chromatic_zagreb.graph import Graph
 from chromatic_zagreb.indices import (
     EXTREMA_KEYS,
@@ -237,11 +238,21 @@ class TestFrontierDP:
         assert dp == naive_extrema_witnesses(g)
 
     def test_work_cap_sends_long_inputs_past_the_dp(self, monkeypatch):
-        # a cycle's frontier has width 2: at most 3**2 * 2**3 = 72 states a layer
-        monkeypatch.setattr(indices, "FRONTIER_WORK", 72 * 20)
+        # the DP reaches 247 states on cycle:19 and 277 on cycle:21
+        monkeypatch.setattr(indices, "FRONTIER_WORK", 260)
         assert full_report(cycle(19)).status == "exact"
         r = full_report(cycle(21))
         assert r.status == "bounds_only" and r.semantics_used == "permutation"
+
+    def test_work_cap_counts_reached_states(self):
+        # its bound, 260 * 4**4 * 2**4 states, is past FRONTIER_WORK, but the
+        # DP reaches about 4k; the canonical partition gave cm3 (330, 586)
+        g = generate(parse_family_spec("thorn(complete:4;64)"))
+        assert indices._frontier_width(g.adjacency_masks, 260) == 4
+        assert 260 * 4 ** 4 << 4 > indices.FRONTIER_WORK
+        r = full_report(g)
+        assert r.status == "exact" and r.semantics_used == "all"
+        assert (r.cm3_min, r.cm3_max) == (266, 650)
 
     def test_frontier_width(self):
         assert indices._frontier_width(path(9).adjacency_masks, 9) == 1
@@ -275,10 +286,32 @@ class TestTwinOrderedLabelings:
         assert list(indices._labelings(lower)) == want
         assert indices._labeling_count(lower) == len(want)
 
+    # examples: a 7-clique quotient, one twin group; a 7-class quotient with no twins
+    @given(quotients())
+    @example(([1] * 7, Counter({(a, b): 1 for a in range(7) for b in range(a + 1, 7)})))
+    @example(([1] * 7, Counter({(a, b): (a + 2 * b) % 3 for a in range(7) for b in range(a + 1, 7)})))
+    @settings(max_examples=60, deadline=None)
+    def test_labeling_extrema_match_all_permutations(self, quotient):
+        sizes, between = quotient
+        scores = (
+            lambda p: sum(s * x * x for s, x in zip(sizes, p)),
+            lambda p: sum(e * p[a] * p[b] for (a, b), e in between.items()),
+            lambda p: sum(e * abs(p[a] - p[b]) for (a, b), e in between.items()),
+        )
+        want = []
+        for score in scores:
+            scored = [(score(p), p) for p in permutations(range(1, len(sizes) + 1))]
+            lo, hi = min(scored), min(scored, key=lambda t: (-t[0], t[1]))
+            want.append((*lo, *hi))
+        assert list(indices._labeling_extrema(sizes, between)) == want
+
     def test_one_large_group_has_one_labeling(self):
         lower = [-1, *range(39)]
         assert list(indices._labelings(lower)) == [tuple(range(1, 41))]
         assert indices._labeling_count(lower) == 1
+        # the cut DP meets 41 prefix sets, not 2**40; C(41, 3) = sum (b - a)
+        between = Counter({(a, b): 1 for a in range(40) for b in range(a + 1, 40)})
+        assert indices._cut_extrema(between, lower) == (10660, tuple(range(1, 41))) * 2
 
 
 class TestFullReport:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from chromatic_zagreb import verify
 from chromatic_zagreb.coloring import Coloring
 from chromatic_zagreb.generators import generate, parse_family_spec
 from chromatic_zagreb.indices import chromatic_m2, chromatic_m3
@@ -113,6 +114,24 @@ class TestDeterminism:
         assert _report.cache_info().currsize > alone
         run_claims(second, "oracle-extrema")
         assert _report.cache_info().currsize == alone
+
+    def test_oracle_runs_once_per_distinct_graph(self, monkeypatch):
+        corpus = [("path:4", generate(parse_family_spec("path:4"))),
+                  ("complete:4", generate(parse_family_spec("complete:4"))),
+                  ("random:4:0", generate(parse_family_spec("path:4")))]
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return oracle(g)
+
+        oracle = verify.oracle_extrema
+        monkeypatch.setattr(verify, "_oracle_corpus", lambda config: iter(corpus))
+        monkeypatch.setattr(verify, "oracle_extrema", counted)
+        res = run_claims(SMALL, "oracle-extrema")
+        assert sorted(r.instance for r in res) == sorted(label for label, _ in corpus)
+        assert all(r.verdict == "verified" for r in res)
+        assert calls == [corpus[0][1], corpus[1][1]]
 
     def test_family_list_restricts_corpus(self):
         cfg = CorpusConfig(max_order=5, random_graph_count=0, random_tree_count=5,
