@@ -149,6 +149,14 @@ def _sweep(g: Graph, colorings) -> dict[int, tuple[int, Coloring, int, Coloring]
     return {k: tuple(slot) for k, slot in enumerate(best, 1)}
 
 
+def _edge_counts(ell: int, between: Counter) -> list[list[int]]:
+    """A quotient's edge counts between class pairs as a symmetric matrix."""
+    counts = [[0] * ell for _ in range(ell)]
+    for (a, b), e in between.items():
+        counts[a][b] = counts[b][a] = e
+    return counts
+
+
 def _twin_lower(sizes: list[int], between: Counter) -> list[int]:
     """Per class of a quotient, the nearest earlier class it is twin to, or -1.
 
@@ -159,9 +167,7 @@ def _twin_lower(sizes: list[int], between: Counter) -> list[int]:
     be left out without losing a value or a least witness.
     """
     ell = len(sizes)
-    counts = [[0] * ell for _ in range(ell)]
-    for (a, b), e in between.items():
-        counts[a][b] = counts[b][a] = e
+    counts = _edge_counts(ell, between)
     lower = [-1] * ell
     for j in range(ell):
         for i in range(j - 1, -1, -1):  # twinship is an equivalence: the nearest one will do
@@ -258,9 +264,7 @@ def _cut_extrema(between: Counter, lower: list[int]):
     partial labeling on a tie gives the least full one.
     """
     ell = len(lower)
-    counts = [[0] * ell for _ in range(ell)]
-    for (a, b), e in between.items():
-        counts[a][b] = counts[b][a] = e
+    counts = _edge_counts(ell, between)
     need = [1 << i if i >= 0 else 0 for i in lower]  # the set bit of i's lower twin
     unplaced = (0,) * ell
     # set: (its cut, (min, labels), (-max, labels)), so both ends keep the least
