@@ -10,15 +10,21 @@ chi-partitions on their quotient, the class sizes and the edge counts
 between classes: under ``all`` every chi-partition, under
 ``permutation`` the canonical one. On a quotient the cm1 extrema are a
 sort (the rearrangement inequality), the cm3 extrema a DP over the sets
-of classes labelled so far (a linear arrangement), and only cm2 walks
-the twin-ordered labelings.
+of classes labelled so far (a linear arrangement), and the cm2 extrema,
+up to PACKED_CLASSES classes, a few big-int operations on tables that
+pack each class pair's label product under every labeling. Only a larger
+quotient, one whose cm2 sums could pass a 4-byte field, or one with few
+twin-ordered labelings walks them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations
 from operator import add, itemgetter, mul
 from typing import Literal
@@ -108,6 +114,16 @@ MAX_COLORINGS = 10_000_000
 # until its witnesses are walked
 FRONTIER_STATES = 2**14
 FRONTIER_WORK = 2**20
+# quotients of at most PACKED_CLASSES classes score cm2 on packed pair
+# tables, C(ell, 2) ints of ell! 4-byte fields each, held for the process:
+# 21 * 7! * 4 B = 423 KB at ell = 7, where ell = 8 would hold
+# 28 * 8! * 4 B = 4.5 MB, near a quarter of a typical ~19 MB peak RSS.
+# One walked labeling costs about PACKED_WALK_RATIO packed fields (about
+# 3 us against 0.15-0.2 us at ell = 6, 7), so a quotient with at most
+# ell! / PACKED_WALK_RATIO twin-ordered labelings walks them instead,
+# which builds no table: a clique quotient has one
+PACKED_CLASSES = 7
+PACKED_WALK_RATIO = 16
 
 ExtremaStatus = Literal["exact", "bounds_only"]
 
@@ -157,17 +173,17 @@ def _edge_counts(ell: int, between: Counter) -> list[list[int]]:
     return counts
 
 
-def _twin_lower(sizes: list[int], between: Counter) -> list[int]:
+def _twin_lower(sizes: list[int], counts: list[list[int]]) -> list[int]:
     """Per class of a quotient, the nearest earlier class it is twin to, or -1.
 
-    Twins have the same size and the same edge count to every third
-    class, so swapping their labels changes none of the three sums. Of
-    all labelings that differ only on twins, the one that labels each
-    twin group in increasing class order is the least, so the others can
-    be left out without losing a value or a least witness.
+    Twins have the same size and the same edge count (``counts``, from
+    :func:`_edge_counts`) to every third class, so swapping their labels
+    changes none of the three sums. Of all labelings that differ only on
+    twins, the one that labels each twin group in increasing class order
+    is the least, so the others can be left out without losing a value or
+    a least witness.
     """
     ell = len(sizes)
-    counts = _edge_counts(ell, between)
     lower = [-1] * ell
     for j in range(ell):
         for i in range(j - 1, -1, -1):  # twinship is an equivalence: the nearest one will do
@@ -250,21 +266,21 @@ def _square_extrema(sizes: list[int]):
     return tuple(found)
 
 
-def _cut_extrema(between: Counter, lower: list[int]):
+def _cut_extrema(counts: list[list[int]], lower: list[int]):
     """(min, labels, max, labels) of sum e_ab |p_a - p_b| over the
     twin-ordered labelings, by a DP over prefix sets.
 
     The sum equals sum over k of cut(S_k), S_k the classes labelled <= k,
-    so it is a linear arrangement of the quotient. Classes are placed in
-    label order, each only after its lower twin: a twin group of size g
-    gives g + 1 prefix sets, not 2^g. Per set the DP keeps the min and max
-    of the cuts so far and the least partial labeling (0 where unplaced)
-    attaining each. Two chains into one set share every completion, so
-    their full labelings compare as their partial ones, and the least
-    partial labeling on a tie gives the least full one.
+    so it is a linear arrangement of the quotient (``counts``, from
+    :func:`_edge_counts`). Classes are placed in label order, each only
+    after its lower twin: a twin group of size g gives g + 1 prefix sets,
+    not 2^g. Per set the DP keeps the min and max of the cuts so far and
+    the least partial labeling (0 where unplaced) attaining each. Two
+    chains into one set share every completion, so their full labelings
+    compare as their partial ones, and the least partial labeling on a
+    tie gives the least full one.
     """
     ell = len(lower)
-    counts = _edge_counts(ell, between)
     need = [1 << i if i >= 0 else 0 for i in lower]  # the set bit of i's lower twin
     unplaced = (0,) * ell
     # set: (its cut, (min, labels), (-max, labels)), so both ends keep the least
@@ -289,13 +305,67 @@ def _cut_extrema(between: Counter, lower: list[int]):
     return lo, lo_p, -hi, hi_p
 
 
+@cache
+def _pair_tables(ell: int) -> tuple[tuple[int, ...], ...]:
+    """T[a][b], for classes a != b: p_a p_b for every labeling p of ell
+    classes, in lexicographic order, one 4-byte unsigned field each,
+    packed into one int. Cached per ell for the process."""
+    assert array("I").itemsize == 4
+    columns = list(zip(*permutations(range(1, ell + 1))))  # columns[a]: p_a per labeling
+    tables = [[0] * ell for _ in range(ell)]
+    for a in range(ell):
+        for b in range(a + 1, ell):
+            products = array("I", map(mul, columns[a], columns[b]))
+            tables[a][b] = tables[b][a] = int.from_bytes(products.tobytes(), sys.byteorder)
+    return tuple(map(tuple, tables))
+
+
+def _nth_labeling(ell: int, k: int) -> tuple[int, ...]:
+    """The k-th labeling of ell classes in lexicographic order (from 0),
+    read off k's factorial-base digits, its Lehmer code."""
+    free = list(range(1, ell + 1))
+    labels = []
+    for place in range(ell - 1, -1, -1):
+        digit, k = divmod(k, math.factorial(place))
+        labels.append(free.pop(digit))
+    return tuple(labels)
+
+
+def _packed_product_extrema(between: Counter, ell: int):
+    """(min, labels, max, labels) of sum e_ab p_a p_b over all ell!
+    labelings at once, on :func:`_pair_tables`.
+
+    sum e_ab T_ab holds each labeling's sum in that labeling's field, as
+    long as no sum reaches 2**32, which the caller checks. The first field
+    attaining each end is the least labeling attaining it, and that one is
+    twin-ordered: were two twins out of order, swapping them would keep
+    the sum and give a smaller labeling. So values and labelings are those
+    of the twin-ordered walk.
+    """
+    tables = _pair_tables(ell)
+    packed = sum(e * tables[a][b] for (a, b), e in between.items())
+    sums = array("I")
+    sums.frombytes(packed.to_bytes(4 * math.factorial(ell), sys.byteorder))
+    lo, hi = min(sums), max(sums)
+    return lo, _nth_labeling(ell, sums.index(lo)), hi, _nth_labeling(ell, sums.index(hi))
+
+
 def _product_extrema(between: Counter, lower: list[int]):
     """(min, labels, max, labels) of sum e_ab p_a p_b over the twin-ordered
-    labelings, scoring each in turn.
+    labelings.
 
-    Labelings come in lexicographic order and only a strict improvement
-    replaces a witness, so each is the least labeling attaining its value.
+    A quotient of at most PACKED_CLASSES classes goes to
+    :func:`_packed_product_extrema` when its bound on a sum,
+    sum e_ab * ell (ell - 1), stays below 2**32 and it has more than
+    ell! / PACKED_WALK_RATIO twin-ordered labelings. Any other walks its
+    labelings, scoring each in turn; they come in lexicographic order and
+    only a strict improvement replaces a witness, so each is the least
+    labeling attaining its value.
     """
+    ell = len(lower)
+    if (ell <= PACKED_CLASSES and sum(between.values()) * ell * (ell - 1) < 1 << 32
+            and _labeling_count(lower) * PACKED_WALK_RATIO > math.factorial(ell)):
+        return _packed_product_extrema(between, ell)
     # two zero-weight pairs keep itemgetter returning tuples; its keys are
     # unpacked from lists, since a tuple built from an iterator is resized
     # and, once freed, stays on CPython's tuple free list (peak RSS)
@@ -318,12 +388,15 @@ def _labeling_extrema(sizes: list[int], between: Counter):
     """Per index, (min, labels, max, labels) over the labelings of one
     partition quotient: class sizes, and edge counts between class pairs.
 
-    Each labels is the least labeling attaining its value. cm1 is a sort
-    and cm3 a DP over prefix sets, so only cm2 costs a pass over the
-    twin-ordered labelings, and only cm2 needs the callers' cap on them.
+    Each labels is the least labeling attaining its value. cm1 is a sort,
+    cm3 a DP over prefix sets and cm2, up to PACKED_CLASSES classes, a few
+    operations on packed ints. Only a cm2 of more classes, one whose sums
+    could pass 2**32, or one with few twin-ordered labelings walks them,
+    and only a walk of more classes can meet the callers' cap on them.
     """
-    lower = _twin_lower(sizes, between)
-    return _square_extrema(sizes), _product_extrema(between, lower), _cut_extrema(between, lower)
+    counts = _edge_counts(len(sizes), between)
+    lower = _twin_lower(sizes, counts)
+    return _square_extrema(sizes), _product_extrema(between, lower), _cut_extrema(counts, lower)
 
 
 def _quotient(g: Graph, partition) -> tuple[list[int], Counter]:
@@ -510,9 +583,12 @@ def _compute_extrema(g: Graph, semantics: Semantics):
     minimum colorings. Within the estimate that cap never fires, as the
     partitions times ell! are at most ell**order. Otherwise, and always
     under ``permutation``, the canonical partition is scored. Past
-    MAX_COLORINGS twin-ordered labelings, more than the cm2 pass may walk,
-    only its identity and reversed labelings are, which still are valid
-    colorings and so give bounds rather than extrema.
+    MAX_COLORINGS twin-ordered labelings, more than the cm2 walk may
+    score, only its identity and reversed labelings are, which still are
+    valid colorings and so give bounds rather than extrema. The guard
+    passes every quotient of at most PACKED_CLASSES classes, as 7!
+    labelings are far within MAX_COLORINGS, so it and the fallback are
+    reached only on quotients of more classes, where cm2 is walked.
     """
     if g.order < 1:
         raise ValueError("extrema need order >= 1")
@@ -532,7 +608,8 @@ def _compute_extrema(g: Graph, semantics: Semantics):
         except EnumerationBudgetExceeded:
             pass
     partition = canonical_partition(g, coloring)
-    if _labeling_count(_twin_lower(*_quotient(g, partition))) <= MAX_COLORINGS:
+    sizes, between = _quotient(g, partition)
+    if _labeling_count(_twin_lower(sizes, _edge_counts(len(sizes), between))) <= MAX_COLORINGS:
         results = _sweep_partitions(g, ell, [partition])
         return results, "permutation", "exact" if semantics == "permutation" else "bounds_only"
     # with the classes in first-vertex order these two are in assignment order

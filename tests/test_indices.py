@@ -65,6 +65,34 @@ def _swept(g, semantics):
     return _by_key(_sweep(g, enumerate_min_colorings(g, semantics)))
 
 
+def _least_extrema(score, ell):
+    """(min, labels, max, labels) of score over all ell! labelings, each
+    with the least labeling attaining it."""
+    scored = [(score(p), p) for p in permutations(range(1, ell + 1))]
+    lo, hi = min(scored), min(scored, key=lambda t: (-t[0], t[1]))
+    return (*lo, *hi)
+
+
+def _products(between):
+    """The cm2 sum of a quotient labeling, sum e_ab p_a p_b."""
+    return lambda p: sum(e * p[a] * p[b] for (a, b), e in between.items())
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The labelings the cm2 walk scores, in the order it scores them."""
+    scored = []
+
+    def counted(lower):
+        for p in labelings(lower):
+            scored.append(p)
+            yield p
+
+    labelings = indices._labelings
+    monkeypatch.setattr(indices, "_labelings", counted)
+    return scored
+
+
 class TestClassical:
     @pytest.mark.parametrize("g,m1,m2,m3", [
         (complete(3), 12, 12, 0),
@@ -199,20 +227,11 @@ class TestExtrema:
         below = chromatic_extrema(g, 1)
         assert below.status == "bounds_only" and below.semantics_used == "permutation"
 
-    def test_clique_scores_one_labeling(self, monkeypatch):
+    def test_clique_scores_one_labeling(self, walked):
         # all ten classes of K10 are twins; 10! labelings took 4.7 s
-        scored = []
-
-        def counted(lower):
-            for p in labelings(lower):
-                scored.append(p)
-                yield p
-
-        labelings = indices._labelings
-        monkeypatch.setattr(indices, "_labelings", counted)
         r = full_report(complete(10))
         assert r.status == "exact" and r.semantics_used == "all"
-        assert scored == [tuple(range(1, 11))]
+        assert walked == [tuple(range(1, 11))]
         assert r.cm1_min == r.cm1_max == 385
 
 
@@ -262,23 +281,32 @@ class TestFrontierDP:
 
 
 @st.composite
-def quotients(draw, max_ell=7):
+def quotients(draw, max_ell=7, max_count=2):
     """Class sizes and edge counts between class pairs; small ranges make twins common."""
     ell = draw(st.integers(min_value=1, max_value=max_ell))
     sizes = draw(st.lists(st.integers(1, 2), min_size=ell, max_size=ell))
     between = Counter()
     for a in range(ell):
         for b in range(a + 1, ell):
-            between[(a, b)] = draw(st.integers(0, 2))
+            between[(a, b)] = draw(st.integers(0, max_count))
     return sizes, between
+
+
+def _twin_lower(sizes, between):
+    return indices._twin_lower(sizes, indices._edge_counts(len(sizes), between))
+
+
+# a 7-clique quotient, one twin group; a 7-class quotient with no twins
+CLIQUE_7 = ([1] * 7, Counter({(a, b): 1 for a in range(7) for b in range(a + 1, 7)}))
+TWIN_FREE_7 = ([1] * 7, Counter({(a, b): (a + 2 * b) % 3 for a in range(7) for b in range(a + 1, 7)}))
 
 
 class TestTwinOrderedLabelings:
     @given(quotients())
-    @example(([1] * 7, Counter({(a, b): 1 for a in range(7) for b in range(a + 1, 7)})))
+    @example(CLIQUE_7)
     @settings(max_examples=80, deadline=None)
     def test_matches_filtered_permutations(self, quotient):
-        lower = indices._twin_lower(*quotient)
+        lower = _twin_lower(*quotient)
         want = [
             p for p in permutations(range(1, len(lower) + 1))
             if all(p[i] < p[j] for j, i in enumerate(lower) if i >= 0)
@@ -286,23 +314,18 @@ class TestTwinOrderedLabelings:
         assert list(indices._labelings(lower)) == want
         assert indices._labeling_count(lower) == len(want)
 
-    # examples: a 7-clique quotient, one twin group; a 7-class quotient with no twins
     @given(quotients())
-    @example(([1] * 7, Counter({(a, b): 1 for a in range(7) for b in range(a + 1, 7)})))
-    @example(([1] * 7, Counter({(a, b): (a + 2 * b) % 3 for a in range(7) for b in range(a + 1, 7)})))
+    @example(CLIQUE_7)
+    @example(TWIN_FREE_7)
     @settings(max_examples=60, deadline=None)
     def test_labeling_extrema_match_all_permutations(self, quotient):
         sizes, between = quotient
         scores = (
             lambda p: sum(s * x * x for s, x in zip(sizes, p)),
-            lambda p: sum(e * p[a] * p[b] for (a, b), e in between.items()),
+            _products(between),
             lambda p: sum(e * abs(p[a] - p[b]) for (a, b), e in between.items()),
         )
-        want = []
-        for score in scores:
-            scored = [(score(p), p) for p in permutations(range(1, len(sizes) + 1))]
-            lo, hi = min(scored), min(scored, key=lambda t: (-t[0], t[1]))
-            want.append((*lo, *hi))
+        want = [_least_extrema(score, len(sizes)) for score in scores]
         assert list(indices._labeling_extrema(sizes, between)) == want
 
     def test_one_large_group_has_one_labeling(self):
@@ -311,7 +334,52 @@ class TestTwinOrderedLabelings:
         assert indices._labeling_count(lower) == 1
         # the cut DP meets 41 prefix sets, not 2**40; C(41, 3) = sum (b - a)
         between = Counter({(a, b): 1 for a in range(40) for b in range(a + 1, 40)})
-        assert indices._cut_extrema(between, lower) == (10660, tuple(range(1, 41))) * 2
+        counts = indices._edge_counts(40, between)
+        assert indices._cut_extrema(counts, lower) == (10660, tuple(range(1, 41))) * 2
+
+
+class TestPackedProducts:
+    # counts up to 10**6 fill the fields: 21 * 10**6 * 7 * 6 is near 2**30
+    @given(quotients(max_count=10**6))
+    @example(CLIQUE_7)
+    @example(TWIN_FREE_7)
+    @settings(max_examples=60, deadline=None)
+    def test_product_extrema_match_all_permutations(self, quotient):
+        sizes, between = quotient
+        want = _least_extrema(_products(between), len(sizes))
+        assert indices._labeling_extrema(sizes, between)[1] == want
+
+    def test_nth_labeling_is_lexicographic(self):
+        for ell in range(1, 7):
+            for k, p in enumerate(permutations(range(1, ell + 1))):
+                assert indices._nth_labeling(ell, k) == p
+
+    def test_seven_classes_walk_no_labeling(self, walked):
+        assert _twin_lower(*TWIN_FREE_7) == [-1] * 7
+        indices._labeling_extrema(*TWIN_FREE_7)
+        assert walked == []
+
+    def test_few_labelings_walk(self, walked):
+        # one twin-ordered labeling of 7! walks; its sum over all pairs of
+        # 1..7 is (28**2 - 140) / 2
+        assert indices._labeling_extrema(*CLIQUE_7)[1] == (322, tuple(range(1, 8))) * 2
+        assert walked == [tuple(range(1, 8))]
+
+    def test_eight_classes_walk(self, walked):
+        sizes = [1] * 8
+        between = Counter({(a, b): (a + 2 * b) % 3 for a in range(8) for b in range(a + 1, 8)})
+        assert _twin_lower(sizes, between) == [-1] * 8
+        got = indices._labeling_extrema(sizes, between)[1]
+        assert len(walked) == 40320
+        assert got == _least_extrema(_products(between), 8)
+
+    def test_sums_past_a_field_walk(self, walked):
+        # the bound (2**30 + 3) * 3 * 2 passes 2**32, and so do the sums
+        between = Counter({(0, 1): 2**30, (0, 2): 1, (1, 2): 2})
+        got = indices._labeling_extrema([1, 1, 1], between)[1]
+        assert len(walked) == 6
+        assert got == _least_extrema(_products(between), 3)
+        assert got[2] > 2**32
 
 
 class TestFullReport:
