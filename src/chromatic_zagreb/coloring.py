@@ -31,7 +31,29 @@ Semantics = Literal["all", "permutation"]
 
 
 class EnumerationBudgetExceeded(Exception):
-    """Raised internally when an enumeration pass exceeds its work cap."""
+    """Raised internally when a search passes its call's work cap."""
+
+
+# the work cap of one top-level call, an extrema report or a stability
+# number, in the units a Meter counts
+WORK_CAP = 2**20
+
+
+class Meter:
+    """The work budget of one top-level call, shared by all its searches.
+
+    Each search charges the work it does, in units of a step, a move, an
+    edge or a labeling; past the cap, WORK_CAP unless given, a charge
+    raises EnumerationBudgetExceeded.
+    """
+
+    def __init__(self, cap: float | None = None) -> None:
+        self.left = WORK_CAP if cap is None else cap
+
+    def charge(self, units: int) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise EnumerationBudgetExceeded()
 
 
 @dataclass(frozen=True)
@@ -302,7 +324,7 @@ def chromatic_number(g: Graph) -> int:
 
 
 def _iter_chi_partitions(
-    g: Graph, ell: int, max_partitions: int | None = None, max_steps: int | None = None
+    g: Graph, ell: int, meter: Meter | None = None
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every partition of V into exactly ell independent classes.
 
@@ -310,10 +332,10 @@ def _iter_chi_partitions(
     search), so each set partition appears exactly once, with its classes
     in first-vertex order and each class ascending. The search keeps an
     explicit stack, so its depth is not bounded by the recursion limit.
-    Past ``max_partitions`` partitions, or ``max_steps`` steps (one per
-    backtrack, dead ends too, and n per partition), it raises
-    EnumerationBudgetExceeded.
+    It charges ``meter``, when given, one unit per backtrack, dead ends
+    too, and n per partition, so it stops where that meter's cap is met.
     """
+    meter = meter or Meter(float("inf"))
     n = g.order
     masks = g.adjacency_masks
     class_masks: list[int] = []
@@ -321,15 +343,11 @@ def _iter_chi_partitions(
     # next option at each depth: k < len(class_masks) joins class k,
     # k == len(class_masks) opens a new class
     option = [0] * (n + 1)
-    count = 0
-    backtracks = 0
     v = 0
     while v >= 0:
         if v == n:
             if len(class_masks) == ell:
-                count += 1
-                if max_partitions is not None and count > max_partitions:
-                    raise EnumerationBudgetExceeded()
+                meter.charge(n)
                 classes: list[list[int]] = [[] for _ in range(ell)]
                 for u in range(n):
                     classes[placed[u]].append(u)
@@ -357,9 +375,7 @@ def _iter_chi_partitions(
                 option[v] = 0
                 continue
         # every option at v is spent: undo the placement of v - 1
-        backtracks += 1
-        if max_steps is not None and backtracks + n * count > max_steps:
-            raise EnumerationBudgetExceeded()
+        meter.charge(1)
         v -= 1
         if v >= 0:
             k = placed[v]

@@ -32,6 +32,7 @@ from typing import Literal
 from .coloring import (
     Coloring,
     EnumerationBudgetExceeded,
+    Meter,
     Semantics,
     canonical_partition,
     is_proper,
@@ -105,15 +106,9 @@ def chromatic_m3(g: Graph, c: Coloring) -> int:
     return zagreb_sums(c.assignment, g.edges)[2]
 
 
-# work caps of the extrema search, read by _compute_extrema
-MAX_ORDER = 16
-MAX_COLORINGS = 10_000_000
 # the frontier DP runs when ell**width * 2**ell, its bound on the states of
-# one layer, stays within FRONTIER_STATES, and hands over to the partition
-# route once the states it reaches pass FRONTIER_WORK: it holds every layer
-# until its witnesses are walked
+# one layer, stays within FRONTIER_STATES
 FRONTIER_STATES = 2**14
-FRONTIER_WORK = 2**20
 # quotients of at most PACKED_CLASSES classes score cm2 on packed pair
 # tables, C(ell, 2) ints of ell! 4-byte fields each, held for the process:
 # 21 * 7! * 4 B = 423 KB at ell = 7, where ell = 8 would hold
@@ -145,10 +140,11 @@ def _sweep(g: Graph, colorings) -> dict[int, tuple[int, Coloring, int, Coloring]
     Streams arrive in lexicographic order, so strict comparisons leave the
     lexicographically least witness in place for ties. Exact extrema come
     from :func:`_frontier_extrema` and :func:`_sweep_partitions`; this
-    scores only the two labelings of the bounds-only fallback. It also
-    stays as the coloring-stream reference that the least-witness tests
-    check the partition path against, and ``perfbench/spans.py`` rebinds
-    it by name to count the colorings scored.
+    scores only the identity and reversed labelings of the canonical
+    partition, whose scoring passed its work cap. It also stays as the
+    coloring-stream reference that the least-witness tests check the
+    partition path against, and ``perfbench/spans.py`` rebinds it by name
+    to count the colorings scored.
     """
     edges = g.edges
     best: list[list] = []  # per index: [min, its witness, max, its witness]
@@ -266,7 +262,7 @@ def _square_extrema(sizes: list[int]):
     return tuple(found)
 
 
-def _cut_extrema(counts: list[list[int]], lower: list[int]):
+def _cut_extrema(counts: list[list[int]], lower: list[int], meter: Meter):
     """(min, labels, max, labels) of sum e_ab |p_a - p_b| over the
     twin-ordered labelings, by a DP over prefix sets.
 
@@ -278,7 +274,7 @@ def _cut_extrema(counts: list[list[int]], lower: list[int]):
     the least partial labeling (0 where unplaced) attaining each. Two
     chains into one set share every completion, so their full labelings
     compare as their partial ones, and the least partial labeling on a
-    tie gives the least full one.
+    tie gives the least full one. Each set charges ``meter`` its moves.
     """
     ell = len(lower)
     need = [1 << i if i >= 0 else 0 for i in lower]  # the set bit of i's lower twin
@@ -288,9 +284,9 @@ def _cut_extrema(counts: list[list[int]], lower: list[int]):
     for label in range(1, ell + 1):
         reached: dict[int, tuple] = {}
         for placed, (cut, (lo, lo_p), (hi, hi_p)) in layer.items():
-            for i in range(ell):
-                if placed >> i & 1 or placed & need[i] != need[i]:
-                    continue
+            free = [i for i in range(ell) if not placed >> i & 1 and placed & need[i] == need[i]]
+            meter.charge(len(free))
+            for i in free:
                 # i's edges into the placed classes leave the cut, the rest join it
                 row = counts[i]
                 after = cut + sum(row) - 2 * sum([e for j, e in enumerate(row) if placed >> j & 1])
@@ -350,7 +346,7 @@ def _packed_product_extrema(between: Counter, ell: int):
     return lo, _nth_labeling(ell, sums.index(lo)), hi, _nth_labeling(ell, sums.index(hi))
 
 
-def _product_extrema(between: Counter, lower: list[int]):
+def _product_extrema(between: Counter, lower: list[int], meter: Meter):
     """(min, labels, max, labels) of sum e_ab p_a p_b over the twin-ordered
     labelings.
 
@@ -360,12 +356,16 @@ def _product_extrema(between: Counter, lower: list[int]):
     ell! / PACKED_WALK_RATIO twin-ordered labelings. Any other walks its
     labelings, scoring each in turn; they come in lexicographic order and
     only a strict improvement replaces a witness, so each is the least
-    labeling attaining its value.
+    labeling attaining its value. ``meter`` is charged the labelings
+    packed or walked before they are.
     """
     ell = len(lower)
+    count = _labeling_count(lower)
     if (ell <= PACKED_CLASSES and sum(between.values()) * ell * (ell - 1) < 1 << 32
-            and _labeling_count(lower) * PACKED_WALK_RATIO > math.factorial(ell)):
+            and count * PACKED_WALK_RATIO > math.factorial(ell)):
+        meter.charge(math.factorial(ell))
         return _packed_product_extrema(between, ell)
+    meter.charge(count)
     # two zero-weight pairs keep itemgetter returning tuples; its keys are
     # unpacked from lists, since a tuple built from an iterator is resized
     # and, once freed, stays on CPython's tuple free list (peak RSS)
@@ -384,19 +384,20 @@ def _product_extrema(between: Counter, lower: list[int]):
     return lo, lo_p, hi, hi_p
 
 
-def _labeling_extrema(sizes: list[int], between: Counter):
+def _labeling_extrema(sizes: list[int], between: Counter, meter: Meter):
     """Per index, (min, labels, max, labels) over the labelings of one
     partition quotient: class sizes, and edge counts between class pairs.
 
     Each labels is the least labeling attaining its value. cm1 is a sort,
     cm3 a DP over prefix sets and cm2, up to PACKED_CLASSES classes, a few
     operations on packed ints. Only a cm2 of more classes, one whose sums
-    could pass 2**32, or one with few twin-ordered labelings walks them,
-    and only a walk of more classes can meet the callers' cap on them.
+    could pass 2**32, or one with few twin-ordered labelings walks them.
+    The DP and the cm2 labelings charge ``meter``.
     """
     counts = _edge_counts(len(sizes), between)
     lower = _twin_lower(sizes, counts)
-    return _square_extrema(sizes), _product_extrema(between, lower), _cut_extrema(counts, lower)
+    cuts = _cut_extrema(counts, lower, meter)
+    return _square_extrema(sizes), _product_extrema(between, lower, meter), cuts
 
 
 def _quotient(g: Graph, partition) -> tuple[list[int], Counter]:
@@ -412,7 +413,7 @@ def _quotient(g: Graph, partition) -> tuple[list[int], Counter]:
     return [len(members) for members in partition], between
 
 
-def _sweep_partitions(g: Graph, ell: int, partitions):
+def _sweep_partitions(g: Graph, ell: int, partitions, meter: Meter):
     """:func:`_sweep` over every labeling of every partition, without
     building the colorings.
 
@@ -422,13 +423,15 @@ def _sweep_partitions(g: Graph, ell: int, partitions):
     extrema and least labelings. With the classes in first-vertex order,
     label order is assignment order, so a partition's witnesses are its
     least attaining labelings; across partitions a tie goes to the smaller
-    assignment. Only the six witnesses become Coloring objects.
+    assignment. Only the six witnesses become Coloring objects. Each
+    quotient charges ``meter`` its edges, then its scoring.
     """
     n = g.order
     # per index: [min, its assignment, max, its assignment]
     best = [[math.inf, None, -math.inf, None] for _ in range(3)]
     for partition in partitions:
-        found = _labeling_extrema(*_quotient(g, partition))
+        meter.charge(g.size)
+        found = _labeling_extrema(*_quotient(g, partition), meter)
         for slot, (lo, lo_p, hi, hi_p) in zip(best, found):
             if lo <= slot[0]:
                 a = label_partition(partition, lo_p, n)
@@ -480,7 +483,7 @@ def _frontier_steps(masks: tuple[int, ...], n: int):
     return steps
 
 
-def _frontier_extrema(g: Graph, ell: int):
+def _frontier_extrema(g: Graph, ell: int, meter: Meter):
     """All six extrema and their least witnesses by a DP over the identity
     order, in the shape of :func:`_sweep_partitions`.
 
@@ -492,8 +495,9 @@ def _frontier_extrema(g: Graph, ell: int):
     pass collects the reachable states and their moves, a backward pass
     stores each state's six suffix optima, and each witness is walked
     forward taking the smallest color from which its optimum is still
-    reached: the lexicographically least assignment attaining it. None
-    once the states reached, all held until then, pass FRONTIER_WORK.
+    reached: the lexicographically least assignment attaining it. Each
+    layer charges ``meter`` its moves before it is held, so the layers
+    held never pass the meter's cap.
     """
     n = g.order
     colors = range(1, ell + 1)
@@ -502,7 +506,6 @@ def _frontier_extrema(g: Graph, ell: int):
     fronts: dict[tuple[int, ...], int] = {(): 0}
     states = {0: 0}  # the reachable states of the layer, numbered
     moves = []  # per vertex, per state: (next state's number, terms) per color it may take
-    held = 0
     for v, (earlier, keep, joins) in enumerate(_frontier_steps(g.adjacency_masks, n)):
         need = ell - (n - v - 1)  # colors that must be used once v is placed
         next_fronts: dict[tuple[int, ...], int] = {}
@@ -532,11 +535,9 @@ def _frontier_extrema(g: Graph, ell: int):
                 for bit, nxt, terms in front_moves[key >> ell]
                 if (used | bit).bit_count() >= need
             ]))
+        meter.charge(sum(map(len, layer)))
         moves.append(layer)
         fronts, states = next_fronts, reached
-        held += len(states)
-        if held > FRONTIER_WORK:
-            return None
     # per layer, per state: the suffix's (cm1, cm2, cm3 minima, cm1, cm2, cm3 maxima), or None
     suffix = [[(0,) * 6] * len(states)]
     for layer in reversed(moves):
@@ -574,21 +575,11 @@ def _compute_extrema(g: Graph, semantics: Semantics):
 
     Under ``all``, a graph whose identity order keeps the frontier DP's
     bound ell**width * 2**ell on the states of a layer within
-    FRONTIER_STATES goes to :func:`_frontier_extrema`, at any order; the
-    DP hands over to the partitions once the states it reaches pass
-    FRONTIER_WORK. Otherwise every chi-partition is scored when the
-    assignment-count estimate ell**order stays within MAX_COLORINGS, or
-    the order within MAX_ORDER, and the walk stops past
-    MAX_COLORINGS // ell! partitions: every chi-partition carries ell!
-    minimum colorings. Within the estimate that cap never fires, as the
-    partitions times ell! are at most ell**order. Otherwise, and always
-    under ``permutation``, the canonical partition is scored. Past
-    MAX_COLORINGS twin-ordered labelings, more than the cm2 walk may
-    score, only its identity and reversed labelings are, which still are
-    valid colorings and so give bounds rather than extrema. The guard
-    passes every quotient of at most PACKED_CLASSES classes, as 7!
-    labelings are far within MAX_COLORINGS, so it and the fallback are
-    reached only on quotients of more classes, where cm2 is walked.
+    FRONTIER_STATES goes to :func:`_frontier_extrema`, at any order, and
+    any other has every chi-partition scored, either on one Meter. Past
+    its cap, and always under ``permutation``, the canonical partition is
+    scored on a fresh meter; past that one too, only its identity and
+    reversed labelings are: valid colorings, so bounds, not extrema.
     """
     if g.order < 1:
         raise ValueError("extrema need order >= 1")
@@ -597,27 +588,23 @@ def _compute_extrema(g: Graph, semantics: Semantics):
     coloring = _min_coloring(g.adjacency_masks, g.order)
     ell = max(coloring)
     if semantics == "all":
-        states = ell ** _frontier_width(g.adjacency_masks, g.order) << ell
-        results = _frontier_extrema(g, ell) if states <= FRONTIER_STATES else None
-        if results is not None:
-            return results, "all", "exact"
-    if semantics == "all" and (ell ** g.order <= MAX_COLORINGS or g.order <= MAX_ORDER):
+        meter = Meter()
         try:
-            partitions = _iter_chi_partitions(g, ell, MAX_COLORINGS // math.factorial(ell))
-            return _sweep_partitions(g, ell, partitions), "all", "exact"
+            if ell ** _frontier_width(g.adjacency_masks, g.order) << ell <= FRONTIER_STATES:
+                return _frontier_extrema(g, ell, meter), "all", "exact"
+            partitions = _iter_chi_partitions(g, ell, meter)
+            return _sweep_partitions(g, ell, partitions, meter), "all", "exact"
         except EnumerationBudgetExceeded:
             pass
     partition = canonical_partition(g, coloring)
-    sizes, between = _quotient(g, partition)
-    if _labeling_count(_twin_lower(sizes, _edge_counts(len(sizes), between))) <= MAX_COLORINGS:
-        results = _sweep_partitions(g, ell, [partition])
+    try:
+        results = _sweep_partitions(g, ell, [partition], Meter())
         return results, "permutation", "exact" if semantics == "permutation" else "bounds_only"
-    # with the classes in first-vertex order these two are in assignment order
-    colorings = [
-        Coloring(label_partition(partition, labels, g.order), ell)
-        for labels in (tuple(range(1, ell + 1)), tuple(range(ell, 0, -1)))
-    ]
-    return _sweep(g, colorings), "permutation", "bounds_only"
+    except EnumerationBudgetExceeded:
+        # with the classes in first-vertex order these two are in assignment order
+        labelings = (tuple(range(1, ell + 1)), tuple(range(ell, 0, -1)))
+        colorings = [Coloring(label_partition(partition, p, g.order), ell) for p in labelings]
+        return _sweep(g, colorings), "permutation", "bounds_only"
 
 
 def chromatic_extrema(
@@ -628,9 +615,10 @@ def chromatic_extrema(
 ) -> ExtremaResult:
     """Min and max of one chromatic index over minimum colorings.
 
-    They are exact unless the input is too wide for the frontier DP and
-    past the MAX_ORDER / MAX_COLORINGS caps of the partition walk (see
-    :func:`_compute_extrema`); status then reads ``bounds_only``.
+    They are exact unless the frontier DP or the partition walk, whichever
+    the input takes, meets the call's work cap (WORK_CAP units of a
+    Meter; see :func:`_compute_extrema`); status then reads
+    ``bounds_only``.
     With paper_compat set, an edgeless input reports the index-3 extrema
     as the conventional default 1 instead of the raw empty edge sum 0;
     no witness evaluates to a defaulted value, so the witness is dropped.

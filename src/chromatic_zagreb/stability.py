@@ -14,12 +14,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .coloring import EnumerationBudgetExceeded, _bipartition, _iter_chi_partitions, _min_coloring
+from .coloring import EnumerationBudgetExceeded, Meter
+from .coloring import _bipartition, _iter_chi_partitions, _min_coloring
 from .graph import Graph
-
-# work cap of the stability-number search for each class count, in search
-# steps: one per backtrack, the order per partition visited
-RHO_WORK_CAP = 2_000_000
 
 
 class StabilityBudgetExceeded(Exception):
@@ -118,20 +115,21 @@ def _stability_number(g: Graph, coloring: list[int]) -> tuple[int, str]:
     A graph with a non-edge is unstable iff it is complete multipartite, so
     rho = C(n,2) - size - max sum C(|P_i|,2) over partitions of V into
     k = chi..n-1 independent sets, of which the coloring's classes are one;
-    k sets hold at most C(n-k+1,2) pairs. A walk past RHO_WORK_CAP steps
-    leaves the best partition seen as an upper bound.
+    k sets hold at most C(n-k+1,2) pairs. The walks of all k charge one
+    Meter; past its cap the best partition seen gives an upper bound.
     """
     n = g.order
     sizes = Counter(coloring).values()
     pairs = sum([s * (s - 1) for s in sizes]) // 2
-    for k in range(len(sizes), n):
-        if (n - k + 1) * (n - k) // 2 <= pairs:
-            break
-        try:
-            for partition in _iter_chi_partitions(g, k, max_steps=RHO_WORK_CAP):
+    meter = Meter()
+    try:
+        for k in range(len(sizes), n):
+            if (n - k + 1) * (n - k) // 2 <= pairs:
+                break
+            for partition in _iter_chi_partitions(g, k, meter):
                 pairs = max(pairs, sum([len(c) * (len(c) - 1) for c in partition]) // 2)
-        except EnumerationBudgetExceeded:
-            return n * (n - 1) // 2 - g.size - pairs, "upper_bound"
+    except EnumerationBudgetExceeded:
+        return n * (n - 1) // 2 - g.size - pairs, "upper_bound"
     return n * (n - 1) // 2 - g.size - pairs, "exact"
 
 
@@ -141,7 +139,8 @@ class StabilityReport:
 
     rho comes from the partition search of :func:`_stability_number`
     (``cluster_deletion`` on the complement); it is an ``upper_bound`` only
-    when the search hit its work cap.
+    when that search, over all class counts together, met the one work
+    cap of the call (WORK_CAP units of a Meter).
     """
 
     order: int

@@ -136,3 +136,26 @@ def schema_validator():
         jsonschema.validate(instance=instance, schema=schema)
 
     return validate
+
+
+@pytest.fixture
+def meters(monkeypatch):
+    """Every Meter a top-level call starts, in order; ``spent`` reads the
+    units charged to it."""
+    from chromatic_zagreb import coloring, indices, stability
+
+    started = []
+
+    class Recorded(coloring.Meter):
+        def __init__(self, cap=None):
+            super().__init__(cap)
+            self.cap = self.left
+            started.append(self)
+
+        @property
+        def spent(self):
+            return self.cap - self.left
+
+    monkeypatch.setattr(indices, "Meter", Recorded)
+    monkeypatch.setattr(stability, "Meter", Recorded)
+    return started

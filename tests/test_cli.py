@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 import chromatic_zagreb.cli as cli
+from chromatic_zagreb import coloring
 
 
 def run_cli(capsys, *argv):
@@ -119,15 +121,16 @@ class TestCompute:
         assert d["semantics_used"] == "all" and d["status"] == "exact"
         assert (d["cm1_min"], d["cm1_max"], d["cm3_min"], d["cm3_max"]) == (3759, 9751, 1502, 3000)
         # the thorn's pendants come after the whole base: too wide for the
-        # DP and past the exact sweep's budget, so the canonical partition is built
+        # DP, and its chi-partitions run past the work cap, so the
+        # canonical partition is built
         code, out, _ = run_cli(capsys, "compute", "--family", "thorn(cycle:501;2)")
         assert code == 0
         assert json.loads(out)["semantics_used"] == "permutation"
 
     def test_strict_budget_exit(self, capsys):
-        # 12! colorings of one chi-partition are past the exact sweep's cap,
-        # and a frontier of width 11 is past the DP's
-        code, out, _ = run_cli(capsys, "compute", "--family", "complete:12", "--strict")
+        # a frontier of width 501 is past the DP's bound, and the partition
+        # walk meets the work cap
+        code, out, _ = run_cli(capsys, "compute", "--family", "thorn(cycle:501;2)", "--strict")
         assert code == 4
         assert json.loads(out)["status"] == "bounds_only"
 
@@ -140,6 +143,20 @@ class TestCompute:
         assert d["status"] == "exact" and d["semantics_used"] == "all"
         assert (d["cm1_min"], d["cm1_max"]) == (51, 201)
         assert (d["cm3_min"], d["cm3_max"]) == (22, 40)
+
+    def test_wide_thorn_stops_at_the_work_cap(self, capsys, meters):
+        # frontier width 5 is past the DP's bound, and the chi-partitions
+        # ran 31-52 s under a cap on their count. The walk and its scoring
+        # stop at one cap, and the canonical partition is scored on a fresh
+        # one; a unit of this route cost about 1.4 us on 2 cores, so the
+        # bound allows over three times that for both caps
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "compute", "--family", "thorn(complete:5;2)")
+        took = time.perf_counter() - start
+        assert code == 0 and json.loads(out)["status"] == "bounds_only"
+        walk, canonical = meters
+        assert walk.left < 0 and 0 < canonical.spent < 1000
+        assert took < 2 * coloring.WORK_CAP * 5e-6
 
     def test_large_clique_permutation_is_exact(self, capsys):
         # every class of K12 is a twin of every other: one labeling to score

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chromatic_zagreb.coloring import (
     Coloring,
     EnumerationBudgetExceeded,
+    Meter,
     _greedy_coloring,
     _iter_chi_partitions,
     _min_coloring,
@@ -244,11 +245,11 @@ class TestCanonicalPartition:
         # K6 has no partition into 5 independent sets: every step is a dead end
         assert list(_iter_chi_partitions(complete(6), 5)) == []
         with pytest.raises(EnumerationBudgetExceeded):
-            list(_iter_chi_partitions(complete(6), 5, max_steps=5))
-        # P4's one bipartition: 4 steps for the partition, 5 backtracks
-        assert len(list(_iter_chi_partitions(path(4), 2, max_steps=9))) == 1
+            list(_iter_chi_partitions(complete(6), 5, Meter(5)))
+        # P4's one bipartition: 4 units for the partition, 5 backtracks
+        assert len(list(_iter_chi_partitions(path(4), 2, Meter(9)))) == 1
         with pytest.raises(EnumerationBudgetExceeded):
-            list(_iter_chi_partitions(path(4), 2, max_steps=8))
+            list(_iter_chi_partitions(path(4), 2, Meter(8)))
 
     @given(graphs())
     @settings(max_examples=40, deadline=None)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chromatic_zagreb import indices
+from chromatic_zagreb import coloring, indices
 from chromatic_zagreb.coloring import (
     Coloring,
+    Meter,
     _iter_chi_partitions,
     chromatic_number,
     enumerate_min_colorings,
@@ -204,9 +205,9 @@ class TestExtrema:
             assert values == {expected}
 
     def test_budget_fallback_flags_bounds(self, monkeypatch):
+        # a cap below even the canonical partition's 16 quotient edges
         g = _cycle5_join_k2()
-        monkeypatch.setattr(indices, "MAX_ORDER", 3)
-        monkeypatch.setattr(indices, "MAX_COLORINGS", 5)
+        monkeypatch.setattr(coloring, "WORK_CAP", 5)
         r = chromatic_extrema(g, 1)
         assert r.status == "bounds_only"
         assert r.semantics_used == "permutation"
@@ -216,16 +217,44 @@ class TestExtrema:
         assert exact.minimum <= r.minimum and r.maximum <= exact.maximum
         assert is_proper(g, r.min_witness)
 
-    def test_budget_cap_counts_colorings(self, monkeypatch):
-        # 5 chi-partitions (those of the 5-cycle) times 5! labelings
+    def test_budget_cap_counts_work_units(self, monkeypatch):
+        # 5 chi-partitions (those of the 5-cycle): the walk's 36 backtracks
+        # and 7 units per partition, then per quotient its 16 edges, the 33
+        # moves of its cut DP and its 5! packed labelings
         g = _cycle5_join_k2()
-        assert len(list(enumerate_min_colorings(g, "all"))) == 600
-        monkeypatch.setattr(indices, "MAX_COLORINGS", 600)
+        meter = Meter()
+        assert len(list(_iter_chi_partitions(g, 5, meter))) == 5
+        assert coloring.WORK_CAP - meter.left == 36 + 5 * 7
+        indices._sweep_partitions(g, 5, _iter_chi_partitions(g, 5), meter)
+        assert coloring.WORK_CAP - meter.left == 916 == 71 + 5 * (16 + 33 + 120)
+        monkeypatch.setattr(coloring, "WORK_CAP", 916)
         at_cap = chromatic_extrema(g, 1)
         assert at_cap.status == "exact" and at_cap.semantics_used == "all"
-        monkeypatch.setattr(indices, "MAX_COLORINGS", 599)
+        monkeypatch.setattr(coloring, "WORK_CAP", 915)
         below = chromatic_extrema(g, 1)
         assert below.status == "bounds_only" and below.semantics_used == "permutation"
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_large_cliques_are_exact(self, n, meters):
+        # one chi-partition with one twin-ordered labeling; pricing each
+        # chi-partition at l! colorings reported them bounds_only
+        r = full_report(complete(n))
+        forms = complete_graph_forms(n)
+        assert r.status == "exact" and r.semantics_used == "all"
+        assert r.cm1_min == r.cm1_max == forms.cm1
+        assert r.cm2_min == r.cm2_max == forms.cm2
+        assert r.cm3_min == r.cm3_max == forms.cm3
+        (meter,) = meters
+        assert meter.spent < 300
+
+    @pytest.mark.parametrize("spec", ["multipartite:5,5,5,5", "multipartite:2,3,4,4,5"])
+    def test_one_partition_multipartite_is_exact(self, spec):
+        # a complete multipartite graph has one chi-partition, the canonical one
+        g = generate(parse_family_spec(spec))
+        r = full_report(g)
+        assert r.status == "exact" and r.semantics_used == "all"
+        assert r.to_json_dict(True) | {"semantics_used": "permutation"} == \
+            full_report(g, "permutation").to_json_dict(True)
 
     def test_clique_scores_one_labeling(self, walked):
         # all ten classes of K10 are twins; 10! labelings took 4.7 s
@@ -252,23 +281,25 @@ class TestFrontierDP:
     def test_matches_partition_path_and_naive(self, g):
         ell = chromatic_number(g)
         assume(ell ** g.order <= 4 ** 8)  # keeps the naive filter cheap
-        dp = _by_key(indices._frontier_extrema(g, ell))
-        assert dp == _by_key(indices._sweep_partitions(g, ell, _iter_chi_partitions(g, ell)))
+        dp = _by_key(indices._frontier_extrema(g, ell, Meter()))
+        partitions = _iter_chi_partitions(g, ell)
+        assert dp == _by_key(indices._sweep_partitions(g, ell, partitions, Meter()))
         assert dp == naive_extrema_witnesses(g)
 
     def test_work_cap_sends_long_inputs_past_the_dp(self, monkeypatch):
-        # the DP reaches 247 states on cycle:19 and 277 on cycle:21
-        monkeypatch.setattr(indices, "FRONTIER_WORK", 260)
+        # the DP makes 483 moves on cycle:19 and 543 on cycle:21
+        monkeypatch.setattr(coloring, "WORK_CAP", 500)
         assert full_report(cycle(19)).status == "exact"
         r = full_report(cycle(21))
         assert r.status == "bounds_only" and r.semantics_used == "permutation"
 
     def test_work_cap_counts_reached_states(self):
-        # its bound, 260 * 4**4 * 2**4 states, is past FRONTIER_WORK, but the
-        # DP reaches about 4k; the canonical partition gave cm3 (330, 586)
+        # its bound, 260 * 4**4 * 2**4 states, is past WORK_CAP, but the DP
+        # makes 12,352 moves from the states it reaches; the canonical
+        # partition gave cm3 (330, 586)
         g = generate(parse_family_spec("thorn(complete:4;64)"))
         assert indices._frontier_width(g.adjacency_masks, 260) == 4
-        assert 260 * 4 ** 4 << 4 > indices.FRONTIER_WORK
+        assert 260 * 4 ** 4 << 4 > coloring.WORK_CAP
         r = full_report(g)
         assert r.status == "exact" and r.semantics_used == "all"
         assert (r.cm3_min, r.cm3_max) == (266, 650)
@@ -326,7 +357,7 @@ class TestTwinOrderedLabelings:
             lambda p: sum(e * abs(p[a] - p[b]) for (a, b), e in between.items()),
         )
         want = [_least_extrema(score, len(sizes)) for score in scores]
-        assert list(indices._labeling_extrema(sizes, between)) == want
+        assert list(indices._labeling_extrema(sizes, between, Meter())) == want
 
     def test_one_large_group_has_one_labeling(self):
         lower = [-1, *range(39)]
@@ -335,7 +366,7 @@ class TestTwinOrderedLabelings:
         # the cut DP meets 41 prefix sets, not 2**40; C(41, 3) = sum (b - a)
         between = Counter({(a, b): 1 for a in range(40) for b in range(a + 1, 40)})
         counts = indices._edge_counts(40, between)
-        assert indices._cut_extrema(counts, lower) == (10660, tuple(range(1, 41))) * 2
+        assert indices._cut_extrema(counts, lower, Meter()) == (10660, tuple(range(1, 41))) * 2
 
 
 class TestPackedProducts:
@@ -347,7 +378,7 @@ class TestPackedProducts:
     def test_product_extrema_match_all_permutations(self, quotient):
         sizes, between = quotient
         want = _least_extrema(_products(between), len(sizes))
-        assert indices._labeling_extrema(sizes, between)[1] == want
+        assert indices._labeling_extrema(sizes, between, Meter())[1] == want
 
     def test_nth_labeling_is_lexicographic(self):
         for ell in range(1, 7):
@@ -356,27 +387,27 @@ class TestPackedProducts:
 
     def test_seven_classes_walk_no_labeling(self, walked):
         assert _twin_lower(*TWIN_FREE_7) == [-1] * 7
-        indices._labeling_extrema(*TWIN_FREE_7)
+        indices._labeling_extrema(*TWIN_FREE_7, Meter())
         assert walked == []
 
     def test_few_labelings_walk(self, walked):
         # one twin-ordered labeling of 7! walks; its sum over all pairs of
         # 1..7 is (28**2 - 140) / 2
-        assert indices._labeling_extrema(*CLIQUE_7)[1] == (322, tuple(range(1, 8))) * 2
+        assert indices._labeling_extrema(*CLIQUE_7, Meter())[1] == (322, tuple(range(1, 8))) * 2
         assert walked == [tuple(range(1, 8))]
 
     def test_eight_classes_walk(self, walked):
         sizes = [1] * 8
         between = Counter({(a, b): (a + 2 * b) % 3 for a in range(8) for b in range(a + 1, 8)})
         assert _twin_lower(sizes, between) == [-1] * 8
-        got = indices._labeling_extrema(sizes, between)[1]
+        got = indices._labeling_extrema(sizes, between, Meter())[1]
         assert len(walked) == 40320
         assert got == _least_extrema(_products(between), 8)
 
     def test_sums_past_a_field_walk(self, walked):
         # the bound (2**30 + 3) * 3 * 2 passes 2**32, and so do the sums
         between = Counter({(0, 1): 2**30, (0, 2): 1, (1, 2): 2})
-        got = indices._labeling_extrema([1, 1, 1], between)[1]
+        got = indices._labeling_extrema([1, 1, 1], between, Meter())[1]
         assert len(walked) == 6
         assert got == _least_extrema(_products(between), 3)
         assert got[2] > 2**32

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chromatic_zagreb import generate, parse_family_spec, stability
+from chromatic_zagreb import coloring, generate, parse_family_spec
 from chromatic_zagreb.coloring import chromatic_number, _bipartition
 from chromatic_zagreb.corpus import (
     connected_bipartite_graphs,
@@ -222,7 +222,7 @@ class TestStabilityReport:
     def test_budget_degrades_to_upper_bound(self, monkeypatch):
         # the walk stops at once, leaving the chi-coloring's bound: here the
         # bipartition, that is the closed form
-        monkeypatch.setattr(stability, "RHO_WORK_CAP", 1)
+        monkeypatch.setattr(coloring, "WORK_CAP", 1)
         r = stability_report(double_star_3_4())
         assert (r.rho, r.method, r.rho_status) == (6, "cluster_deletion", "upper_bound")
         # here the search backtracks before its first partition, so the
@@ -231,6 +231,15 @@ class TestStabilityReport:
                       (3, 5), (3, 6), (3, 7), (5, 6)])
         r = stability_report(g)
         assert (r.rho, r.rho_status) == (9, "upper_bound")
+
+    def test_one_cap_covers_every_class_count(self, monkeypatch, meters):
+        # path:10 walks k = 2, 3 and 4 in 21, 3,062 and 34,920 units: each
+        # k within the cap, all three past it, so the walk stops at the cap
+        monkeypatch.setattr(coloring, "WORK_CAP", 35_000)
+        r = stability_report(path(10))
+        assert (r.rho, r.rho_status) == (16, "upper_bound")
+        (meter,) = meters
+        assert 35_000 < meter.spent <= 35_000 + 10  # one charge past it at most
 
     def test_work_cap_bounds_large_inputs(self, schema_validator):
         # capped; the chi-coloring is the bipartition, so the bound is the closed form
@@ -255,7 +264,7 @@ class TestStabilityReport:
     def test_verdict_line_prints_an_upper_bound_as_a_bound(self, monkeypatch):
         assert stability_report(double_star_3_4()).verdict_line() == \
             "chi=2: chromatically stable, rho=5 (cluster_deletion)"
-        monkeypatch.setattr(stability, "RHO_WORK_CAP", 1)
+        monkeypatch.setattr(coloring, "WORK_CAP", 1)
         r = stability_report(double_star_3_4())
         assert r.verdict_line() == \
             "chi=2: chromatically stable, rho<=6 (cluster_deletion, upper bound)"
