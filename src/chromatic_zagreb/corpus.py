@@ -11,6 +11,7 @@ bipartition, which makes that canonical form complete.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 
@@ -273,23 +274,22 @@ def _bipartite_classes_of_order(n: int):
     return out
 
 
+@functools.cache
+def _relabel_tables(bits: int) -> list[tuple[int, ...]]:
+    """Per permutation of ``bits`` bit positions, the table that takes each
+    int below 2**bits to its bits permuted (bit i to bit perm[i])."""
+    return [
+        tuple(sum((c >> i & 1) << perm[i] for i in range(bits)) for c in range(1 << bits))
+        for perm in itertools.permutations(range(bits))
+    ]
+
+
 def _canonical_biadjacency(cols: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(a)):
-        key = tuple(
-            sorted(sum((c >> i & 1) << perm[i] for i in range(a)) for c in cols)
-        )
-        if best is None or key < best:
-            best = key
+    keys = [tuple(sorted(map(table.__getitem__, cols))) for table in _relabel_tables(a)]
     if a == b:
         rows = [sum((cols[j] >> i & 1) << j for j in range(b)) for i in range(a)]
-        for perm in itertools.permutations(range(b)):
-            key = tuple(
-                sorted(sum((r >> j & 1) << perm[j] for j in range(b)) for r in rows)
-            )
-            if key < best:
-                best = key
-    return best
+        keys += [tuple(sorted(map(table.__getitem__, rows))) for table in _relabel_tables(b)]
+    return min(keys)
 
 
 def labeled_connected_bipartite_graphs(n: int):

@@ -10,11 +10,13 @@ chi-partitions on their quotient, the class sizes and the edge counts
 between classes: under ``all`` every chi-partition, under
 ``permutation`` the canonical one. On a quotient the cm1 extrema are a
 sort (the rearrangement inequality), the cm3 extrema a DP over the sets
-of classes labelled so far (a linear arrangement), and the cm2 extrema,
-up to PACKED_CLASSES classes, a few big-int operations on tables that
-pack each class pair's label product under every labeling. Only a larger
-quotient, one whose cm2 sums could pass a 4-byte field, or one with few
-twin-ordered labelings walks them.
+of classes labelled so far (a linear arrangement) on int keys that pack
+a sum above its labeling, and the cm2 extrema, up to PACKED_CLASSES
+classes, a few big-int operations on tables that pack each class pair's
+label product under every labeling. Only a larger quotient, one whose cm2
+sums could pass a 4-byte field, or one with few twin-ordered labelings
+walks them: label sets for the twin groups, then every order of the
+labels left for the twin-free classes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import add, itemgetter, mul
 from typing import Literal
 
@@ -199,49 +201,51 @@ def _labeling_count(lower: list[int]) -> int:
     return math.factorial(len(lower)) // math.prod(rank)
 
 
-def _twin_ordered(lower: list[int]):
-    """The labelings p (class i wears p[i]) in which every class wears a
-    larger label than its lower twin, in lexicographic order.
-
-    A depth-first walk over the classes with an explicit stack. Each class
-    takes the free labels above its lower twin's, up to the one that
-    leaves too few free labels above it for the rest of its twin group.
-    """
-    ell = len(lower)
-    later = [0] * ell  # later[i]: the classes after i in its twin group
-    for j in range(ell - 1, -1, -1):
-        if lower[j] >= 0:
-            later[lower[j]] = later[j] + 1
-    labels = [0] * ell
-    free = (1 << ell + 1) - 2  # bit c: no class wears label c
-    i = 0
-    while i >= 0:
-        c = labels[i]
-        if c:
-            free |= 1 << c
-        elif lower[i] >= 0:
-            c = labels[lower[i]]
-        above = free >> c + 1
-        if above:
-            c += (above & -above).bit_length()
-        if not above or (free >> c + 1).bit_count() < later[i]:
-            labels[i] = 0  # class i has no label left: back up
-            i -= 1
-            continue
-        labels[i] = c
-        free ^= 1 << c
-        if i == ell - 1:
-            yield tuple(labels)
+def _twin_groups(lower: list[int]) -> list[list[int]]:
+    """The twin groups of a quotient, each in increasing class order, from
+    :func:`_twin_lower`; a class with no twin is a group of one."""
+    groups: list[list[int]] = []
+    group_of = []  # group_of[j]: the index of j's group in groups
+    for j, i in enumerate(lower):
+        if i < 0:
+            group_of.append(len(groups))
+            groups.append([j])
         else:
-            i += 1
+            group_of.append(group_of[i])
+            groups[group_of[i]].append(j)
+    return groups
 
 
-def _labelings(lower: list[int]):
-    """The twin-ordered labelings of a quotient, lexicographic: all l!
-    from :func:`itertools.permutations` when it has no twins."""
-    if max(lower, default=-1) < 0:
-        return permutations(range(1, len(lower) + 1))
-    return _twin_ordered(lower)
+def _group_label_sets(groups: list[list[int]], labels):
+    """Every way to give each of ``groups`` its own set of ``labels``, as
+    (the labels of the groups' classes in turn, each group's ascending,
+    the labels left)."""
+    def sets(k, free):
+        if k == len(groups) - 1:  # the last group: one level of generator less
+            for chosen in combinations(free, len(groups[k])):
+                yield chosen, [x for x in free if x not in chosen]
+            return
+        for chosen in combinations(free, len(groups[k])):
+            for rest, left in sets(k + 1, [x for x in free if x not in chosen]):
+                yield chosen + rest, left
+    return sets(0, labels) if groups else iter([((), labels)])
+
+
+def _pair_terms(classes: list[int], counts: list[list[int]]):
+    """(weights, first, second) such that
+    sum(map(mul, weights, map(mul, first(q), second(q)))) is
+    sum e_ab q_a q_b over the pairs of ``classes`` joined by an edge, where
+    q gives the classes their labels in turn."""
+    if not classes:
+        return [], tuple, tuple  # q is empty
+    pairs = [(x, y, counts[a][b]) for y, b in enumerate(classes) for x, a in enumerate(classes[:y])
+             if counts[a][b]]
+    # two zero-weight pairs keep itemgetter returning tuples; its keys are
+    # unpacked from lists, since a tuple built from an iterator is resized
+    # and, once freed, stays on CPython's tuple free list (peak RSS)
+    pairs += [(0, 0, 0)] * 2
+    return ([e for _, _, e in pairs], itemgetter(*[x for x, _, _ in pairs]),
+            itemgetter(*[y for _, y, _ in pairs]))
 
 
 def _square_extrema(sizes: list[int]):
@@ -274,31 +278,47 @@ def _cut_extrema(counts: list[list[int]], lower: list[int], meter: Meter):
     the least partial labeling (0 where unplaced) attaining each. Two
     chains into one set share every completion, so their full labelings
     compare as their partial ones, and the least partial labeling on a
-    tie gives the least full one. Each set charges ``meter`` its moves.
+    tie gives the least full one.
+
+    Each end is one int key, value << (w ell) | labels, with w bits per
+    class and class 0 in the top field, so int order is (value, labeling)
+    order; the max keeps -value. A move adds its label to both keys and
+    compares; a set's cut, cut(S) + deg(i) - 2 e(i, S), is computed when
+    the set is first reached and added to its keys once. Each set charges
+    ``meter`` its moves.
     """
     ell = len(lower)
+    width = ell.bit_length()
+    top = width * ell
+    shift = [width * (ell - 1 - i) for i in range(ell)]
     need = [1 << i if i >= 0 else 0 for i in lower]  # the set bit of i's lower twin
-    unplaced = (0,) * ell
-    # set: (its cut, (min, labels), (-max, labels)), so both ends keep the least
-    layer = {0: (0, (0, unplaced), (0, unplaced))}
+    degree = [sum(row) for row in counts]
+    # set: [its cut, min key, -max key], the keys without the set's own cut
+    layer = {0: [0, 0, 0]}
     for label in range(1, ell + 1):
-        reached: dict[int, tuple] = {}
-        for placed, (cut, (lo, lo_p), (hi, hi_p)) in layer.items():
+        reached: dict[int, list[int]] = {}
+        for placed, (cut, lo, hi) in layer.items():
+            lo += cut << top
+            hi -= cut << top
             free = [i for i in range(ell) if not placed >> i & 1 and placed & need[i] == need[i]]
             meter.charge(len(free))
             for i in free:
-                # i's edges into the placed classes leave the cut, the rest join it
-                row = counts[i]
-                after = cut + sum(row) - 2 * sum([e for j, e in enumerate(row) if placed >> j & 1])
-                low = (lo + after, (*lo_p[:i], label, *lo_p[i + 1:]))
-                high = (hi - after, (*hi_p[:i], label, *hi_p[i + 1:]))
+                low, high = lo + (label << shift[i]), hi + (label << shift[i])
                 old = reached.get(placed | 1 << i)
-                if old is not None:
-                    low, high = min(low, old[1]), min(high, old[2])
-                reached[placed | 1 << i] = (after, low, high)
+                if old is None:
+                    # i's edges into the placed classes leave the cut, the rest join it
+                    into = sum([e for j, e in enumerate(counts[i]) if placed >> j & 1])
+                    reached[placed | 1 << i] = [cut + degree[i] - 2 * into, low, high]
+                else:
+                    if low < old[1]:
+                        old[1] = low
+                    if high < old[2]:
+                        old[2] = high
         layer = reached
-    (_, (lo, lo_p), (hi, hi_p)), = layer.values()
-    return lo, lo_p, -hi, hi_p
+    (_, lo, hi), = layer.values()  # every class placed: the cut is 0
+    mask = (1 << width) - 1
+    return (lo >> top, tuple(lo >> s & mask for s in shift),
+            -(hi >> top), tuple(hi >> s & mask for s in shift))
 
 
 @cache
@@ -346,7 +366,7 @@ def _packed_product_extrema(between: Counter, ell: int):
     return lo, _nth_labeling(ell, sums.index(lo)), hi, _nth_labeling(ell, sums.index(hi))
 
 
-def _product_extrema(between: Counter, lower: list[int], meter: Meter):
+def _product_extrema(between: Counter, counts: list[list[int]], lower: list[int], meter: Meter):
     """(min, labels, max, labels) of sum e_ab p_a p_b over the twin-ordered
     labelings.
 
@@ -354,10 +374,15 @@ def _product_extrema(between: Counter, lower: list[int], meter: Meter):
     :func:`_packed_product_extrema` when its bound on a sum,
     sum e_ab * ell (ell - 1), stays below 2**32 and it has more than
     ell! / PACKED_WALK_RATIO twin-ordered labelings. Any other walks its
-    labelings, scoring each in turn; they come in lexicographic order and
-    only a strict improvement replaces a witness, so each is the least
-    labeling attaining its value. ``meter`` is charged the labelings
-    packed or walked before they are.
+    labelings: each twin group of two or more classes takes a label set
+    from :func:`_group_label_sets`, and the twin-free classes every
+    permutation of the labels left. Per label set the pairs within the
+    groups sum once, and each twin-free class gets its weight, the sum of
+    e_ab p_b over the group classes b, so a labeling costs one dot product
+    and the twin-free pairs. The walk is not lexicographic, so a labeling
+    that ties a witness's value replaces it when it is smaller: each is
+    the least labeling attaining its value. ``meter`` is charged the
+    labelings packed or walked before they are.
     """
     ell = len(lower)
     count = _labeling_count(lower)
@@ -366,21 +391,29 @@ def _product_extrema(between: Counter, lower: list[int], meter: Meter):
         meter.charge(math.factorial(ell))
         return _packed_product_extrema(between, ell)
     meter.charge(count)
-    # two zero-weight pairs keep itemgetter returning tuples; its keys are
-    # unpacked from lists, since a tuple built from an iterator is resized
-    # and, once freed, stays on CPython's tuple free list (peak RSS)
-    pairs = [*between.items(), ((0, 0), 0), ((0, 0), 0)]
-    at_first = itemgetter(*[a for (a, _), _ in pairs])
-    at_second = itemgetter(*[b for (_, b), _ in pairs])
-    weights = [e for _, e in pairs]
+    groups = [group for group in _twin_groups(lower) if len(group) > 1]
+    tied = [a for group in groups for a in group]
+    single = [a for a in range(ell) if a not in tied]
+    tied_weights, tied_first, tied_second = _pair_terms(tied, counts)
+    single_weights, single_first, single_second = _pair_terms(single, counts)
+    rows = [[counts[a][b] for b in tied] for a in single]
+    labels = [0] * ell  # the labeling, filled in only when it may be a witness
     lo = math.inf
     hi = -math.inf
-    for p in _labelings(lower):
-        s = sum(map(mul, weights, map(mul, at_first(p), at_second(p))))
-        if s < lo:
-            lo, lo_p = s, p
-        if s > hi:
-            hi, hi_p = s, p
+    for t, left in _group_label_sets(groups, range(1, ell + 1)):
+        base = sum(map(mul, tied_weights, map(mul, tied_first(t), tied_second(t))))
+        weights = [sum(map(mul, row, t)) for row in rows]
+        for q in permutations(left):
+            s = base + sum(map(mul, weights, q)) + sum(
+                map(mul, single_weights, map(mul, single_first(q), single_second(q))))
+            if s <= lo or s >= hi:
+                for a, x in zip(tied + single, t + q):
+                    labels[a] = x
+                p = tuple(labels)
+                if s < lo or s == lo and p < lo_p:
+                    lo, lo_p = s, p
+                if s > hi or s == hi and p < hi_p:
+                    hi, hi_p = s, p
     return lo, lo_p, hi, hi_p
 
 
@@ -397,7 +430,7 @@ def _labeling_extrema(sizes: list[int], between: Counter, meter: Meter):
     counts = _edge_counts(len(sizes), between)
     lower = _twin_lower(sizes, counts)
     cuts = _cut_extrema(counts, lower, meter)
-    return _square_extrema(sizes), _product_extrema(between, lower, meter), cuts
+    return _square_extrema(sizes), _product_extrema(between, counts, lower, meter), cuts
 
 
 def _quotient(g: Graph, partition) -> tuple[list[int], Counter]:

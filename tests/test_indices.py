@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from itertools import permutations
 
 import pytest
@@ -68,10 +69,11 @@ def _swept(g, semantics):
 
 def _least_extrema(score, ell):
     """(min, labels, max, labels) of score over all ell! labelings, each
-    with the least labeling attaining it."""
-    scored = [(score(p), p) for p in permutations(range(1, ell + 1))]
-    lo, hi = min(scored), min(scored, key=lambda t: (-t[0], t[1]))
-    return (*lo, *hi)
+    with the least labeling attaining it: the first, in lexicographic order."""
+    labelings = list(permutations(range(1, ell + 1)))
+    scores = [score(p) for p in labelings]
+    lo, hi = min(scores), max(scores)
+    return lo, labelings[scores.index(lo)], hi, labelings[scores.index(hi)]
 
 
 def _products(between):
@@ -79,19 +81,47 @@ def _products(between):
     return lambda p: sum(e * p[a] * p[b] for (a, b), e in between.items())
 
 
-@pytest.fixture
-def walked(monkeypatch):
-    """The labelings the cm2 walk scores, in the order it scores them."""
+@contextmanager
+def recording_walk():
+    """The labelings the cm2 walk scores, in the order it scores them.
+
+    The walk gives its twin groups of two or more classes label sets
+    (``indices._group_label_sets``) and, per label set, the twin-free
+    classes every permutation of the labels left (``indices.permutations``);
+    each such pair is one labeling.
+    """
     scored = []
+    current = []  # while a walk runs: its group classes, its twin-free classes, their labels
+    group_label_sets = indices._group_label_sets
 
-    def counted(lower):
-        for p in labelings(lower):
-            scored.append(p)
-            yield p
+    def label_sets(groups, labels):
+        tied = [a for group in groups for a in group]
+        single = [a for a in range(len(labels)) if a not in tied]
+        for t, left in group_label_sets(groups, labels):
+            current[:] = [tied, single, t]
+            yield t, left
+        current.clear()
 
-    labelings = indices._labelings
-    monkeypatch.setattr(indices, "_labelings", counted)
-    return scored
+    def recorded_permutations(items, *r):
+        for q in permutations(items, *r):
+            if current:
+                tied, single, t = current
+                p = [0] * (len(tied) + len(single))
+                for a, x in zip(tied + single, t + q):
+                    p[a] = x
+                scored.append(tuple(p))
+            yield q
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indices, "_group_label_sets", label_sets)
+        mp.setattr(indices, "permutations", recorded_permutations)
+        yield scored
+
+
+@pytest.fixture
+def walked():
+    with recording_walk() as scored:
+        yield scored
 
 
 class TestClassical:
@@ -342,8 +372,14 @@ class TestTwinOrderedLabelings:
             p for p in permutations(range(1, len(lower) + 1))
             if all(p[i] < p[j] for j, i in enumerate(lower) if i >= 0)
         ]
-        assert list(indices._labelings(lower)) == want
+        with recording_walk() as walked, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indices, "PACKED_CLASSES", 0)  # every quotient walks
+            got = indices._labeling_extrema(*quotient, Meter())[1]
+        # each twin-ordered labeling scored exactly once, and the walk, not
+        # lexicographic, still keeps the least labeling on a tie
+        assert sorted(walked) == want
         assert indices._labeling_count(lower) == len(want)
+        assert got == _least_extrema(_products(quotient[1]), len(lower))
 
     @given(quotients())
     @example(CLIQUE_7)
@@ -359,13 +395,17 @@ class TestTwinOrderedLabelings:
         want = [_least_extrema(score, len(sizes)) for score in scores]
         assert list(indices._labeling_extrema(sizes, between, Meter())) == want
 
-    def test_one_large_group_has_one_labeling(self):
-        lower = [-1, *range(39)]
-        assert list(indices._labelings(lower)) == [tuple(range(1, 41))]
-        assert indices._labeling_count(lower) == 1
-        # the cut DP meets 41 prefix sets, not 2**40; C(41, 3) = sum (b - a)
+    def test_one_large_group_has_one_labeling(self, walked):
         between = Counter({(a, b): 1 for a in range(40) for b in range(a + 1, 40)})
         counts = indices._edge_counts(40, between)
+        lower = _twin_lower([1] * 40, between)
+        assert lower == [-1, *range(39)]
+        assert indices._labeling_count(lower) == 1
+        # the cm2 walk scores one labeling, its sum (820**2 - 22140) / 2
+        assert indices._labeling_extrema([1] * 40, between, Meter())[1] == \
+            (325130, tuple(range(1, 41))) * 2
+        assert walked == [tuple(range(1, 41))]
+        # the cut DP meets 41 prefix sets, not 2**40; C(41, 3) = sum (b - a)
         assert indices._cut_extrema(counts, lower, Meter()) == (10660, tuple(range(1, 41))) * 2
 
 
@@ -401,16 +441,87 @@ class TestPackedProducts:
         between = Counter({(a, b): (a + 2 * b) % 3 for a in range(8) for b in range(a + 1, 8)})
         assert _twin_lower(sizes, between) == [-1] * 8
         got = indices._labeling_extrema(sizes, between, Meter())[1]
-        assert len(walked) == 40320
+        assert len(walked) == len(set(walked)) == 40320
         assert got == _least_extrema(_products(between), 8)
 
     def test_sums_past_a_field_walk(self, walked):
         # the bound (2**30 + 3) * 3 * 2 passes 2**32, and so do the sums
         between = Counter({(0, 1): 2**30, (0, 2): 1, (1, 2): 2})
         got = indices._labeling_extrema([1, 1, 1], between, Meter())[1]
-        assert len(walked) == 6
+        assert sorted(walked) == list(permutations(range(1, 4)))
         assert got == _least_extrema(_products(between), 3)
         assert got[2] > 2**32
+
+
+@st.composite
+def typed_quotients(draw, ell=8):
+    """Quotients of ell classes, each of a drawn type; a class pair's edge
+    count and a class's size depend only on the types, so classes of one
+    type are twins, and twin groups of every shape come up."""
+    types = draw(st.lists(st.integers(0, ell - 1), min_size=ell, max_size=ell))
+    sizes = {t: draw(st.integers(1, 3)) for t in sorted(set(types))}
+    counts = {}
+    for a in range(ell):
+        for b in range(a + 1, ell):
+            key = tuple(sorted((types[a], types[b])))
+            if key not in counts:
+                counts[key] = draw(st.integers(0, 3))
+    between = Counter({(a, b): counts[tuple(sorted((types[a], types[b])))]
+                       for a in range(ell) for b in range(a + 1, ell)})
+    return [sizes[t] for t in types], between
+
+
+def _upper(counts):
+    """A Counter of 8-class edge counts from its upper triangle, row by row."""
+    pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+    return Counter(dict(zip(pairs, counts)))
+
+
+# two extrema-stream quotients: one twin group of three, classes 1, 4 and 6;
+# and two, classes 0 and 3, and 1, 5 and 6
+ONE_GROUP_8 = ([2, 1, 2, 2, 1, 1, 1, 1], _upper(
+    [2, 3, 2, 2, 1, 2, 2, 2, 2, 1, 1, 1, 1, 4, 2, 2, 2, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1]))
+TWO_GROUPS_8 = ([2, 1, 2, 2, 1, 1, 1, 1], _upper(
+    [2, 4, 3, 1, 2, 2, 2, 2, 2, 1, 1, 1, 1, 4, 1, 2, 2, 1, 1, 2, 2, 2, 1, 1, 1, 1, 1, 1]))
+# every class has a twin: groups 0-2, 3-5 and 6-7
+NO_TWIN_FREE_8 = ([1, 1, 1, 2, 2, 2, 3, 3], _upper(
+    [1, 1, 2, 2, 2, 0, 0, 1, 2, 2, 2, 0, 0, 2, 2, 2, 0, 0, 0, 0, 3, 3, 0, 3, 3, 3, 3, 1]))
+# counts near 2**30 take the sums far past 2**32; classes 0 and 1 are twins
+HUGE_8 = ([1] * 8, Counter({(a, b): 2**30 + (max(a, 1) + 2 * b) % 3
+                            for a in range(8) for b in range(a + 1, 8)}))
+
+
+class TestEightClassWalk:
+    @given(typed_quotients())
+    @example(ONE_GROUP_8)
+    @example(TWO_GROUPS_8)
+    @example(NO_TWIN_FREE_8)
+    @example(HUGE_8)
+    @settings(max_examples=5, deadline=None)
+    def test_cm2_and_cm3_match_all_permutations(self, quotient):
+        sizes, between = quotient
+        pairs = [(a, b, e) for (a, b), e in between.items() if e]
+        scores = (
+            lambda p: sum([e * p[a] * p[b] for a, b, e in pairs]),
+            lambda p: sum([e * abs(p[a] - p[b]) for a, b, e in pairs]),
+        )
+        want = [_least_extrema(score, 8) for score in scores]
+        assert list(indices._labeling_extrema(sizes, between, Meter())[1:]) == want
+
+    def test_example_shapes(self):
+        groups = lambda q: [g for g in indices._twin_groups(_twin_lower(*q)) if len(g) > 1]
+        assert groups(ONE_GROUP_8) == [[1, 4, 6]]
+        assert groups(TWO_GROUPS_8) == [[0, 3], [1, 5, 6]]
+        assert groups(NO_TWIN_FREE_8) == [[0, 1, 2], [3, 4, 5], [6, 7]]
+        assert groups(HUGE_8) == [[0, 1]]
+        assert indices._labeling_extrema(*HUGE_8, Meter())[1][0] > 2**32
+
+    def test_meter_units(self):
+        # its 3,360 twin-ordered labelings and 280 cut-DP moves
+        meter = Meter()
+        indices._labeling_extrema(*TWO_GROUPS_8, Meter())
+        indices._labeling_extrema(*TWO_GROUPS_8, meter)
+        assert coloring.WORK_CAP - meter.left == 3640
 
 
 class TestFullReport:

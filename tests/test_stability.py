@@ -148,18 +148,22 @@ class TestExhaustiveCorpora:
         assert counts == {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
 
     def test_class_enumeration_matches_labeled_dedup(self):
-        # independent route: every labeled connected bipartite graph,
-        # canonicalized by minimizing over all vertex permutations
+        # independent route: every labeled connected bipartite graph, one
+        # kept per isomorphism class by networkx, within buckets of equal
+        # size and degree sequence
+        nx = pytest.importorskip("networkx")
+        found = []
         for n in range(2, 7):
-            classes = set()
+            buckets: dict[tuple, list] = {}
             for g in labeled_connected_bipartite_graphs(n):
-                canon = min(
-                    tuple(sorted(
-                        tuple(sorted((p[u], p[v]))) for u, v in g.edges))
-                    for p in itertools.permutations(range(n)))
-                classes.add(canon)
+                h = nx.Graph(g.edges)
+                bucket = buckets.setdefault((g.size, tuple(sorted(g.degree_sequence()))), [])
+                if not any(nx.is_isomorphic(h, k) for k in bucket):
+                    bucket.append(h)
+            found.append(sum(map(len, buckets.values())))
             ours = sum(1 for _, g in connected_bipartite_graphs(n) if g.order == n)
-            assert len(classes) == ours
+            assert found[-1] == ours
+        assert found == [1, 1, 3, 5, 17]
 
     def test_characterization_exhaustive_to_order_8(self):
         for label, g in connected_bipartite_graphs(8):
