@@ -202,18 +202,14 @@ def _labeling_count(lower: list[int]) -> int:
 
 
 def _twin_groups(lower: list[int]) -> list[list[int]]:
-    """The twin groups of a quotient, each in increasing class order, from
-    :func:`_twin_lower`; a class with no twin is a group of one."""
-    groups: list[list[int]] = []
-    group_of = []  # group_of[j]: the index of j's group in groups
+    """The twin groups of two or more classes of a quotient, each in
+    increasing class order, from :func:`_twin_lower`."""
+    first = []  # first[j]: the first class of j's twin group
+    groups: dict[int, list[int]] = {}
     for j, i in enumerate(lower):
-        if i < 0:
-            group_of.append(len(groups))
-            groups.append([j])
-        else:
-            group_of.append(group_of[i])
-            groups[group_of[i]].append(j)
-    return groups
+        first.append(first[i] if i >= 0 else j)
+        groups.setdefault(first[j], []).append(j)
+    return [group for group in groups.values() if len(group) > 1]
 
 
 def _group_label_sets(groups: list[list[int]], labels):
@@ -391,12 +387,13 @@ def _product_extrema(between: Counter, counts: list[list[int]], lower: list[int]
         meter.charge(math.factorial(ell))
         return _packed_product_extrema(between, ell)
     meter.charge(count)
-    groups = [group for group in _twin_groups(lower) if len(group) > 1]
+    groups = _twin_groups(lower)
     tied = [a for group in groups for a in group]
     single = [a for a in range(ell) if a not in tied]
     tied_weights, tied_first, tied_second = _pair_terms(tied, counts)
     single_weights, single_first, single_second = _pair_terms(single, counts)
     rows = [[counts[a][b] for b in tied] for a in single]
+    walked = tied + single  # the classes that t + q label, in turn
     labels = [0] * ell  # the labeling, filled in only when it may be a witness
     lo = math.inf
     hi = -math.inf
@@ -407,7 +404,7 @@ def _product_extrema(between: Counter, counts: list[list[int]], lower: list[int]
             s = base + sum(map(mul, weights, q)) + sum(
                 map(mul, single_weights, map(mul, single_first(q), single_second(q))))
             if s <= lo or s >= hi:
-                for a, x in zip(tied + single, t + q):
+                for a, x in zip(walked, t + q):
                     labels[a] = x
                 p = tuple(labels)
                 if s < lo or s == lo and p < lo_p:

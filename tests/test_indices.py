@@ -509,7 +509,7 @@ class TestEightClassWalk:
         assert list(indices._labeling_extrema(sizes, between, Meter())[1:]) == want
 
     def test_example_shapes(self):
-        groups = lambda q: [g for g in indices._twin_groups(_twin_lower(*q)) if len(g) > 1]
+        groups = lambda q: indices._twin_groups(_twin_lower(*q))
         assert groups(ONE_GROUP_8) == [[1, 4, 6]]
         assert groups(TWO_GROUPS_8) == [[0, 3], [1, 5, 6]]
         assert groups(NO_TWIN_FREE_8) == [[0, 1, 2], [3, 4, 5], [6, 7]]
@@ -519,7 +519,6 @@ class TestEightClassWalk:
     def test_meter_units(self):
         # its 3,360 twin-ordered labelings and 280 cut-DP moves
         meter = Meter()
-        indices._labeling_extrema(*TWO_GROUPS_8, Meter())
         indices._labeling_extrema(*TWO_GROUPS_8, meter)
         assert coloring.WORK_CAP - meter.left == 3640
 
