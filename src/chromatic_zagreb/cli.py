@@ -7,8 +7,9 @@ failure, 4 budget exhaustion under --strict.
 from __future__ import annotations
 
 import argparse
-import json
+import csv
 import sys
+from io import StringIO
 
 from . import families as fam
 from .generators import FamilySpecError, generate, parse_family_spec
@@ -126,6 +127,13 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _csv(rows) -> str:
+    """RFC 4180 text: cells quoted only when they hold a comma, quote or newline."""
+    out = StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def _load_one_graph(args, parser: argparse.ArgumentParser) -> tuple[Graph, str]:
     if bool(args.input) == bool(args.family):
         parser.error("exactly one of --input and --family is required")
@@ -147,10 +155,11 @@ def _cmd_compute(args, parser) -> int:
         label=label,
     )
     if args.format == "csv":
-        text = IndexReport.csv_header() + "\n" + report.to_csv_row() + "\n"
+        values = report.to_json_dict().values()
+        cells = [str(v).lower() if isinstance(v, bool) else v for v in values]
+        text = _csv([IndexReport.CSV_FIELDS, cells])
     else:
-        text = json.dumps(report.to_json_dict(include_witnesses=args.witness),
-                          indent=2, sort_keys=True) + "\n"
+        text = report_to_json(report.to_json_dict(include_witnesses=args.witness))
     _emit(text, args.out)
     if args.strict and report.status != "exact":
         return EXIT_BUDGET_STRICT
@@ -214,7 +223,8 @@ def _family_records(spec_text: str, variants: list[str], oracle_max: int) -> lis
     # tree forms bound every tree of the order, so there is no one graph to enumerate
     if kind != "tree" and n <= oracle_max:
         rep = full_report(generate(spec))
-        oracle = {key: getattr(rep, key) for key in (*EXTREMA_KEYS, "m1", "m2", "m3", "size")}
+        oracle = {key: getattr(rep, key)
+                  for key in (*EXTREMA_KEYS, "m1", "m2", "m3", "size", "status")}
     return [
         {"label": label, "formula_variant": v, "order": n, **fixed,
          **dict(zip(EXTREMA_KEYS, cm[v])), "oracle": oracle}
@@ -226,7 +236,9 @@ def _family_table(records: list[dict]) -> str:
     lines = [f"family: {records[0]['label']}   order: {records[0]['order']}"]
     oracle = records[0]["oracle"]
     header = ["field"] + [r["formula_variant"] for r in records]
-    header.append("enumeration" if oracle else "enumeration (n/a)")
+    # an inexact enumeration holds values of valid colorings, bounds on the extrema
+    status = oracle["status"] if oracle else "n/a"
+    header.append("enumeration" if status == "exact" else f"enumeration ({status})")
     rows = [header]
     for f in EXTREMA_KEYS:
         row = [f] + [str(r[f]) for r in records]
@@ -242,15 +254,14 @@ def _cmd_family(args, parser) -> int:
     variants = ["as_printed", "corrected"] if args.variant == "both" else [args.variant]
     records = _family_records(args.spec, variants, args.oracle_max_order)
     if args.format == "json":
-        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        text = report_to_json(records)
     elif args.format == "csv":
-        cols = ["label", "formula_variant", "order"] + list(EXTREMA_KEYS)
-        lines = [",".join(cols + [f"oracle_{f}" for f in EXTREMA_KEYS])]
+        cols = ["label", "formula_variant", "order", *EXTREMA_KEYS]
+        oracle_cols = [*EXTREMA_KEYS, "status"]
+        rows = [cols + [f"oracle_{f}" for f in oracle_cols]]
         for r in records:
-            row = [str(r[c]) for c in cols]
-            row += [str(r["oracle"][f]) if r["oracle"] else "" for f in EXTREMA_KEYS]
-            lines.append(",".join(row))
-        text = "\n".join(lines) + "\n"
+            rows.append([r[c] for c in cols] + [(r["oracle"] or {}).get(f) for f in oracle_cols])
+        text = _csv(rows)
     else:
         text = _family_table(records)
     _emit(text, args.out)
@@ -260,10 +271,9 @@ def _cmd_family(args, parser) -> int:
 def _cmd_stability(args, parser) -> int:
     g, label = _load_one_graph(args, parser)
     report = stability_report(g, label=label)
-    json_text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    json_text = report_to_json(report.to_json_dict())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json_text)
+        _emit(json_text, args.out)
     if args.format == "json":
         sys.stdout.write(json_text)
     else:

@@ -214,45 +214,65 @@ def _colors_in(mask: int, colors: list[int]) -> int:
 def _search_k_coloring(masks: tuple[int, ...], n: int, k: int) -> list[int] | None:
     """Backtracking: find a proper coloring with at most k colors, else None.
 
-    Vertices are tried in descending-degree order; the first vertex is
-    pinned to color 1 and each vertex may open at most one new color,
-    which breaks color-label symmetry without losing completeness. An
-    explicit stack keeps deep searches clear of the recursion limit.
+    Vertices are tried component by component, in the order of their
+    components' first vertices by descending degree, and each component
+    in that order; a connected graph keeps it whole. The first vertex of
+    each component is pinned to color 1 and each later one may open at
+    most one color new to its component, which breaks color-label
+    symmetry without losing completeness. Components share no edge, so
+    when a component's first vertex runs out of colors the component has
+    no k-coloring, and the search stops there instead of retrying the
+    components before it. An explicit stack keeps deep searches clear of
+    the recursion limit.
     """
     if n == 0:
         return []
     if k < 1:
         return None
     order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
+    first = [-1] * n  # first[v]: the place in order of the first vertex of v's component
+    for i, s in enumerate(order):
+        if first[s] < 0:
+            first[s] = i
+            stack = [s]
+            while stack:
+                for w in _vertices(masks[stack.pop()]):
+                    if first[w] < 0:
+                        first[w] = i
+                        stack.append(w)
+    order.sort(key=first.__getitem__)  # stable, so each component keeps its order
+    opens = [i == 0 or first[v] != first[order[i - 1]] for i, v in enumerate(order)]
     colors = [0] * n  # at depth i, colors[order[i]] is the color tried last
     banned = [0] * n  # at depth i: the colors of order[i]'s colored neighbours
-    opened = [0] * (n + 1)  # opened[i]: colors used by order[:i]
+    opened = [0] * (n + 1)  # opened[i]: colors used by order[:i] in order[i - 1]'s component
     i = 0
-    while i >= 0:
+    while True:
         v = order[i]
         c = colors[v]
         if not c:  # entering depth i
             banned[i] = _colors_in(masks[v], colors)
         forbidden = banned[i]
-        limit = min(k, opened[i] + 1)
+        used = 0 if opens[i] else opened[i]
+        limit = min(k, used + 1)
         c += 1
         while c <= limit and forbidden >> (c - 1) & 1:
             c += 1
         if c > limit:  # every color at depth i is spent: back up
+            if opens[i]:
+                return None
             colors[v] = 0
             i -= 1
             continue
         colors[v] = c
-        opened[i + 1] = max(opened[i], c)
+        opened[i + 1] = max(used, c)
         i += 1
         if i == n:
             return colors
-    return None
 
 
 def _k_coloring(masks: tuple[int, ...] | list[int], n: int, k: int) -> list[int] | None:
-    """A proper coloring with at most k >= 2 colors, or None: the
-    two-coloring sweep for k = 2, the backtracking search above that."""
+    """A proper coloring with at most k colors, or None: the two-coloring
+    sweep for k = 2, the backtracking search for any other k."""
     if k == 2:
         sides = _bipartition(masks, n)
         if sides is None:
@@ -270,7 +290,7 @@ def find_coloring(g: Graph, k: int) -> Coloring | None:
     The returned coloring is renumbered so the colors actually used form
     1..l for some l <= k.
     """
-    raw = _search_k_coloring(g.adjacency_masks, g.order, k)
+    raw = _k_coloring(g.adjacency_masks, g.order, k)
     if raw is None:
         return None
     remap: dict[int, int] = {}

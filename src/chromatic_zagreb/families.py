@@ -205,14 +205,6 @@ def thorn_forms(base: ThornBaseData, m: int) -> ThornForms:
     cm3_min = base.cm3_min + m * n
     # farthest-color pendant contribution: a base vertex carrying color i
     # after reversal gains max(ell - i, i - 1) per pendant
-    if ell % 2 == 1:
-        mid = (ell + 1) // 2
-        added = (ell // 2) * t3[mid - 1]
-        added += sum((ell - i) * t3[i - 1] for i in range(1, ell // 2 + 1))
-        added += sum(i * t3[i + 1 - 1] for i in range(mid, ell))
-    else:
-        half = ell // 2
-        added = sum((ell - i) * t3[i - 1] for i in range(1, half + 1))
-        added += sum(i * t3[i + 1 - 1] for i in range(half, ell))
+    added = sum(max(ell - i, i - 1) * t3[i - 1] for i in range(1, ell + 1))
     cm3_max = base.cm3_max + m * added
     return ThornForms(cm1_min, cm1_max, cm2_min, cm2_max, cm3_min, cm3_max)

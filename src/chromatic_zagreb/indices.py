@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, permutations
@@ -163,19 +162,11 @@ def _sweep(g: Graph, colorings) -> dict[int, tuple[int, Coloring, int, Coloring]
     return {k: tuple(slot) for k, slot in enumerate(best, 1)}
 
 
-def _edge_counts(ell: int, between: Counter) -> list[list[int]]:
-    """A quotient's edge counts between class pairs as a symmetric matrix."""
-    counts = [[0] * ell for _ in range(ell)]
-    for (a, b), e in between.items():
-        counts[a][b] = counts[b][a] = e
-    return counts
-
-
 def _twin_lower(sizes: list[int], counts: list[list[int]]) -> list[int]:
     """Per class of a quotient, the nearest earlier class it is twin to, or -1.
 
     Twins have the same size and the same edge count (``counts``, from
-    :func:`_edge_counts`) to every third class, so swapping their labels
+    :func:`_quotient`) to every third class, so swapping their labels
     changes none of the three sums. Of all labelings that differ only on
     twins, the one that labels each twin group in increasing class order
     is the least, so the others can be left out without losing a value or
@@ -268,7 +259,7 @@ def _cut_extrema(counts: list[list[int]], lower: list[int], meter: Meter):
 
     The sum equals sum over k of cut(S_k), S_k the classes labelled <= k,
     so it is a linear arrangement of the quotient (``counts``, from
-    :func:`_edge_counts`). Classes are placed in label order, each only
+    :func:`_quotient`). Classes are placed in label order, each only
     after its lower twin: a twin group of size g gives g + 1 prefix sets,
     not 2^g. Per set the DP keeps the min and max of the cuts so far and
     the least partial labeling (0 where unplaced) attaining each. Two
@@ -343,7 +334,7 @@ def _nth_labeling(ell: int, k: int) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def _packed_product_extrema(between: Counter, ell: int):
+def _packed_product_extrema(counts: list[list[int]], ell: int):
     """(min, labels, max, labels) of sum e_ab p_a p_b over all ell!
     labelings at once, on :func:`_pair_tables`.
 
@@ -355,14 +346,14 @@ def _packed_product_extrema(between: Counter, ell: int):
     of the twin-ordered walk.
     """
     tables = _pair_tables(ell)
-    packed = sum(e * tables[a][b] for (a, b), e in between.items())
+    packed = sum(counts[a][b] * tables[a][b] for a, b in combinations(range(ell), 2))
     sums = array("I")
     sums.frombytes(packed.to_bytes(4 * math.factorial(ell), sys.byteorder))
     lo, hi = min(sums), max(sums)
     return lo, _nth_labeling(ell, sums.index(lo)), hi, _nth_labeling(ell, sums.index(hi))
 
 
-def _product_extrema(between: Counter, counts: list[list[int]], lower: list[int], meter: Meter):
+def _product_extrema(counts: list[list[int]], lower: list[int], meter: Meter):
     """(min, labels, max, labels) of sum e_ab p_a p_b over the twin-ordered
     labelings.
 
@@ -382,10 +373,10 @@ def _product_extrema(between: Counter, counts: list[list[int]], lower: list[int]
     """
     ell = len(lower)
     count = _labeling_count(lower)
-    if (ell <= PACKED_CLASSES and sum(between.values()) * ell * (ell - 1) < 1 << 32
+    if (ell <= PACKED_CLASSES and sum(map(sum, counts)) // 2 * ell * (ell - 1) < 1 << 32
             and count * PACKED_WALK_RATIO > math.factorial(ell)):
         meter.charge(math.factorial(ell))
-        return _packed_product_extrema(between, ell)
+        return _packed_product_extrema(counts, ell)
     meter.charge(count)
     groups = _twin_groups(lower)
     tied = [a for group in groups for a in group]
@@ -414,9 +405,10 @@ def _product_extrema(between: Counter, counts: list[list[int]], lower: list[int]
     return lo, lo_p, hi, hi_p
 
 
-def _labeling_extrema(sizes: list[int], between: Counter, meter: Meter):
+def _labeling_extrema(sizes: list[int], counts: list[list[int]], meter: Meter):
     """Per index, (min, labels, max, labels) over the labelings of one
-    partition quotient: class sizes, and edge counts between class pairs.
+    partition quotient from :func:`_quotient`: class sizes, and the
+    symmetric matrix of edge counts between class pairs.
 
     Each labels is the least labeling attaining its value. cm1 is a sort,
     cm3 a DP over prefix sets and cm2, up to PACKED_CLASSES classes, a few
@@ -424,23 +416,24 @@ def _labeling_extrema(sizes: list[int], between: Counter, meter: Meter):
     could pass 2**32, or one with few twin-ordered labelings walks them.
     The DP and the cm2 labelings charge ``meter``.
     """
-    counts = _edge_counts(len(sizes), between)
     lower = _twin_lower(sizes, counts)
     cuts = _cut_extrema(counts, lower, meter)
-    return _square_extrema(sizes), _product_extrema(between, counts, lower, meter), cuts
+    return _square_extrema(sizes), _product_extrema(counts, lower, meter), cuts
 
 
-def _quotient(g: Graph, partition) -> tuple[list[int], Counter]:
-    """A partition's class sizes, and its edge counts between class pairs."""
+def _quotient(g: Graph, partition) -> tuple[list[int], list[list[int]]]:
+    """A partition's class sizes, and the symmetric matrix of its edge
+    counts between class pairs, 0 on the diagonal: classes are independent."""
     cls = [0] * g.order
     for i, members in enumerate(partition):
         for v in members:
             cls[v] = i
-    between: Counter = Counter()
+    counts = [[0] * len(partition) for _ in partition]
     for u, v in g.edges:
         a, b = cls[u], cls[v]
-        between[(a, b) if a < b else (b, a)] += 1
-    return [len(members) for members in partition], between
+        counts[a][b] += 1
+        counts[b][a] += 1
+    return [len(members) for members in partition], counts
 
 
 def _sweep_partitions(g: Graph, ell: int, partitions, meter: Meter):
@@ -645,21 +638,20 @@ def chromatic_extrema(
 ) -> ExtremaResult:
     """Min and max of one chromatic index over minimum colorings.
 
-    They are exact unless the frontier DP or the partition walk, whichever
-    the input takes, meets the call's work cap (WORK_CAP units of a
-    Meter; see :func:`_compute_extrema`); status then reads
-    ``bounds_only``.
+    The values, witnesses and status of :func:`full_report`, so they are
+    exact unless the frontier DP or the partition walk, whichever the
+    input takes, meets the call's work cap (WORK_CAP units of a Meter;
+    see :func:`_compute_extrema`); status then reads ``bounds_only``.
     With paper_compat set, an edgeless input reports the index-3 extrema
     as the conventional default 1 instead of the raw empty edge sum 0;
     no witness evaluates to a defaulted value, so the witness is dropped.
     """
     if index not in (1, 2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {index}")
-    results, semantics_used, status = _compute_extrema(g, semantics)
-    lo, lo_w, hi, hi_w = results[index]
-    if paper_compat and g.size == 0 and index == 3:
-        return ExtremaResult(index, 1, 1, None, None, semantics_used, status)
-    return ExtremaResult(index, lo, hi, lo_w, hi_w, semantics_used, status)
+    r = full_report(g, semantics, paper_compat)
+    lo, hi = f"cm{index}_min", f"cm{index}_max"
+    return ExtremaResult(index, r.value(lo), r.value(hi), r.witnesses[lo], r.witnesses[hi],
+                         r.semantics_used, r.status)
 
 
 @dataclass(frozen=True)
@@ -701,19 +693,6 @@ class IndexReport:
                 for key, c in sorted(self.witnesses.items())
             }
         return out
-
-    @classmethod
-    def csv_header(cls) -> str:
-        return ",".join(cls.CSV_FIELDS)
-
-    def to_csv_row(self) -> str:
-        vals = []
-        for f in self.CSV_FIELDS:
-            v = getattr(self, f)
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            vals.append("" if v is None else str(v))
-        return ",".join(vals)
 
 
 def full_report(

@@ -692,14 +692,19 @@ def build_report(config: CorpusConfig, results: list[ClaimResult]) -> dict:
     }
 
 
-def report_to_json(report: dict) -> str:
+def report_to_json(report: dict | list) -> str:
+    """The JSON text every command writes: two-space indent, sorted keys."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def report_to_csv(results: list[ClaimResult]) -> str:
-    lines = ["claim_id,instance,expected,actual,verdict,must_hold"]
-    for r in results:
-        fields = [r.claim_id, r.instance, r.expected, r.actual, r.verdict,
-                  "true" if r.must_hold else "false"]
-        lines.append(",".join('"' + f.replace('"', '""') + '"' for f in fields))
-    return "\n".join(lines) + "\n"
+    """A plain header, then one row per result with every cell quoted."""
+    import csv  # here, so that importing the package does not load it
+    from io import StringIO
+
+    out = StringIO()
+    out.write("claim_id,instance,expected,actual,verdict,must_hold\n")
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+        [r.claim_id, r.instance, r.expected, r.actual, r.verdict, str(r.must_hold).lower()]
+        for r in results)
+    return out.getvalue()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 
@@ -47,6 +48,16 @@ class TestCompute:
         header, row = out.strip().split("\n")
         assert header.startswith("label,order,size,m1")
         assert row.startswith("path:4,4,3,")
+
+    @pytest.mark.parametrize("spec,label", [
+        ("multipartite:1,2", "complete_multipartite:1,2"),
+        ("caterpillar:2,0,3", "caterpillar:2,0,3"),
+    ])
+    def test_csv_labels_with_commas_stay_one_cell(self, capsys, spec, label):
+        code, out, _ = run_cli(capsys, "compute", "--family", spec, "--format", "csv")
+        header, row = csv.reader(out.splitlines())
+        assert code == 0 and len(row) == len(header) == 16
+        assert row[0] == label and row[-4:] == ["all", "false", "true", "exact"]
 
     def test_semantics_permutation(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--family", "cycle:5",
@@ -232,6 +243,32 @@ class TestFamily:
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "family", "complete:4", "--format", "csv")
         assert out.splitlines()[0].startswith("label,formula_variant")
+
+    # caterpillars have closed forms only as the base of a thorn graph
+    @pytest.mark.parametrize("spec,label,status", [
+        ("multipartite:1,2", "complete_multipartite:1,2", "exact"),
+        ("thorn(caterpillar:2,0,3;1)", "thorn(caterpillar:2,0,3;1)", ""),
+    ])
+    def test_csv_labels_with_commas_stay_one_cell(self, capsys, spec, label, status):
+        code, out, _ = run_cli(capsys, "family", spec, "--format", "csv")
+        header, *rows = csv.reader(out.splitlines())
+        assert code == 0 and len(header) == 16 and header[-1] == "oracle_status"
+        assert [r[:2] for r in rows] == [[label, "as_printed"], [label, "corrected"]]
+        for row in rows:
+            assert len(row) == len(header) and row[-1] == status
+
+    def test_oracle_status_marks_bounds(self, capsys, monkeypatch):
+        # past the cap the enumeration column holds the canonical
+        # partition's values: valid colorings, not the extrema
+        monkeypatch.setattr(coloring, "WORK_CAP", 5)
+        code, out, _ = run_cli(capsys, "family", "complete:4", "--format", "json")
+        assert code == 0
+        assert [r["oracle"]["status"] for r in json.loads(out)] == ["bounds_only"] * 2
+        code, out, _ = run_cli(capsys, "family", "complete:4")
+        assert "enumeration (bounds_only)" in out.splitlines()[1]
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "family", "complete:4")
+        assert out.splitlines()[1].split()[-1] == "enumeration"
 
     def test_unsupported_kind(self, capsys):
         code, _, err = run_cli(capsys, "family", "cycle:5")

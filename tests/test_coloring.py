@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from chromatic_zagreb.coloring import (
     _greedy_coloring,
     _iter_chi_partitions,
     _min_coloring,
+    _search_k_coloring,
     canonical_partition,
     chromatic_number,
     colorings_of_partition,
@@ -145,6 +147,36 @@ class TestChromaticNumber:
         colors = _min_coloring(g.adjacency_masks, g.order)
         assert all(colors[u] != colors[v] for u, v in g.edges)
         assert set(colors) == {1, 2, 3} and chromatic_number(g) == 3
+
+    @given(graphs(max_n=7), st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_search_decides_k_colorability(self, g, k):
+        colors = _search_k_coloring(g.adjacency_masks, g.order, k)
+        assert (colors is not None) == (naive_chi(g) <= k)
+        if colors is not None:
+            assert max(colors) <= k and all(colors[u] != colors[v] for u, v in g.edges)
+
+    def test_uncolorable_component_stops_the_search(self):
+        # K4 beside 12 disjoint K_{1,4} stars: the clique bound is 2, so
+        # k = 3 is searched, and every star's colorings were once retried
+        # for each dead end in K4 (about x3 per star, 2.6 s at 12)
+        edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        edges += [(c, c + j) for c in range(4, 64, 5) for j in range(1, 5)]
+        g = Graph(64, edges)
+        start = time.perf_counter()
+        assert chromatic_number(g) == 4
+        assert time.perf_counter() - start < 1
+
+    def test_disconnected_non_bipartite_input(self):
+        # a triangle beside 20 disjoint K_{1,5} stars has no 2-coloring;
+        # the search once took about x2 per star (0.46 s at 16)
+        edges = [(0, 1), (1, 2), (0, 2)]
+        edges += [(c, c + j) for c in range(3, 123, 6) for j in range(1, 6)]
+        g = Graph(123, edges)
+        start = time.perf_counter()
+        assert find_coloring(g, 2) is None
+        assert _search_k_coloring(g.adjacency_masks, g.order, 2) is None
+        assert time.perf_counter() - start < 1
 
 
 class TestEnumeration:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import contextmanager
 from itertools import permutations
 
@@ -76,9 +75,24 @@ def _least_extrema(score, ell):
     return lo, labelings[scores.index(lo)], hi, labelings[scores.index(hi)]
 
 
-def _products(between):
+def _matrix(ell, between):
+    """A quotient's symmetric edge-count matrix, as indices._quotient
+    builds it, from the counts of its class pairs a < b."""
+    counts = [[0] * ell for _ in range(ell)]
+    for (a, b), e in between.items():
+        counts[a][b] = counts[b][a] = e
+    return counts
+
+
+def _pairs(counts):
+    """(a, b, e_ab) for the class pairs a < b of an edge-count matrix."""
+    return [(a, b, row[b]) for a, row in enumerate(counts) for b in range(a + 1, len(row))]
+
+
+def _products(counts):
     """The cm2 sum of a quotient labeling, sum e_ab p_a p_b."""
-    return lambda p: sum(e * p[a] * p[b] for (a, b), e in between.items())
+    pairs = _pairs(counts)
+    return lambda p: sum(e * p[a] * p[b] for a, b, e in pairs)
 
 
 @contextmanager
@@ -346,20 +360,17 @@ def quotients(draw, max_ell=7, max_count=2):
     """Class sizes and edge counts between class pairs; small ranges make twins common."""
     ell = draw(st.integers(min_value=1, max_value=max_ell))
     sizes = draw(st.lists(st.integers(1, 2), min_size=ell, max_size=ell))
-    between = Counter()
+    between = {}
     for a in range(ell):
         for b in range(a + 1, ell):
             between[(a, b)] = draw(st.integers(0, max_count))
-    return sizes, between
-
-
-def _twin_lower(sizes, between):
-    return indices._twin_lower(sizes, indices._edge_counts(len(sizes), between))
+    return sizes, _matrix(ell, between)
 
 
 # a 7-clique quotient, one twin group; a 7-class quotient with no twins
-CLIQUE_7 = ([1] * 7, Counter({(a, b): 1 for a in range(7) for b in range(a + 1, 7)}))
-TWIN_FREE_7 = ([1] * 7, Counter({(a, b): (a + 2 * b) % 3 for a in range(7) for b in range(a + 1, 7)}))
+CLIQUE_7 = ([1] * 7, _matrix(7, {(a, b): 1 for a in range(7) for b in range(a + 1, 7)}))
+TWIN_FREE_7 = ([1] * 7, _matrix(7, {(a, b): (a + 2 * b) % 3
+                                    for a in range(7) for b in range(a + 1, 7)}))
 
 
 class TestTwinOrderedLabelings:
@@ -367,7 +378,7 @@ class TestTwinOrderedLabelings:
     @example(CLIQUE_7)
     @settings(max_examples=80, deadline=None)
     def test_matches_filtered_permutations(self, quotient):
-        lower = _twin_lower(*quotient)
+        lower = indices._twin_lower(*quotient)
         want = [
             p for p in permutations(range(1, len(lower) + 1))
             if all(p[i] < p[j] for j, i in enumerate(lower) if i >= 0)
@@ -386,23 +397,22 @@ class TestTwinOrderedLabelings:
     @example(TWIN_FREE_7)
     @settings(max_examples=60, deadline=None)
     def test_labeling_extrema_match_all_permutations(self, quotient):
-        sizes, between = quotient
+        sizes, counts = quotient
         scores = (
             lambda p: sum(s * x * x for s, x in zip(sizes, p)),
-            _products(between),
-            lambda p: sum(e * abs(p[a] - p[b]) for (a, b), e in between.items()),
+            _products(counts),
+            lambda p: sum(e * abs(p[a] - p[b]) for a, b, e in _pairs(counts)),
         )
         want = [_least_extrema(score, len(sizes)) for score in scores]
-        assert list(indices._labeling_extrema(sizes, between, Meter())) == want
+        assert list(indices._labeling_extrema(sizes, counts, Meter())) == want
 
     def test_one_large_group_has_one_labeling(self, walked):
-        between = Counter({(a, b): 1 for a in range(40) for b in range(a + 1, 40)})
-        counts = indices._edge_counts(40, between)
-        lower = _twin_lower([1] * 40, between)
+        counts = _matrix(40, {(a, b): 1 for a in range(40) for b in range(a + 1, 40)})
+        lower = indices._twin_lower([1] * 40, counts)
         assert lower == [-1, *range(39)]
         assert indices._labeling_count(lower) == 1
         # the cm2 walk scores one labeling, its sum (820**2 - 22140) / 2
-        assert indices._labeling_extrema([1] * 40, between, Meter())[1] == \
+        assert indices._labeling_extrema([1] * 40, counts, Meter())[1] == \
             (325130, tuple(range(1, 41))) * 2
         assert walked == [tuple(range(1, 41))]
         # the cut DP meets 41 prefix sets, not 2**40; C(41, 3) = sum (b - a)
@@ -416,9 +426,9 @@ class TestPackedProducts:
     @example(TWIN_FREE_7)
     @settings(max_examples=60, deadline=None)
     def test_product_extrema_match_all_permutations(self, quotient):
-        sizes, between = quotient
-        want = _least_extrema(_products(between), len(sizes))
-        assert indices._labeling_extrema(sizes, between, Meter())[1] == want
+        sizes, counts = quotient
+        want = _least_extrema(_products(counts), len(sizes))
+        assert indices._labeling_extrema(sizes, counts, Meter())[1] == want
 
     def test_nth_labeling_is_lexicographic(self):
         for ell in range(1, 7):
@@ -426,7 +436,7 @@ class TestPackedProducts:
                 assert indices._nth_labeling(ell, k) == p
 
     def test_seven_classes_walk_no_labeling(self, walked):
-        assert _twin_lower(*TWIN_FREE_7) == [-1] * 7
+        assert indices._twin_lower(*TWIN_FREE_7) == [-1] * 7
         indices._labeling_extrema(*TWIN_FREE_7, Meter())
         assert walked == []
 
@@ -438,18 +448,18 @@ class TestPackedProducts:
 
     def test_eight_classes_walk(self, walked):
         sizes = [1] * 8
-        between = Counter({(a, b): (a + 2 * b) % 3 for a in range(8) for b in range(a + 1, 8)})
-        assert _twin_lower(sizes, between) == [-1] * 8
-        got = indices._labeling_extrema(sizes, between, Meter())[1]
+        counts = _matrix(8, {(a, b): (a + 2 * b) % 3 for a in range(8) for b in range(a + 1, 8)})
+        assert indices._twin_lower(sizes, counts) == [-1] * 8
+        got = indices._labeling_extrema(sizes, counts, Meter())[1]
         assert len(walked) == len(set(walked)) == 40320
-        assert got == _least_extrema(_products(between), 8)
+        assert got == _least_extrema(_products(counts), 8)
 
     def test_sums_past_a_field_walk(self, walked):
         # the bound (2**30 + 3) * 3 * 2 passes 2**32, and so do the sums
-        between = Counter({(0, 1): 2**30, (0, 2): 1, (1, 2): 2})
-        got = indices._labeling_extrema([1, 1, 1], between, Meter())[1]
+        counts = _matrix(3, {(0, 1): 2**30, (0, 2): 1, (1, 2): 2})
+        got = indices._labeling_extrema([1, 1, 1], counts, Meter())[1]
         assert sorted(walked) == list(permutations(range(1, 4)))
-        assert got == _least_extrema(_products(between), 3)
+        assert got == _least_extrema(_products(counts), 3)
         assert got[2] > 2**32
 
 
@@ -466,15 +476,15 @@ def typed_quotients(draw, ell=8):
             key = tuple(sorted((types[a], types[b])))
             if key not in counts:
                 counts[key] = draw(st.integers(0, 3))
-    between = Counter({(a, b): counts[tuple(sorted((types[a], types[b])))]
-                       for a in range(ell) for b in range(a + 1, ell)})
-    return [sizes[t] for t in types], between
+    between = {(a, b): counts[tuple(sorted((types[a], types[b])))]
+               for a in range(ell) for b in range(a + 1, ell)}
+    return [sizes[t] for t in types], _matrix(ell, between)
 
 
 def _upper(counts):
-    """A Counter of 8-class edge counts from its upper triangle, row by row."""
+    """An 8-class edge-count matrix from its upper triangle, row by row."""
     pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)]
-    return Counter(dict(zip(pairs, counts)))
+    return _matrix(8, dict(zip(pairs, counts)))
 
 
 # two extrema-stream quotients: one twin group of three, classes 1, 4 and 6;
@@ -487,8 +497,8 @@ TWO_GROUPS_8 = ([2, 1, 2, 2, 1, 1, 1, 1], _upper(
 NO_TWIN_FREE_8 = ([1, 1, 1, 2, 2, 2, 3, 3], _upper(
     [1, 1, 2, 2, 2, 0, 0, 1, 2, 2, 2, 0, 0, 2, 2, 2, 0, 0, 0, 0, 3, 3, 0, 3, 3, 3, 3, 1]))
 # counts near 2**30 take the sums far past 2**32; classes 0 and 1 are twins
-HUGE_8 = ([1] * 8, Counter({(a, b): 2**30 + (max(a, 1) + 2 * b) % 3
-                            for a in range(8) for b in range(a + 1, 8)}))
+HUGE_8 = ([1] * 8, _matrix(8, {(a, b): 2**30 + (max(a, 1) + 2 * b) % 3
+                              for a in range(8) for b in range(a + 1, 8)}))
 
 
 class TestEightClassWalk:
@@ -499,17 +509,17 @@ class TestEightClassWalk:
     @example(HUGE_8)
     @settings(max_examples=5, deadline=None)
     def test_cm2_and_cm3_match_all_permutations(self, quotient):
-        sizes, between = quotient
-        pairs = [(a, b, e) for (a, b), e in between.items() if e]
+        sizes, counts = quotient
+        pairs = [(a, b, e) for a, b, e in _pairs(counts) if e]
         scores = (
             lambda p: sum([e * p[a] * p[b] for a, b, e in pairs]),
             lambda p: sum([e * abs(p[a] - p[b]) for a, b, e in pairs]),
         )
         want = [_least_extrema(score, 8) for score in scores]
-        assert list(indices._labeling_extrema(sizes, between, Meter())[1:]) == want
+        assert list(indices._labeling_extrema(sizes, counts, Meter())[1:]) == want
 
     def test_example_shapes(self):
-        groups = lambda q: indices._twin_groups(_twin_lower(*q))
+        groups = lambda q: indices._twin_groups(indices._twin_lower(*q))
         assert groups(ONE_GROUP_8) == [[1, 4, 6]]
         assert groups(TWO_GROUPS_8) == [[0, 3], [1, 5, 6]]
         assert groups(NO_TWIN_FREE_8) == [[0, 1, 2], [3, 4, 5], [6, 7]]
@@ -592,6 +602,5 @@ class TestFullReport:
         schema_validator(d, "index_report.schema.json")
         assert d["label"] == "cycle:5"
         assert d["witnesses"]["cm1_min"] == [1, 2, 1, 2, 3]
-        row = r.to_csv_row()
-        assert row.split(",")[0] == "cycle:5"
-        assert len(row.split(",")) == len(r.csv_header().split(","))
+        # the CSV columns are the report's JSON fields, in order
+        assert [*d][:-1] == list(r.CSV_FIELDS) == [*r.to_json_dict()]
