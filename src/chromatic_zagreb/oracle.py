@@ -1,9 +1,18 @@
 """Naive brute-force oracle, deliberately independent of the engine.
 
-Everything here works by filtering the full assignment space
-{1..k}^order with itertools.product -- no pruning, no shared search
-code -- so it can serve as the reference the engine is checked against.
-Only practical for small orders.
+The assignment space {1..k}^order is tested whole, as one k^order-bit
+Python int: bit i stands for the i-th assignment of
+``itertools.product(range(1, k + 1), repeat=order)``, so ascending bits
+are lexicographic order. Vertex v's colour is one more than digit v of i
+in base k, digits counted from the most significant; so the assignments
+giving v colour c form runs of k^(order-1-v) bits, one run in every
+k^(order-v). An assignment is proper when no edge has both ends in the
+runs of one colour.
+
+This is still the naive filter: every assignment is tested against
+every edge in every colour, nothing is pruned, and no search code is
+shared with the engine, so it can serve as the reference the engine is
+checked against. Only practical for small orders.
 """
 
 from __future__ import annotations
@@ -12,29 +21,74 @@ import itertools
 
 from .graph import Graph
 
+# the eight bits of each byte value, least significant first, as 0/1
+# selectors (product counts up with its last place fastest)
+_BYTE_BITS = tuple(bits[::-1] for bits in itertools.product((0, 1), repeat=8))
+
+
+def _first_colour_mask(v: int, k: int, n: int, full: int) -> tuple[int, int]:
+    """The mask of "vertex v has colour 1" in {1..k}^n, and its run length.
+
+    Colour c's mask is this one shifted left by (c - 1) runs, plus bits
+    past k^n that the caller drops.
+    """
+    run, size = k ** (n - 1 - v), k ** n
+    mask, width = (1 << run) - 1, run * k
+    while width < size:
+        mask |= mask << width
+        width <<= 1
+    return mask & full, run
+
+
+def _proper_mask(g: Graph, k: int) -> int:
+    """Bit i set iff assignment i of {1..k}^order is proper."""
+    n = g.order
+    full = (1 << k ** n) - 1
+    clash = 0
+    for u, v in g.edges:
+        # one edge's two masks at a time: all n*k colour masks at once
+        # would hold n*k times the k^n bits
+        mu, ru = _first_colour_mask(u, k, n, full)
+        mv, rv = _first_colour_mask(v, k, n, full)
+        for c in range(k):
+            clash |= (mu << c * ru) & (mv << c * rv)
+    return full & ~clash
+
+
+def _chi_mask(g: Graph) -> tuple[int, int]:
+    """The least k with a proper assignment, and that k's proper mask."""
+    if g.order < 1:
+        raise ValueError("needs order >= 1")
+    for k in range(1, g.order + 1):
+        mask = _proper_mask(g, k)
+        if mask:
+            return k, mask
+    raise AssertionError("n colors always suffice")
+
+
+def _assignments(mask: int, k: int, n: int):
+    """The assignments of {1..k}^n whose bits are set, lexicographic."""
+    data = mask.to_bytes((k ** n + 7) // 8, "little")
+    bits = itertools.chain.from_iterable(map(_BYTE_BITS.__getitem__, data))
+    return itertools.compress(itertools.product(range(1, k + 1), repeat=n), bits)
+
 
 def oracle_chromatic_number(g: Graph) -> int:
     """Smallest k admitting a proper assignment, by exhaustive scan."""
-    n = g.order
-    if n < 1:
-        raise ValueError("needs order >= 1")
-    edges = g.edges
-    for k in range(1, n + 1):
-        for ass in itertools.product(range(1, k + 1), repeat=n):
-            if all(ass[u] != ass[v] for u, v in edges):
-                return k
-    raise AssertionError("n colors always suffice")
+    return _chi_mask(g)[0]
 
 
 def oracle_min_colorings(g: Graph, ell: int | None = None):
     """Every proper surjective assignment onto 1..ell, lexicographic."""
-    if ell is None:
-        ell = oracle_chromatic_number(g)
     n = g.order
-    edges = g.edges
+    if ell is None:
+        # at k = chi every proper assignment uses all chi colours
+        ell, mask = _chi_mask(g)
+        yield from _assignments(mask, ell, n)
+        return
     full = set(range(1, ell + 1))
-    for ass in itertools.product(range(1, ell + 1), repeat=n):
-        if all(ass[u] != ass[v] for u, v in edges) and set(ass) == full:
+    for ass in _assignments(_proper_mask(g, ell), ell, n):
+        if set(ass) == full:
             yield ass
 
 

@@ -484,20 +484,25 @@ def _run_oracle_extrema(config: CorpusConfig) -> list[ClaimResult]:
 
 
 def _run_oracle_enumeration(config: CorpusConfig) -> list[ClaimResult]:
-    out = []
+    # rows grouped by graph: one naive stream per distinct graph, and only
+    # one held at a time (run_claims orders the results by instance)
+    labels: dict[Graph, list[str]] = {}
     cap = min(6, config.oracle_max_order)
     for label, g in _oracle_corpus(config):
-        if g.order > cap:
-            continue
-        engine = [c.assignment for c in enumerate_min_colorings(g, "all")]
+        if g.order <= cap:
+            labels.setdefault(g, []).append(label)
+    out = []
+    for g, group in labels.items():
         naive = list(oracle_min_colorings(g))
-        ok = engine == naive
-        out.append(_result(
-            "oracle-enumeration", label,
-            f"{len(naive)} minimum colorings, lexicographic",
-            f"engine emitted {len(engine)}", ok, True,
-            list(engine[0]) if engine else None,
-        ))
+        for label in group:
+            engine = [c.assignment for c in enumerate_min_colorings(g, "all")]
+            ok = engine == naive
+            out.append(_result(
+                "oracle-enumeration", label,
+                f"{len(naive)} minimum colorings, lexicographic",
+                f"engine emitted {len(engine)}", ok, True,
+                list(engine[0]) if engine else None,
+            ))
     return out
 
 

@@ -133,6 +133,25 @@ class TestDeterminism:
         assert all(r.verdict == "verified" for r in res)
         assert calls == [corpus[0][1], corpus[1][1]]
 
+    def test_oracle_stream_runs_once_per_distinct_graph(self, monkeypatch):
+        corpus = [("path:4", generate(parse_family_spec("path:4"))),
+                  ("complete:4", generate(parse_family_spec("complete:4"))),
+                  ("random:4:0", generate(parse_family_spec("path:4"))),
+                  ("path:7", generate(parse_family_spec("path:7")))]
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return oracle(g)
+
+        oracle = verify.oracle_min_colorings
+        monkeypatch.setattr(verify, "_oracle_corpus", lambda config: iter(corpus))
+        monkeypatch.setattr(verify, "oracle_min_colorings", counted)
+        res = run_claims(CorpusConfig(max_order=7), "oracle-enumeration")
+        assert sorted(r.instance for r in res) == ["complete:4", "path:4", "random:4:0"]
+        assert all(r.verdict == "verified" for r in res)
+        assert calls == [corpus[0][1], corpus[1][1]]
+
     def test_family_list_restricts_corpus(self):
         cfg = CorpusConfig(max_order=5, random_graph_count=0, random_tree_count=5,
                            monotonicity_samples=1, tree_max_order=5,
