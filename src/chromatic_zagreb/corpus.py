@@ -3,10 +3,14 @@
 All randomness flows through SplitMix64, a tiny well-known 64-bit mixer,
 so corpora are reproducible from a single integer seed without depending
 on any language runtime's generator. The bipartite enumeration yields one
-representative per isomorphism class by canonicalizing biadjacency
-matrices under row and column permutations (plus a transpose when the
-sides have equal size); connected bipartite graphs have a unique
-bipartition, which makes that canonical form complete.
+representative per isomorphism class by orderly generation (Read 1978,
+McKay 1998): biadjacency matrices are listed as sorted column multisets
+in lexicographic order, and one is kept iff no row relabeling (plus a
+transpose when the sides have equal size) sorts below it, so each class
+is kept at its least member, the first one met, and the canonicity test
+stops at the first relabeling that beats it. Connected bipartite graphs
+have a unique bipartition, which makes that least member a complete
+invariant.
 """
 
 from __future__ import annotations
@@ -243,9 +247,10 @@ def connected_bipartite_graphs(max_order: int, min_order: int = 2):
     graphs with min_order <= order <= max_order, orders ascending.
 
     For each side split (a, b), a <= b, biadjacency matrices are listed as
-    column multisets and canonicalized under row permutations (and the
-    transpose when a == b). Connectivity forces a unique bipartition, so
-    distinct canonical forms are exactly the isomorphism classes.
+    column multisets in lexicographic order, and each class is kept at its
+    least member under row permutations (and the transpose when a == b).
+    Connectivity forces a unique bipartition, so these least members are
+    exactly the isomorphism classes.
     """
     for n in range(min_order, max_order + 1):
         for label, g in _bipartite_classes_of_order(n):
@@ -256,15 +261,12 @@ def _bipartite_classes_of_order(n: int):
     out = []
     for a in range(1, n // 2 + 1):
         b = n - a
-        seen: set[tuple[int, ...]] = set()
         for cols in itertools.combinations_with_replacement(range(1, 1 << a), b):
-            canon = _canonical_biadjacency(cols, a, b)
-            if canon in seen:
+            if not _is_least_of_class(cols, a, b):
                 continue
-            seen.add(canon)
             edges = [
                 (i, a + j)
-                for j, c in enumerate(canon)
+                for j, c in enumerate(cols)
                 for i in range(a)
                 if c >> i & 1
             ]
@@ -284,12 +286,25 @@ def _relabel_tables(bits: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _canonical_biadjacency(cols: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    keys = [tuple(sorted(map(table.__getitem__, cols))) for table in _relabel_tables(a)]
+def _is_least_of_class(cols: tuple[int, ...], a: int, b: int) -> bool:
+    """Whether no row relabeling of the sorted column multiset ``cols``
+    (nor of its transpose when a == b) sorts below it; stops at the first
+    that does.
+
+    combinations_with_replacement meets each class first at its least
+    member, so this keeps exactly one multiset per class. A class whose
+    least member has an empty column (a == b, a transpose of an empty row)
+    is never kept; its graph has an isolated vertex, so is not connected.
+    """
+    matrices = [cols]
     if a == b:
-        rows = [sum((cols[j] >> i & 1) << j for j in range(b)) for i in range(a)]
-        keys += [tuple(sorted(map(table.__getitem__, rows))) for table in _relabel_tables(b)]
-    return min(keys)
+        matrices.append(tuple(sum((c >> i & 1) << j for j, c in enumerate(cols))
+                              for i in range(a)))
+    for m in matrices:
+        for table in _relabel_tables(a):
+            if tuple(sorted(map(table.__getitem__, m))) < cols:
+                return False
+    return True
 
 
 def labeled_connected_bipartite_graphs(n: int):

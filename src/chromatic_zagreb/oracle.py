@@ -9,6 +9,13 @@ giving v colour c form runs of k^(order-1-v) bits, one run in every
 k^(order-v). An assignment is proper when no edge has both ends in the
 runs of one colour.
 
+Only the set bits of the proper mask are decoded: the nonzero bytes of
+its little-endian bytes are found with ``itertools.compress``, and each
+set bit's index splits by one divmod into its leading order//2 and
+trailing order - order//2 base-k digits, so the assignment is the join
+of two entries of small ``itertools.product`` tables. Assignments that
+are not proper are never built.
+
 This is still the naive filter: every assignment is tested against
 every edge in every colour, nothing is pruned, and no search code is
 shared with the engine, so it can serve as the reference the engine is
@@ -21,9 +28,8 @@ import itertools
 
 from .graph import Graph
 
-# the eight bits of each byte value, least significant first, as 0/1
-# selectors (product counts up with its last place fastest)
-_BYTE_BITS = tuple(bits[::-1] for bits in itertools.product((0, 1), repeat=8))
+# the positions of the set bits of each byte value, ascending
+_SET_BITS = tuple(tuple(b for b in range(8) if byte >> b & 1) for byte in range(256))
 
 
 def _first_colour_mask(v: int, k: int, n: int, full: int) -> tuple[int, int]:
@@ -69,8 +75,15 @@ def _chi_mask(g: Graph) -> tuple[int, int]:
 def _assignments(mask: int, k: int, n: int):
     """The assignments of {1..k}^n whose bits are set, lexicographic."""
     data = mask.to_bytes((k ** n + 7) // 8, "little")
-    bits = itertools.chain.from_iterable(map(_BYTE_BITS.__getitem__, data))
-    return itertools.compress(itertools.product(range(1, k + 1), repeat=n), bits)
+    colours = range(1, k + 1)
+    high = list(itertools.product(colours, repeat=n // 2))
+    low = list(itertools.product(colours, repeat=n - n // 2))
+    width = len(low)
+    for j in itertools.compress(itertools.count(), data):
+        base = 8 * j
+        for b in _SET_BITS[data[j]]:
+            hi, lo = divmod(base + b, width)
+            yield high[hi] + low[lo]
 
 
 def oracle_chromatic_number(g: Graph) -> int:

@@ -294,7 +294,9 @@ def _run_cor23(k: int):
 # ---------------------------------------------------------------------------
 # trees
 
-def _tree_corpus(config: CorpusConfig):
+@functools.lru_cache(maxsize=None)
+def _tree_corpus(config: CorpusConfig) -> tuple[tuple[str, Graph, families.TreeForms], ...]:
+    """Built once per run (the three thm-3.1 claims share it)."""
     hi = config.tree_max_order
     trees = [(f"{kind}:{n}", _fam(kind, n))
              for n in range(4, hi + 1) for kind in ("path", "star")]
@@ -303,8 +305,7 @@ def _tree_corpus(config: CorpusConfig):
             spec = FamilySpec("caterpillar", profile)
             trees.append((spec.label(), generate(spec)))
     trees += random_tree_corpus(config.random_tree_count, hi, config.seed * 0x9E37 + 31)
-    for label, g in trees:
-        yield label, g, families.tree_forms(g.order)
+    return tuple((label, g, families.tree_forms(g.order)) for label, g in trees)
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +375,16 @@ def _run_thm34(claim_id: str, form_key: str):
 # ---------------------------------------------------------------------------
 # tree minimality over all connected graphs
 
-def _oracle_corpus(config: CorpusConfig):
+@functools.lru_cache(maxsize=None)
+def _oracle_corpus(config: CorpusConfig) -> tuple[tuple[str, Graph], ...]:
     """The family corpus plus every seeded random graph; random draws that
     happen to repeat a labeled graph stay in (the count is part of the
     corpus contract; the engine and the extrema oracle run once per
-    distinct graph)."""
+    distinct graph). Built once per run (four claims share it)."""
     hi = config.oracle_max_order
-    yield from family_corpus(hi, config.families)
-    yield from random_connected_corpus(
+    return (*family_corpus(hi, config.families), *random_connected_corpus(
         config.random_graph_count, hi, config.seed * 0x9E37 + 42
-    )
+    ))
 
 
 def _distinct_connected(config: CorpusConfig):
@@ -484,8 +485,9 @@ def _run_oracle_extrema(config: CorpusConfig) -> list[ClaimResult]:
 
 
 def _run_oracle_enumeration(config: CorpusConfig) -> list[ClaimResult]:
-    # rows grouped by graph: one naive stream per distinct graph, and only
-    # one held at a time (run_claims orders the results by instance)
+    # rows grouped by graph: one naive and one engine stream per distinct
+    # graph, and only one pair held at a time (run_claims orders the
+    # results by instance)
     labels: dict[Graph, list[str]] = {}
     cap = min(6, config.oracle_max_order)
     for label, g in _oracle_corpus(config):
@@ -494,9 +496,9 @@ def _run_oracle_enumeration(config: CorpusConfig) -> list[ClaimResult]:
     out = []
     for g, group in labels.items():
         naive = list(oracle_min_colorings(g))
+        engine = [c.assignment for c in enumerate_min_colorings(g, "all")]
+        ok = engine == naive
         for label in group:
-            engine = [c.assignment for c in enumerate_min_colorings(g, "all")]
-            ok = engine == naive
             out.append(_result(
                 "oracle-enumeration", label,
                 f"{len(naive)} minimum colorings, lexicographic",
@@ -624,6 +626,8 @@ REGISTRY: tuple[Claim, ...] = (
           True, _run_oracle_enumeration),
 )
 _REGISTRY_IDS = [c.claim_id for c in REGISTRY]
+# held here, so that a test patching a corpus name still clears the caches
+_RUN_CACHES = (_report, _oracle_corpus, _tree_corpus)
 
 
 def claim_ids() -> list[str]:
@@ -667,9 +671,11 @@ def select_claims(selection: str) -> list[Claim]:
 def run_claims(config: CorpusConfig, selection: str = "all") -> list[ClaimResult]:
     """Run the selected claims; results ordered by registry position then instance.
 
-    The report cache is emptied on entry, so it holds one run's reports.
+    The report and corpus caches are emptied on entry, so they hold one
+    run's reports and corpora.
     """
-    _report.cache_clear()
+    for cache in _RUN_CACHES:
+        cache.cache_clear()
     out: list[ClaimResult] = []
     for claim in select_claims(selection):
         out.extend(sorted(claim.runner(config), key=lambda r: r.instance))

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import ast
+import itertools
 import sys
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chromatic_zagreb import oracle
 from chromatic_zagreb.graph import Graph
 from chromatic_zagreb.indices import full_report
 from chromatic_zagreb.oracle import (
@@ -40,6 +42,29 @@ class TestAgainstNaiveFilter:
         for ell in (None, chi, chi + 1):
             assert list(oracle_min_colorings(g, ell)) == naive_min_colorings(g, ell)
         assert oracle_extrema(g) == naive_extrema(g)
+
+
+@st.composite
+def masks(draw):
+    """(mask, k, n): any subset of the k^n assignments of {1..k}^n."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=5))
+    return draw(st.integers(min_value=0, max_value=(1 << k ** n) - 1)), k, n
+
+
+class TestDecoder:
+    @given(masks())
+    @example((1, 1, 1))
+    @example((0, 3, 4))  # empty mask
+    @example(((1 << 4 ** 5) - 1, 4, 5))  # full mask
+    @example((1 << 8, 3, 2))  # 9 bits: the top one alone in its byte
+    @example(((1 << 26) | 5, 3, 3))  # 27 bits, top bit set
+    @settings(max_examples=200, deadline=None)
+    def test_set_bits_decode_to_product_order(self, case):
+        mask, k, n = case
+        product = itertools.product(range(1, k + 1), repeat=n)
+        expected = [a for i, a in enumerate(product) if mask >> i & 1]
+        assert list(oracle._assignments(mask, k, n)) == expected
 
 
 class TestEdgeCases:

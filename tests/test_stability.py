@@ -35,6 +35,35 @@ def graphs(draw, max_n=7):
     return Graph(n, [p for p, keep in zip(pairs, picks) if keep])
 
 
+def canonical_bipartite_classes(n: int) -> list[tuple[str, list[tuple[int, int]]]]:
+    """(label, edges) of the connected bipartite graphs of order n, one per
+    class: each biadjacency column multiset (sides a <= b) is reduced to
+    its least sorted image under every row permutation, and under every
+    row permutation of its transpose when a == b; a seen set keeps the
+    first multiset of each image."""
+    out = []
+    for a in range(1, n // 2 + 1):
+        b = n - a
+        seen = set()
+        for cols in itertools.combinations_with_replacement(range(1, 1 << a), b):
+            rows = [[c >> i & 1 for c in cols] for i in range(a)]
+            matrices = [rows, [list(col) for col in zip(*rows)]] if a == b else [rows]
+            canon = min(
+                tuple(sorted(sum(m[p][j] << i for i, p in enumerate(perm))
+                             for j in range(b)))
+                for m in matrices
+                for perm in itertools.permutations(range(a))
+            )
+            if canon in seen:
+                continue
+            seen.add(canon)
+            g = Graph(n, [(i, a + j) for j, c in enumerate(canon)
+                          for i in range(a) if c >> i & 1])
+            if g.is_connected():
+                out.append((f"bipartite:{a},{b}:#{len(out)}", g.edges))
+    return out
+
+
 def double_star_3_4() -> Graph:
     """Two adjacent centers, one with three leaves, one with two."""
     return Graph(7, [(0, 3), (0, 4), (0, 5), (0, 6), (1, 6), (2, 6)])
@@ -164,6 +193,14 @@ class TestExhaustiveCorpora:
             ours = sum(1 for _, g in connected_bipartite_graphs(n) if g.order == n)
             assert found[-1] == ours
         assert found == [1, 1, 3, 5, 17]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_classes_match_canonicalize_everything(self, n):
+        # the orderly enumeration must keep the same representatives, in
+        # the same order and under the same labels, as the rule it stands
+        # for: every column multiset canonicalized, the first of each form kept
+        ours = [(label, g.edges) for label, g in connected_bipartite_graphs(n, n)]
+        assert ours == canonical_bipartite_classes(n)
 
     def test_characterization_exhaustive_to_order_8(self):
         for label, g in connected_bipartite_graphs(8):

@@ -31,6 +31,10 @@ SMALL = CorpusConfig(max_order=5, random_graph_count=12, random_tree_count=10,
 # sha256 of report_to_json(build_report(SMALL, run_claims(SMALL, "all")));
 # it pins every expected / actual string, verdict and witness in the report
 SMALL_REPORT_SHA256 = "a640a1f757fc90dce5017c1e2f395bd1e809e672abb7b74c51c969672c4abb2b"
+# the same digest for the default config, the one `czi verify` runs: it
+# alone reaches the order-7 and order-8 bipartite classes and the 7^7
+# oracle decode of complete:7
+DEFAULT_REPORT_SHA256 = "96ae2d11d40fe0a80a0e23d446ab0dace67f0da2e4c826a672c18b099b6e475d"
 
 
 class TestRegistry:
@@ -104,6 +108,11 @@ class TestDeterminism:
         text = report_to_json(build_report(SMALL, run_claims(SMALL, "all")))
         assert hashlib.sha256(text.encode()).hexdigest() == SMALL_REPORT_SHA256
 
+    def test_default_report_matches_pinned_digest(self):
+        config = CorpusConfig()
+        text = report_to_json(build_report(config, run_claims(config, "all")))
+        assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
     def test_report_cache_holds_one_run(self):
         second = CorpusConfig(max_order=4, random_graph_count=3, random_tree_count=3,
                               monotonicity_samples=1, tree_max_order=5, seed=1)
@@ -114,6 +123,22 @@ class TestDeterminism:
         assert _report.cache_info().currsize > alone
         run_claims(second, "oracle-extrema")
         assert _report.cache_info().currsize == alone
+
+    def test_corpora_built_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(build):
+            def wrapper(*args):
+                calls.append(build.__name__)
+                return build(*args)
+            return wrapper
+
+        for name in ("family_corpus", "random_tree_corpus"):
+            monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+        for _ in range(2):
+            calls.clear()
+            run_claims(SMALL, "thm-3.1,thm-4.2,oracle-extrema,oracle-enumeration")
+            assert sorted(calls) == ["family_corpus", "random_tree_corpus"]
 
     def test_oracle_runs_once_per_distinct_graph(self, monkeypatch):
         corpus = [("path:4", generate(parse_family_spec("path:4"))),
