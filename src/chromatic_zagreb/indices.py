@@ -3,20 +3,22 @@
 Classical indices are degree sums; chromatic ones replace degrees with
 1-based color indices of a minimum coloring and are then minimized /
 maximized over the minimum colorings from :mod:`.coloring`. Under
-``all`` a graph with a narrow frontier in its identity order takes a
-dynamic program over that order, whose states are the colors of the
-frontier and the set of colors used. Otherwise either semantics scores
-chi-partitions on their quotient, the class sizes and the edge counts
-between classes: under ``all`` every chi-partition, under
-``permutation`` the canonical one. On a quotient the cm1 extrema are a
-sort (the rearrangement inequality), the cm3 extrema a DP over the sets
-of classes labelled so far (a linear arrangement) on int keys that pack
-a sum above its labeling, and the cm2 extrema, up to PACKED_CLASSES
-classes, a few big-int operations on tables that pack each class pair's
-label product under every labeling. Only a larger quotient, one whose cm2
+``all`` a graph with a narrow frontier in a greedy vertex order takes
+one forward dynamic program over that order, whose states are the
+colors of the frontier and the set of colors used, each keeping one int
+per extremum that packs its value above the coloring so far. Otherwise
+either semantics scores chi-partitions on their quotient, the class
+sizes and the edge counts between classes: under ``all`` every
+chi-partition, under ``permutation`` the canonical one. On a quotient
+the cm1 extrema are a sort (the rearrangement inequality), and up to
+PACKED_CLASSES classes the cm2 and cm3 extrema are a few big-int
+operations on tables that pack each class pair's label product and
+label difference under every labeling. A larger quotient, one whose
 sums could pass a 4-byte field, or one with few twin-ordered labelings
-walks them: label sets for the twin groups, then every order of the
-labels left for the twin-free classes.
+takes cm3 from a DP over the sets of classes labelled so far (a linear
+arrangement) on int keys that pack a sum above its labeling, and walks
+the labelings for cm2: label sets for the twin groups, then every order
+of the labels left for the twin-free classes.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cache
+from heapq import heappop, heappush
 from itertools import combinations, permutations
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, sub
 from typing import Literal
 
 from .coloring import (
@@ -108,14 +111,14 @@ def chromatic_m3(g: Graph, c: Coloring) -> int:
 
 
 # the frontier DP runs when ell**width * 2**ell, its bound on the states of
-# one layer, stays within FRONTIER_STATES
+# one layer at the greedy order's width, stays within FRONTIER_STATES
 FRONTIER_STATES = 2**14
-# quotients of at most PACKED_CLASSES classes score cm2 on packed pair
-# tables, C(ell, 2) ints of ell! 4-byte fields each, held for the process:
-# 21 * 7! * 4 B = 423 KB at ell = 7, where ell = 8 would hold
-# 28 * 8! * 4 B = 4.5 MB, near a quarter of a typical ~19 MB peak RSS.
-# One walked labeling costs about PACKED_WALK_RATIO packed fields (about
-# 3 us against 0.15-0.2 us at ell = 6, 7), so a quotient with at most
+# quotients of at most PACKED_CLASSES classes score cm2 and cm3 on packed
+# pair tables, C(ell, 2) ints of 2 ell! 4-byte fields each, held for the
+# process: 21 * 7! * 8 B = 847 KB at ell = 7, where ell = 8 would hold
+# 28 * 8! * 8 B = 9 MB, near half of a typical ~19 MB peak RSS.
+# One walked labeling costs about PACKED_WALK_RATIO packed ones (about
+# 3.6 us against 0.23 us at ell = 7), so a quotient with at most
 # ell! / PACKED_WALK_RATIO twin-ordered labelings walks them instead,
 # which builds no table: a clique quotient has one
 PACKED_CLASSES = 7
@@ -310,16 +313,18 @@ def _cut_extrema(counts: list[list[int]], lower: list[int], meter: Meter):
 
 @cache
 def _pair_tables(ell: int) -> tuple[tuple[int, ...], ...]:
-    """T[a][b], for classes a != b: p_a p_b for every labeling p of ell
-    classes, in lexicographic order, one 4-byte unsigned field each,
-    packed into one int. Cached per ell for the process."""
+    """T[a][b], for classes a != b: for every labeling p of ell classes, in
+    lexicographic order, two 4-byte unsigned fields, p_a p_b and then
+    |p_a - p_b|, packed into one int. Cached per ell for the process."""
     assert array("I").itemsize == 4
     columns = list(zip(*permutations(range(1, ell + 1))))  # columns[a]: p_a per labeling
     tables = [[0] * ell for _ in range(ell)]
+    fields = array("I", bytes(8 * math.factorial(ell)))
     for a in range(ell):
         for b in range(a + 1, ell):
-            products = array("I", map(mul, columns[a], columns[b]))
-            tables[a][b] = tables[b][a] = int.from_bytes(products.tobytes(), sys.byteorder)
+            fields[0::2] = array("I", map(mul, columns[a], columns[b]))
+            fields[1::2] = array("I", map(abs, map(sub, columns[a], columns[b])))
+            tables[a][b] = tables[b][a] = int.from_bytes(fields.tobytes(), sys.byteorder)
     return tuple(map(tuple, tables))
 
 
@@ -334,50 +339,44 @@ def _nth_labeling(ell: int, k: int) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def _packed_product_extrema(counts: list[list[int]], ell: int):
-    """(min, labels, max, labels) of sum e_ab p_a p_b over all ell!
-    labelings at once, on :func:`_pair_tables`.
+def _packed_extrema(counts: list[list[int]], ell: int):
+    """Per index, cm2 and then cm3, (min, labels, max, labels) of
+    sum e_ab p_a p_b and sum e_ab |p_a - p_b| over all ell! labelings at
+    once, on :func:`_pair_tables`.
 
-    sum e_ab T_ab holds each labeling's sum in that labeling's field, as
-    long as no sum reaches 2**32, which the caller checks. The first field
-    attaining each end is the least labeling attaining it, and that one is
-    twin-ordered: were two twins out of order, swapping them would keep
-    the sum and give a smaller labeling. So values and labelings are those
-    of the twin-ordered walk.
+    sum e_ab T_ab holds each labeling's two sums in that labeling's two
+    fields, as long as no sum reaches 2**32, which the caller checks. The
+    first field attaining each end is the least labeling attaining it, and
+    that one is twin-ordered: were two twins out of order, swapping them
+    would keep the sum and give a smaller labeling. So values and
+    labelings are those of the twin-ordered walk and the cut DP.
     """
     tables = _pair_tables(ell)
     packed = sum(counts[a][b] * tables[a][b] for a, b in combinations(range(ell), 2))
-    sums = array("I")
-    sums.frombytes(packed.to_bytes(4 * math.factorial(ell), sys.byteorder))
-    lo, hi = min(sums), max(sums)
-    return lo, _nth_labeling(ell, sums.index(lo)), hi, _nth_labeling(ell, sums.index(hi))
+    fields = array("I")
+    fields.frombytes(packed.to_bytes(8 * math.factorial(ell), sys.byteorder))
+    found = []
+    for sums in (fields[0::2], fields[1::2]):
+        lo, hi = min(sums), max(sums)
+        found.append((lo, _nth_labeling(ell, sums.index(lo)),
+                      hi, _nth_labeling(ell, sums.index(hi))))
+    return found
 
 
-def _product_extrema(counts: list[list[int]], lower: list[int], meter: Meter):
+def _walked_product_extrema(counts: list[list[int]], lower: list[int]):
     """(min, labels, max, labels) of sum e_ab p_a p_b over the twin-ordered
-    labelings.
+    labelings, walked.
 
-    A quotient of at most PACKED_CLASSES classes goes to
-    :func:`_packed_product_extrema` when its bound on a sum,
-    sum e_ab * ell (ell - 1), stays below 2**32 and it has more than
-    ell! / PACKED_WALK_RATIO twin-ordered labelings. Any other walks its
-    labelings: each twin group of two or more classes takes a label set
-    from :func:`_group_label_sets`, and the twin-free classes every
-    permutation of the labels left. Per label set the pairs within the
-    groups sum once, and each twin-free class gets its weight, the sum of
-    e_ab p_b over the group classes b, so a labeling costs one dot product
-    and the twin-free pairs. The walk is not lexicographic, so a labeling
-    that ties a witness's value replaces it when it is smaller: each is
-    the least labeling attaining its value. ``meter`` is charged the
-    labelings packed or walked before they are.
+    Each twin group of two or more classes takes a label set from
+    :func:`_group_label_sets`, and the twin-free classes every permutation
+    of the labels left. Per label set the pairs within the groups sum
+    once, and each twin-free class gets its weight, the sum of e_ab p_b
+    over the group classes b, so a labeling costs one dot product and the
+    twin-free pairs. The walk is not lexicographic, so a labeling that
+    ties a witness's value replaces it when it is smaller: each is the
+    least labeling attaining its value.
     """
     ell = len(lower)
-    count = _labeling_count(lower)
-    if (ell <= PACKED_CLASSES and sum(map(sum, counts)) // 2 * ell * (ell - 1) < 1 << 32
-            and count * PACKED_WALK_RATIO > math.factorial(ell)):
-        meter.charge(math.factorial(ell))
-        return _packed_product_extrema(counts, ell)
-    meter.charge(count)
     groups = _twin_groups(lower)
     tied = [a for group in groups for a in group]
     single = [a for a in range(ell) if a not in tied]
@@ -410,15 +409,25 @@ def _labeling_extrema(sizes: list[int], counts: list[list[int]], meter: Meter):
     partition quotient from :func:`_quotient`: class sizes, and the
     symmetric matrix of edge counts between class pairs.
 
-    Each labels is the least labeling attaining its value. cm1 is a sort,
-    cm3 a DP over prefix sets and cm2, up to PACKED_CLASSES classes, a few
-    operations on packed ints. Only a cm2 of more classes, one whose sums
-    could pass 2**32, or one with few twin-ordered labelings walks them.
-    The DP and the cm2 labelings charge ``meter``.
+    Each labels is the least labeling attaining its value. cm1 is a sort.
+    A quotient of at most PACKED_CLASSES classes reads cm2 and cm3 off
+    :func:`_packed_extrema` when its bound on a cm2 sum,
+    sum e_ab * ell (ell - 1), stays below 2**32 (a cm3 sum is smaller) and
+    it has more than ell! / PACKED_WALK_RATIO twin-ordered labelings,
+    charging ``meter`` the ell! labelings packed. Any other takes cm3 from
+    the DP over prefix sets and walks its twin-ordered labelings for cm2,
+    charging the DP's moves and the labelings walked, each before the work.
     """
     lower = _twin_lower(sizes, counts)
+    ell = len(lower)
+    count = _labeling_count(lower)
+    if (ell <= PACKED_CLASSES and sum(map(sum, counts)) // 2 * ell * (ell - 1) < 1 << 32
+            and count * PACKED_WALK_RATIO > math.factorial(ell)):
+        meter.charge(math.factorial(ell))
+        return (_square_extrema(sizes), *_packed_extrema(counts, ell))
     cuts = _cut_extrema(counts, lower, meter)
-    return _square_extrema(sizes), _product_extrema(counts, lower, meter), cuts
+    meter.charge(count)
+    return _square_extrema(sizes), _walked_product_extrema(counts, lower), cuts
 
 
 def _quotient(g: Graph, partition) -> tuple[list[int], list[list[int]]]:
@@ -472,131 +481,145 @@ def _sweep_partitions(g: Graph, ell: int, partitions, meter: Meter):
     }
 
 
-def _frontier_width(masks: tuple[int, ...], n: int) -> int:
-    """The widest frontier of the identity order, in O(n + m): after
-    placing 0..v, the placed vertices that have a neighbour past v."""
-    leaving = [0] * n  # leaving[v]: frontier vertices whose last neighbour is v
-    width = widest = 0
-    for v in range(n):
-        last = masks[v].bit_length() - 1
-        if last > v:
-            width += 1
-            leaving[last] += 1
-        width -= leaving[v]
-        widest = max(widest, width)
-    return widest
+def _greedy_order(g: Graph) -> tuple[list[int], int]:
+    """A vertex order that keeps the frontier narrow, and its width: the
+    most vertices on the frontier, the placed vertices with an unplaced
+    neighbour, after any prefix of the order.
 
-
-def _frontier_steps(masks: tuple[int, ...], n: int):
-    """Per vertex v of the identity order: the frontier positions of its
-    earlier neighbours, the positions that stay on the frontier, and
-    whether v joins it, the frontier kept ascending."""
-    steps = []
-    frontier: list[int] = []
-    for v in range(n):
-        later = -1 << v + 1  # the vertices past v
-        steps.append((
-            [k for k, u in enumerate(frontier) if masks[v] >> u & 1],
-            [k for k, u in enumerate(frontier) if masks[u] & later],
-            bool(masks[v] & later),
-        ))
-        frontier = [u for u in frontier if masks[u] & later]
-        if masks[v] & later:
-            frontier.append(v)
-    return steps
-
-
-def _frontier_extrema(g: Graph, ell: int, meter: Meter):
-    """All six extrema and their least witnesses by a DP over the identity
-    order, in the shape of :func:`_sweep_partitions`.
-
-    Vertex v in color c adds c^2 to cm1 and, per earlier neighbour u,
-    c c(u) to cm2 and |c - c(u)| to cm3; every earlier neighbour is on the
-    frontier, the placed vertices with a later neighbour. A state is the
-    frontier's colors and the mask of colors used; one whose missing
-    colors outnumber the vertices still to place is dropped. A forward
-    pass collects the reachable states and their moves, a backward pass
-    stores each state's six suffix optima, and each witness is walked
-    forward taking the smallest color from which its optimum is still
-    reached: the lexicographically least assignment attaining it. Each
-    layer charges ``meter`` its moves before it is held, so the layers
-    held never pass the meter's cap.
+    Next comes the unplaced neighbour of the placed vertices whose placing
+    leaves the smallest frontier, ties to the lower index; when no
+    unplaced vertex touches the placed ones, the lowest unplaced vertex.
+    Per vertex, ``grow`` is how much placing it changes the frontier's
+    size: 1 if it has an unplaced neighbour, less 1 per placed neighbour
+    whose last unplaced neighbour it is. It only falls, so a heap that
+    skips stale entries gives the next vertex, in O((n + m) log n) in all.
     """
     n = g.order
-    colors = range(1, ell + 1)
+    nbrs: list[list[int]] = [[] for _ in range(n)]  # from the edges: O(n + m) at any order
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    left = [len(a) for a in nbrs]  # per vertex: its unplaced neighbours
+    grow = [1 if k else 0 for k in left]
+    placed = [False] * n
+    heap: list[tuple[int, int]] = []  # (grow, vertex) of the unplaced neighbours of placed ones
+    order = []
+    size = width = lowest = 0
+    for _ in range(n):
+        while heap and (placed[heap[0][1]] or heap[0][0] != grow[heap[0][1]]):
+            heappop(heap)
+        if heap:
+            v = heappop(heap)[1]
+        else:
+            while placed[lowest]:
+                lowest += 1
+            v = lowest
+        placed[v] = True
+        order.append(v)
+        size += grow[v]
+        width = max(width, size)
+        for u in nbrs[v]:
+            left[u] -= 1
+            if not placed[u]:
+                if not left[u]:  # placing u no longer adds it to the frontier
+                    grow[u] -= 1
+                if left[v] == 1:  # placing u takes v off the frontier
+                    grow[u] -= 1
+                heappush(heap, (grow[u], u))
+            elif left[u] == 1:  # u leaves the frontier with its last unplaced neighbour
+                w = next(w for w in nbrs[u] if not placed[w])
+                grow[w] -= 1
+                heappush(heap, (grow[w], w))
+    return order, width
+
+
+def _frontier_extrema(g: Graph, ell: int, order: list[int], meter: Meter):
+    """All six extrema and their least witnesses by one forward DP over
+    ``order``, in the shape of :func:`_sweep_partitions`.
+
+    Vertex v in color c adds c^2 to cm1 and, per placed neighbour u,
+    c c(u) to cm2 and |c - c(u)| to cm3; every placed neighbour is on the
+    frontier, the placed vertices with an unplaced neighbour. A state is
+    the frontier's colors and the mask of colors used; one whose missing
+    colors outnumber the vertices still to place is dropped.
+
+    Each state keeps six int keys, one per extremum, value << (w n) plus
+    c_v << w (n - 1 - v) per placed vertex v, with w bits per color; the
+    maxima keep -value. The color fields sit by vertex index, not by place
+    in ``order``, so int order is (value, assignment) order in any order
+    of placing, and two states merged into one share every completion. A
+    move adds one precomputed term to each key, and a merge keeps the
+    least; over the last layer the least key per extremum gives its value
+    and its lexicographically least witness. Only one layer is alive at a
+    time, and each charges ``meter`` its moves.
+    """
+    n = g.order
+    masks = g.adjacency_masks
+    bits = ell.bit_length()
+    top = bits * n  # the values sit above every color field
+    full = (1 << ell) - 1
+    unplaced = (1 << n) - 1
+    frontier: list[int] = []  # in the order the vertices were placed
     # frontier colorings are numbered per layer, and a state is the key
     # front << ell | used-color mask
     fronts: dict[tuple[int, ...], int] = {(): 0}
-    states = {0: 0}  # the reachable states of the layer, numbered
-    moves = []  # per vertex, per state: (next state's number, terms) per color it may take
-    for v, (earlier, keep, joins) in enumerate(_frontier_steps(g.adjacency_masks, n)):
-        need = ell - (n - v - 1)  # colors that must be used once v is placed
+    states = {0: [0] * 6}
+    for placed, v in enumerate(order, 1):
+        unplaced ^= 1 << v
+        earlier = [k for k, u in enumerate(frontier) if masks[v] >> u & 1]
+        keep = [k for k, u in enumerate(frontier) if masks[u] & unplaced]
+        joins = bool(masks[v] & unplaced)
+        frontier = [frontier[k] for k in keep] + [v] * joins
+        need = ell - (n - placed)  # colors that must be used once v is placed
+        shift = bits * (n - 1 - v)
+        # per colors of v's placed neighbours: (color, terms) per color v may take
+        options: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
         next_fronts: dict[tuple[int, ...], int] = {}
         front_moves = []  # per frontier coloring: (color bit, next front, terms) per color
         for f in fronts:
-            seen = [f[k] for k in earlier]
+            seen = tuple([f[k] for k in earlier])
+            colored = options.get(seen)
+            if colored is None:
+                colored = options[seen] = []
+                for c in range(1, ell + 1):
+                    if c not in seen:
+                        field = c << shift
+                        lifted = [t << top for t in
+                                  (c * c, c * sum(seen), sum([abs(c - x) for x in seen]))]
+                        colored.append((c, [field + t for t in lifted] + [field - t for t in lifted]))
             kept = [f[k] for k in keep]
-            total = sum(seen)
-            out = []
-            for c in colors:
-                if c in seen:
-                    continue
-                d3 = sum([abs(c - x) for x in seen])
-                nxt = (*kept, c) if joins else tuple(kept)
-                # the terms, twice to line up with the suffix's minima and
-                # maxima, then the color, which map(add, ...) stops short of
-                out.append((1 << c - 1, next_fronts.setdefault(nxt, len(next_fronts)),
-                            (c * c, c * total, d3, c * c, c * total, d3, c)))
-            front_moves.append(out)
-        reached: dict[int, int] = {}
-        layer = []
-        for key in states:
-            used = key & (1 << ell) - 1
-            # tuples, not lists: every layer is held until the witnesses are walked
-            layer.append(tuple([
-                (reached.setdefault(nxt << ell | used | bit, len(reached)), terms)
-                for bit, nxt, terms in front_moves[key >> ell]
-                if (used | bit).bit_count() >= need
-            ]))
-        meter.charge(sum(map(len, layer)))
-        moves.append(layer)
+            front_moves.append([
+                (1 << c - 1, next_fronts.setdefault((*kept, c) if joins else tuple(kept),
+                                                    len(next_fronts)), terms)
+                for c, terms in colored
+            ])
+        reached: dict[int, list[int]] = {}
+        moves = 0
+        for key, keys in states.items():
+            used = key & full
+            for bit, nxt, terms in front_moves[key >> ell]:
+                if (used | bit).bit_count() >= need:
+                    moves += 1
+                    new = list(map(add, keys, terms))
+                    at = nxt << ell | used | bit
+                    old = reached.get(at)
+                    reached[at] = new if old is None else list(map(min, old, new))
+        meter.charge(moves)
         fronts, states = next_fronts, reached
-    # per layer, per state: the suffix's (cm1, cm2, cm3 minima, cm1, cm2, cm3 maxima), or None
-    suffix = [[(0,) * 6] * len(states)]
-    for layer in reversed(moves):
-        after = suffix[-1]
-        here = []
-        for out in layer:
-            options = [tuple(map(add, terms, after[j])) for j, terms in out
-                       if after[j] is not None]
-            if len(options) > 1:
-                lo1, lo2, lo3, hi1, hi2, hi3 = zip(*options)
-                options = [(min(lo1), min(lo2), min(lo3), max(hi1), max(hi2), max(hi3))]
-            here.append(options[0] if options else None)
-        suffix.append(here)
-    suffix.reverse()
-    targets = suffix[0][0]
-    witnesses: dict[tuple[int, ...], Coloring] = {}
-    found = []
-    for slot, target in enumerate(targets):
-        i = done = 0
-        assignment = []
-        for v in range(n):
-            after = suffix[v + 1]
-            for j, terms in moves[v][i]:
-                if after[j] is not None and done + terms[slot] + after[j][slot] == target:
-                    break
-            assignment.append(terms[6])
-            i, done = j, done + terms[slot]
-        a = tuple(assignment)
-        found.append(witnesses.setdefault(a, Coloring(a, ell)))
-    return {k: (targets[k - 1], found[k - 1], targets[k + 2], found[k + 2]) for k in (1, 2, 3)}
+    best = [min(slot) for slot in zip(*states.values())]
+    values = [key >> top for key in best[:3]] + [-(key >> top) for key in best[3:]]
+    mask = (1 << bits) - 1
+    witnesses: dict[int, Coloring] = {}
+    for code in {key & (1 << top) - 1 for key in best}:
+        witnesses[code] = Coloring(tuple([code >> bits * (n - 1 - v) & mask for v in range(n)]), ell)
+    found = [witnesses[key & (1 << top) - 1] for key in best]
+    return {k: (values[k - 1], found[k - 1], values[k + 2], found[k + 2]) for k in (1, 2, 3)}
 
 
 def _compute_extrema(g: Graph, semantics: Semantics):
     """Extrema of all three indices at once: (per-index results, semantics, status).
 
-    Under ``all``, a graph whose identity order keeps the frontier DP's
+    Under ``all``, a graph whose greedy order keeps the frontier DP's
     bound ell**width * 2**ell on the states of a layer within
     FRONTIER_STATES goes to :func:`_frontier_extrema`, at any order, and
     any other has every chi-partition scored, either on one Meter. Past
@@ -613,8 +636,9 @@ def _compute_extrema(g: Graph, semantics: Semantics):
     if semantics == "all":
         meter = Meter()
         try:
-            if ell ** _frontier_width(g.adjacency_masks, g.order) << ell <= FRONTIER_STATES:
-                return _frontier_extrema(g, ell, meter), "all", "exact"
+            order, width = _greedy_order(g)
+            if ell ** width << ell <= FRONTIER_STATES:
+                return _frontier_extrema(g, ell, order, meter), "all", "exact"
             partitions = _iter_chi_partitions(g, ell, meter)
             return _sweep_partitions(g, ell, partitions, meter), "all", "exact"
         except EnumerationBudgetExceeded:

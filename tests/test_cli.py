@@ -131,17 +131,18 @@ class TestCompute:
         d = json.loads(out)
         assert d["semantics_used"] == "all" and d["status"] == "exact"
         assert (d["cm1_min"], d["cm1_max"], d["cm3_min"], d["cm3_max"]) == (3759, 9751, 1502, 3000)
-        # the thorn's pendants come after the whole base: too wide for the
-        # DP, and its chi-partitions run past the work cap, so the
-        # canonical partition is built
+        # the thorn's pendants come after the whole base, but the DP's
+        # greedy order places each by its base vertex: width 2
         code, out, _ = run_cli(capsys, "compute", "--family", "thorn(cycle:501;2)")
         assert code == 0
-        assert json.loads(out)["semantics_used"] == "permutation"
+        d = json.loads(out)
+        assert d["semantics_used"] == "all" and d["status"] == "exact"
+        assert (d["cm1_min"], d["cm1_max"]) == (3761, 10267)
 
     def test_strict_budget_exit(self, capsys):
-        # a frontier of width 501 is past the DP's bound, and the partition
-        # walk meets the work cap
-        code, out, _ = run_cli(capsys, "compute", "--family", "thorn(cycle:501;2)", "--strict")
+        # a greedy frontier of width 4 gives 5**4 * 2**5 states, past the
+        # DP's bound, and the partition walk meets the work cap
+        code, out, _ = run_cli(capsys, "compute", "--family", "thorn(complete:5;2)", "--strict")
         assert code == 4
         assert json.loads(out)["status"] == "bounds_only"
 
@@ -156,7 +157,7 @@ class TestCompute:
         assert (d["cm3_min"], d["cm3_max"]) == (22, 40)
 
     def test_wide_thorn_stops_at_the_work_cap(self, capsys, meters):
-        # frontier width 5 is past the DP's bound, and the chi-partitions
+        # greedy frontier width 4 is past the DP's bound, and the chi-partitions
         # ran 31-52 s under a cap on their count. The walk and its scoring
         # stop at one cap, and the canonical partition is scored on a fresh
         # one; a unit of this route cost about 1.4 us on 2 cores, so the

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
+from array import array
 from contextlib import contextmanager
 from itertools import permutations
 
@@ -263,18 +266,18 @@ class TestExtrema:
 
     def test_budget_cap_counts_work_units(self, monkeypatch):
         # 5 chi-partitions (those of the 5-cycle): the walk's 36 backtracks
-        # and 7 units per partition, then per quotient its 16 edges, the 33
-        # moves of its cut DP and its 5! packed labelings
+        # and 7 units per partition, then per quotient its 16 edges and its
+        # 5! packed labelings, which give cm2 and cm3 at once
         g = _cycle5_join_k2()
         meter = Meter()
         assert len(list(_iter_chi_partitions(g, 5, meter))) == 5
         assert coloring.WORK_CAP - meter.left == 36 + 5 * 7
         indices._sweep_partitions(g, 5, _iter_chi_partitions(g, 5), meter)
-        assert coloring.WORK_CAP - meter.left == 916 == 71 + 5 * (16 + 33 + 120)
-        monkeypatch.setattr(coloring, "WORK_CAP", 916)
+        assert coloring.WORK_CAP - meter.left == 751 == 71 + 5 * (16 + 120)
+        monkeypatch.setattr(coloring, "WORK_CAP", 751)
         at_cap = chromatic_extrema(g, 1)
         assert at_cap.status == "exact" and at_cap.semantics_used == "all"
-        monkeypatch.setattr(coloring, "WORK_CAP", 915)
+        monkeypatch.setattr(coloring, "WORK_CAP", 750)
         below = chromatic_extrema(g, 1)
         assert below.status == "bounds_only" and below.semantics_used == "permutation"
 
@@ -312,23 +315,55 @@ def _cycle5_join_k2() -> Graph:
     """C5 joined to K2: chi 5, and a frontier too wide for the DP."""
     edges = [*cycle(5).edges, *[(v, w) for v in range(5) for w in (5, 6)], (5, 6)]
     g = Graph(7, edges)
-    assert 5 ** indices._frontier_width(g.adjacency_masks, 7) << 5 > indices.FRONTIER_STATES
+    assert indices._greedy_order(g)[1] == 6
+    assert 5 ** 6 << 5 > indices.FRONTIER_STATES
     return g
 
 
+def _keyed(g, ell):
+    """The frontier DP's extrema over its greedy order, by report key."""
+    return _by_key(indices._frontier_extrema(g, ell, indices._greedy_order(g)[0], Meter()))
+
+
+@st.composite
+def renumbered_graphs(draw, max_n=8):
+    """Random graphs under a random numbering of their vertices, so that
+    the greedy order is seldom the identity order."""
+    g = draw(graphs(max_n))
+    name = draw(st.permutations(range(g.order)))
+    return Graph(g.order, [(name[u], name[v]) for u, v in g.edges])
+
+
+THORN_C5 = generate(parse_family_spec("thorn(cycle:5;1)"))
+
+
 class TestFrontierDP:
-    @given(graphs(max_n=8))
+    @given(renumbered_graphs())
     @example(Graph(8))
     @example(complete(5))
     @example(Graph(8, [(0, 7), (1, 2), (3, 4), (4, 5), (3, 5)]))
-    @settings(max_examples=60, deadline=None)
+    @example(THORN_C5)  # the order places each pendant after its base vertex
+    @example(Graph(6, [(0, 5), (5, 1), (1, 4), (4, 2), (2, 3)]))  # a path numbered out of order
+    @settings(max_examples=80, deadline=None)
     def test_matches_partition_path_and_naive(self, g):
         ell = chromatic_number(g)
         assume(ell ** g.order <= 4 ** 8)  # keeps the naive filter cheap
-        dp = _by_key(indices._frontier_extrema(g, ell, Meter()))
+        dp = _keyed(g, ell)
         partitions = _iter_chi_partitions(g, ell)
         assert dp == _by_key(indices._sweep_partitions(g, ell, partitions, Meter()))
         assert dp == naive_extrema_witnesses(g)
+
+    def test_example_orders_are_not_the_identity(self):
+        assert indices._greedy_order(THORN_C5) == ([0, 5, 1, 4, 6, 2, 7, 3, 8, 9], 2)
+        path6 = Graph(6, [(0, 5), (5, 1), (1, 4), (4, 2), (2, 3)])
+        assert indices._greedy_order(path6) == ([0, 5, 1, 4, 2, 3], 1)
+
+    @pytest.mark.parametrize("order", [[0, 5, 1, 4, 6, 2, 7, 3, 8, 9], list(range(10)),
+                                       list(range(9, -1, -1))])
+    def test_any_order_gives_the_same_keys(self, order):
+        # the color fields sit by vertex index, whatever the placing order
+        assert _by_key(indices._frontier_extrema(THORN_C5, 3, order, Meter())) == \
+            _keyed(THORN_C5, 3)
 
     def test_work_cap_sends_long_inputs_past_the_dp(self, monkeypatch):
         # the DP makes 483 moves on cycle:19 and 543 on cycle:21
@@ -338,21 +373,49 @@ class TestFrontierDP:
         assert r.status == "bounds_only" and r.semantics_used == "permutation"
 
     def test_work_cap_counts_reached_states(self):
-        # its bound, 260 * 4**4 * 2**4 states, is past WORK_CAP, but the DP
-        # makes 12,352 moves from the states it reaches; the canonical
-        # partition gave cm3 (330, 586)
-        g = generate(parse_family_spec("thorn(complete:4;64)"))
-        assert indices._frontier_width(g.adjacency_masks, 260) == 4
-        assert 260 * 4 ** 4 << 4 > coloring.WORK_CAP
+        # its bound, 1028 * 4**3 * 2**4 states, is past WORK_CAP, but the DP
+        # makes 70,756 moves from the states it reaches; the canonical
+        # partition gives cm3 (1290, 2314)
+        g = generate(parse_family_spec("thorn(complete:4;256)"))
+        assert indices._greedy_order(g)[1] == 3
+        assert 1028 * 4 ** 3 << 4 > coloring.WORK_CAP
         r = full_report(g)
         assert r.status == "exact" and r.semantics_used == "all"
-        assert (r.cm3_min, r.cm3_max) == (266, 650)
+        assert (r.cm3_min, r.cm3_max) == (1034, 2570)
 
     def test_frontier_width(self):
-        assert indices._frontier_width(path(9).adjacency_masks, 9) == 1
-        assert indices._frontier_width(cycle(9).adjacency_masks, 9) == 2
-        assert indices._frontier_width(complete(6).adjacency_masks, 6) == 5
-        assert indices._frontier_width(Graph(4).adjacency_masks, 4) == 0
+        assert indices._greedy_order(path(9))[1] == 1
+        assert indices._greedy_order(cycle(9))[1] == 2
+        assert indices._greedy_order(complete(6))[1] == 5
+        assert indices._greedy_order(Graph(4))[1] == 0
+        assert indices._greedy_order(star(6)) == ([0, 1, 2, 3, 4, 5], 1)
+
+    @pytest.mark.parametrize("spec,cm1,cm3", [
+        ("thorn(cycle:9;2)", (71, 181), (28, 50)),
+        ("thorn(cycle:501;2)", (3761, 10267), (1504, 3002)),
+    ])
+    def test_thorns_of_cycles_are_exact(self, spec, cm1, cm3):
+        # numbered base first, their identity orders are as wide as the
+        # base; the greedy order places each pendant by its base vertex
+        g = generate(parse_family_spec(spec))
+        assert indices._greedy_order(g)[1] == 2
+        r = full_report(g)
+        assert r.status == "exact" and r.semantics_used == "all"
+        assert ((r.cm1_min, r.cm1_max), (r.cm3_min, r.cm3_max)) == (cm1, cm3)
+
+    def test_long_cycle_holds_one_layer(self):
+        # a DP that held every layer would peak at 1.9 MB here, growing
+        # with the order (25 MB on cycle:3001); tracing makes each
+        # allocation slow, so the input is short
+        g = cycle(301)
+        order = indices._greedy_order(g)[0]
+        tracemalloc.start()
+        try:
+            indices._frontier_extrema(g, 3, order, Meter())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
 
 
 @st.composite
@@ -429,6 +492,42 @@ class TestPackedProducts:
         sizes, counts = quotient
         want = _least_extrema(_products(counts), len(sizes))
         assert indices._labeling_extrema(sizes, counts, Meter())[1] == want
+
+    @given(quotients())
+    @example(CLIQUE_7)
+    @example(TWIN_FREE_7)
+    @settings(max_examples=60, deadline=None)
+    def test_packed_cm3_matches_the_cut_dp(self, quotient):
+        sizes, counts = quotient
+        lower = indices._twin_lower(sizes, counts)
+        assert indices._packed_extrema(counts, len(sizes))[1] == \
+            indices._cut_extrema(counts, lower, Meter())
+
+    def test_pair_table_fields(self):
+        # the labelings of 3 classes in lexicographic order are 123, 132,
+        # 213, 231, 312, 321; each gives p_a p_b, then |p_a - p_b|
+        tables = indices._pair_tables(3)
+
+        def fields(a, b):
+            out = array("I")
+            out.frombytes(tables[a][b].to_bytes(48, sys.byteorder))
+            return list(out)
+
+        assert fields(0, 1) == fields(1, 0) == [2, 1, 3, 2, 2, 1, 6, 1, 3, 2, 6, 1]
+        assert fields(0, 2) == [3, 2, 2, 1, 6, 1, 2, 1, 6, 1, 3, 2]
+        assert fields(1, 2) == [6, 1, 6, 1, 3, 2, 3, 2, 2, 1, 2, 1]
+        assert tables[0][0] == tables[1][1] == tables[2][2] == 0
+
+    def test_packed_route_skips_the_cut_dp(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the cut DP ran")
+
+        monkeypatch.setattr(indices, "_cut_extrema", refuse)
+        meter = Meter()
+        found = indices._labeling_extrema(*TWIN_FREE_7, meter)
+        assert coloring.WORK_CAP - meter.left == 5040
+        cm3 = lambda p: sum(e * abs(p[a] - p[b]) for a, b, e in _pairs(TWIN_FREE_7[1]))
+        assert found[2] == _least_extrema(cm3, 7)
 
     def test_nth_labeling_is_lexicographic(self):
         for ell in range(1, 7):
