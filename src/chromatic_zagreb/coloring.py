@@ -55,6 +55,12 @@ class Meter:
         if self.left < 0:
             raise EnumerationBudgetExceeded()
 
+    def share(self, units: float) -> Meter:
+        """A meter for up to ``units`` of what is left here, taken now."""
+        units = min(units, self.left)
+        self.left -= units
+        return type(self)(units)
+
 
 @dataclass(frozen=True)
 class Coloring:

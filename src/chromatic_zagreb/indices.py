@@ -2,23 +2,25 @@
 
 Classical indices are degree sums; chromatic ones replace degrees with
 1-based color indices of a minimum coloring and are then minimized /
-maximized over the minimum colorings from :mod:`.coloring`. Under
-``all`` a graph with a narrow frontier in a greedy vertex order takes
-one forward dynamic program over that order, whose states are the
-colors of the frontier and the set of colors used, each keeping one int
-per extremum that packs its value above the coloring so far. Otherwise
-either semantics scores chi-partitions on their quotient, the class
-sizes and the edge counts between classes: under ``all`` every
-chi-partition, under ``permutation`` the canonical one. On a quotient
-the cm1 extrema are a sort (the rearrangement inequality), and up to
-PACKED_CLASSES classes the cm2 and cm3 extrema are a few big-int
-operations on tables that pack each class pair's label product and
-label difference under every labeling. A larger quotient, one whose
-sums could pass a 4-byte field, or one with few twin-ordered labelings
-takes cm3 from a DP over the sets of classes labelled so far (a linear
-arrangement) on int keys that pack a sum above its labeling, and walks
-the labelings for cm2: label sets for the twin groups, then every order
-of the labels left for the twin-free classes.
+maximized over the minimum colorings from :mod:`.coloring`. A connected
+bipartite graph has two, its bipartition and the swap of it, which are
+scored directly. Otherwise either semantics scores chi-partitions on
+their quotient, the class sizes and the edge counts between classes:
+under ``all`` every chi-partition, under ``permutation`` the canonical
+one. Under ``all`` a walk that does not finish within the frontier DP's
+bound on its states hands over to one forward dynamic program over a
+greedy vertex order, whose states are the colors of the frontier, each
+keeping one int per extremum that packs its value above the coloring so
+far. On a quotient the cm1 extrema are a sort (the rearrangement
+inequality), and up to PACKED_CLASSES classes the cm2 and cm3 extrema
+are a few big-int operations on tables that pack each class pair's
+label product and label difference under every labeling. A larger
+quotient, one whose sums could pass a 4-byte field, or one with few
+twin-ordered labelings takes cm3 from a DP over the sets of classes
+labelled so far (a linear arrangement) on int keys that pack a sum
+above its labeling, and walks the labelings for cm2: label sets for the
+twin groups, then every order of the labels left for the twin-free
+classes.
 """
 
 from __future__ import annotations
@@ -110,9 +112,6 @@ def chromatic_m3(g: Graph, c: Coloring) -> int:
     return zagreb_sums(c.assignment, g.edges)[2]
 
 
-# the frontier DP runs when ell**width * 2**ell, its bound on the states of
-# one layer at the greedy order's width, stays within FRONTIER_STATES
-FRONTIER_STATES = 2**14
 # quotients of at most PACKED_CLASSES classes score cm2 and cm3 on packed
 # pair tables, C(ell, 2) ints of 2 ell! 4-byte fields each, held for the
 # process: 21 * 7! * 8 B = 847 KB at ell = 7, where ell = 8 would hold
@@ -142,13 +141,13 @@ def _sweep(g: Graph, colorings) -> dict[int, tuple[int, Coloring, int, Coloring]
     """One pass over a coloring stream tracking min/max of all three indices.
 
     Streams arrive in lexicographic order, so strict comparisons leave the
-    lexicographically least witness in place for ties. Exact extrema come
-    from :func:`_frontier_extrema` and :func:`_sweep_partitions`; this
-    scores only the identity and reversed labelings of the canonical
-    partition, whose scoring passed its work cap. It also stays as the
-    coloring-stream reference that the least-witness tests check the
-    partition path against, and ``perfbench/spans.py`` rebinds it by name
-    to count the colorings scored.
+    lexicographically least witness in place for ties. It scores the two
+    minimum colorings of a connected bipartite graph, and the identity and
+    reversed labelings of the canonical partition when scoring that
+    partition passed its work cap. It also stays as the coloring-stream
+    reference that the least-witness tests check the partition path
+    against, and ``perfbench/spans.py`` rebinds it by name to count the
+    colorings scored.
     """
     edges = g.edges
     best: list[list] = []  # per index: [min, its witness, max, its witness]
@@ -540,8 +539,9 @@ def _frontier_extrema(g: Graph, ell: int, order: list[int], meter: Meter):
     Vertex v in color c adds c^2 to cm1 and, per placed neighbour u,
     c c(u) to cm2 and |c - c(u)| to cm3; every placed neighbour is on the
     frontier, the placed vertices with an unplaced neighbour. A state is
-    the frontier's colors and the mask of colors used; one whose missing
-    colors outnumber the vertices still to place is dropped.
+    the frontier's colors alone: every proper coloring into 1..chi uses
+    all chi colors, else chi colors would not be needed, so each state
+    has a completion and none needs the colors used so far.
 
     Each state keeps six int keys, one per extremum, value << (w n) plus
     c_v << w (n - 1 - v) per placed vertex v, with w bits per color; the
@@ -557,27 +557,22 @@ def _frontier_extrema(g: Graph, ell: int, order: list[int], meter: Meter):
     masks = g.adjacency_masks
     bits = ell.bit_length()
     top = bits * n  # the values sit above every color field
-    full = (1 << ell) - 1
     unplaced = (1 << n) - 1
     frontier: list[int] = []  # in the order the vertices were placed
-    # frontier colorings are numbered per layer, and a state is the key
-    # front << ell | used-color mask
-    fronts: dict[tuple[int, ...], int] = {(): 0}
-    states = {0: [0] * 6}
-    for placed, v in enumerate(order, 1):
+    states: dict[tuple[int, ...], list[int]] = {(): [0] * 6}
+    for v in order:
         unplaced ^= 1 << v
         earlier = [k for k, u in enumerate(frontier) if masks[v] >> u & 1]
         keep = [k for k, u in enumerate(frontier) if masks[u] & unplaced]
         joins = bool(masks[v] & unplaced)
         frontier = [frontier[k] for k in keep] + [v] * joins
-        need = ell - (n - placed)  # colors that must be used once v is placed
         shift = bits * (n - 1 - v)
         # per colors of v's placed neighbours: (color, terms) per color v may take
         options: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
-        next_fronts: dict[tuple[int, ...], int] = {}
-        front_moves = []  # per frontier coloring: (color bit, next front, terms) per color
-        for f in fronts:
-            seen = tuple([f[k] for k in earlier])
+        reached: dict[tuple[int, ...], list[int]] = {}
+        moves = 0
+        for front, keys in states.items():
+            seen = tuple([front[k] for k in earlier])
             colored = options.get(seen)
             if colored is None:
                 colored = options[seen] = []
@@ -587,26 +582,16 @@ def _frontier_extrema(g: Graph, ell: int, order: list[int], meter: Meter):
                         lifted = [t << top for t in
                                   (c * c, c * sum(seen), sum([abs(c - x) for x in seen]))]
                         colored.append((c, [field + t for t in lifted] + [field - t for t in lifted]))
-            kept = [f[k] for k in keep]
-            front_moves.append([
-                (1 << c - 1, next_fronts.setdefault((*kept, c) if joins else tuple(kept),
-                                                    len(next_fronts)), terms)
-                for c, terms in colored
-            ])
-        reached: dict[int, list[int]] = {}
-        moves = 0
-        for key, keys in states.items():
-            used = key & full
-            for bit, nxt, terms in front_moves[key >> ell]:
-                if (used | bit).bit_count() >= need:
-                    moves += 1
-                    new = list(map(add, keys, terms))
-                    at = nxt << ell | used | bit
-                    old = reached.get(at)
-                    reached[at] = new if old is None else list(map(min, old, new))
+            kept = tuple([front[k] for k in keep])
+            moves += len(colored)
+            for c, terms in colored:
+                at = (*kept, c) if joins else kept
+                new = list(map(add, keys, terms))
+                old = reached.get(at)
+                reached[at] = new if old is None else list(map(min, old, new))
         meter.charge(moves)
-        fronts, states = next_fronts, reached
-    best = [min(slot) for slot in zip(*states.values())]
+        states = reached
+    (best,) = states.values()
     values = [key >> top for key in best[:3]] + [-(key >> top) for key in best[3:]]
     mask = (1 << bits) - 1
     witnesses: dict[int, Coloring] = {}
@@ -619,13 +604,16 @@ def _frontier_extrema(g: Graph, ell: int, order: list[int], meter: Meter):
 def _compute_extrema(g: Graph, semantics: Semantics):
     """Extrema of all three indices at once: (per-index results, semantics, status).
 
-    Under ``all``, a graph whose greedy order keeps the frontier DP's
-    bound ell**width * 2**ell on the states of a layer within
-    FRONTIER_STATES goes to :func:`_frontier_extrema`, at any order, and
-    any other has every chi-partition scored, either on one Meter. Past
-    its cap, and always under ``permutation``, the canonical partition is
-    scored on a fresh meter; past that one too, only its identity and
-    reversed labelings are: valid colorings, so bounds, not extrema.
+    A connected graph with chi = 2 has two minimum colorings, its
+    bipartition and the swap of it, and :func:`_sweep` scores both; under
+    ``permutation`` too, as the canonical partition is the bipartition.
+    Otherwise, under ``all``, every chi-partition is scored on a share of
+    the call's Meter, ell**width * n units, the greedy order's bound on
+    the states the frontier DP holds over all its layers; past that share,
+    :func:`_frontier_extrema` runs on the rest of the meter. Past both,
+    and always under ``permutation``, the canonical partition is scored on
+    a fresh meter; past that one too, only its identity and reversed
+    labelings are: valid colorings, so bounds, not extrema.
     """
     if g.order < 1:
         raise ValueError("extrema need order >= 1")
@@ -633,14 +621,21 @@ def _compute_extrema(g: Graph, semantics: Semantics):
         raise ValueError(f"unknown semantics {semantics!r}")
     coloring = _min_coloring(g.adjacency_masks, g.order)
     ell = max(coloring)
+    if ell == 2 and g.is_connected():
+        flipped = [3 - c for c in coloring]
+        colorings = [Coloring(tuple(a), 2) for a in sorted([coloring, flipped])]
+        return _sweep(g, colorings), semantics, "exact"
     if semantics == "all":
         meter = Meter()
+        order, width = _greedy_order(g)
+        walk = meter.share(ell ** width * g.order)
         try:
-            order, width = _greedy_order(g)
-            if ell ** width << ell <= FRONTIER_STATES:
-                return _frontier_extrema(g, ell, order, meter), "all", "exact"
-            partitions = _iter_chi_partitions(g, ell, meter)
-            return _sweep_partitions(g, ell, partitions, meter), "all", "exact"
+            partitions = _iter_chi_partitions(g, ell, walk)
+            return _sweep_partitions(g, ell, partitions, walk), "all", "exact"
+        except EnumerationBudgetExceeded:
+            pass
+        try:
+            return _frontier_extrema(g, ell, order, meter), "all", "exact"
         except EnumerationBudgetExceeded:
             pass
     partition = canonical_partition(g, coloring)
@@ -663,9 +658,9 @@ def chromatic_extrema(
     """Min and max of one chromatic index over minimum colorings.
 
     The values, witnesses and status of :func:`full_report`, so they are
-    exact unless the frontier DP or the partition walk, whichever the
-    input takes, meets the call's work cap (WORK_CAP units of a Meter;
-    see :func:`_compute_extrema`); status then reads ``bounds_only``.
+    exact unless the partition walk meets its share of the call's work
+    cap and the frontier DP the rest (WORK_CAP units of a Meter; see
+    :func:`_compute_extrema`); status then reads ``bounds_only``.
     With paper_compat set, an edgeless input reports the index-3 extrema
     as the conventional default 1 instead of the raw empty edge sum 0;
     no witness evaluates to a defaulted value, so the witness is dropped.

@@ -140,9 +140,9 @@ class TestCompute:
         assert (d["cm1_min"], d["cm1_max"]) == (3761, 10267)
 
     def test_strict_budget_exit(self, capsys):
-        # a greedy frontier of width 4 gives 5**4 * 2**5 states, past the
-        # DP's bound, and the partition walk meets the work cap
-        code, out, _ = run_cli(capsys, "compute", "--family", "thorn(complete:5;2)", "--strict")
+        # a greedy frontier of width 6: the partition walk's share of the
+        # meter, 7**6 * 14 units, is all of it, and the walk meets the cap
+        code, out, _ = run_cli(capsys, "compute", "--family", "thorn(complete:7;1)", "--strict")
         assert code == 4
         assert json.loads(out)["status"] == "bounds_only"
 
@@ -157,17 +157,17 @@ class TestCompute:
         assert (d["cm3_min"], d["cm3_max"]) == (22, 40)
 
     def test_wide_thorn_stops_at_the_work_cap(self, capsys, meters):
-        # greedy frontier width 4 is past the DP's bound, and the chi-partitions
-        # ran 31-52 s under a cap on their count. The walk and its scoring
-        # stop at one cap, and the canonical partition is scored on a fresh
-        # one; a unit of this route cost about 1.4 us on 2 cores, so the
-        # bound allows over three times that for both caps
+        # greedy frontier width 6: the partition walk's share of the call's
+        # meter, 7**6 * 14 units, is all of it. The walk and its scoring stop
+        # at the cap, the DP at its first layer, and the canonical partition
+        # is scored on a fresh meter; a unit of the walk cost about 0.23 us
+        # on 2 cores, so the bound allows over ten times that for both caps
         start = time.perf_counter()
-        code, out, _ = run_cli(capsys, "compute", "--family", "thorn(complete:5;2)")
+        code, out, _ = run_cli(capsys, "compute", "--family", "thorn(complete:7;1)")
         took = time.perf_counter() - start
         assert code == 0 and json.loads(out)["status"] == "bounds_only"
-        walk, canonical = meters
-        assert walk.left < 0 and 0 < canonical.spent < 1000
+        call, walk, canonical = meters
+        assert walk.left < 0 and call.left < 0 and 0 < canonical.spent < 1000
         assert took < 2 * coloring.WORK_CAP * 5e-6
 
     def test_large_clique_permutation_is_exact(self, capsys):

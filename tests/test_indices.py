@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import json
 import sys
 import tracemalloc
 from array import array
 from contextlib import contextmanager
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -39,6 +43,9 @@ from chromatic_zagreb.indices import (
 )
 
 from conftest import complete, cycle, naive_extrema, naive_extrema_witnesses, path, star
+
+# sha256 of the JSON list of the extrema-stream reports with witnesses
+EXTREMA_STREAM_SHA256 = "f7b450585850feb149a34716785da50ed6f5324e60bc0cdade095e9cb4c13df6"
 
 
 @st.composite
@@ -267,7 +274,9 @@ class TestExtrema:
     def test_budget_cap_counts_work_units(self, monkeypatch):
         # 5 chi-partitions (those of the 5-cycle): the walk's 36 backtracks
         # and 7 units per partition, then per quotient its 16 edges and its
-        # 5! packed labelings, which give cm2 and cm3 at once
+        # 5! packed labelings, which give cm2 and cm3 at once. These caps
+        # are below the walk's share, 5**6 * 7 units, so the share is the
+        # whole meter and a walk past it leaves the DP no units
         g = _cycle5_join_k2()
         meter = Meter()
         assert len(list(_iter_chi_partitions(g, 5, meter))) == 5
@@ -291,8 +300,9 @@ class TestExtrema:
         assert r.cm1_min == r.cm1_max == forms.cm1
         assert r.cm2_min == r.cm2_max == forms.cm2
         assert r.cm3_min == r.cm3_max == forms.cm3
-        (meter,) = meters
-        assert meter.spent < 300
+        # the call's meter gives the walk its share and keeps the rest
+        call, walk = meters
+        assert walk.spent < 300
 
     @pytest.mark.parametrize("spec", ["multipartite:5,5,5,5", "multipartite:2,3,4,4,5"])
     def test_one_partition_multipartite_is_exact(self, spec):
@@ -312,11 +322,13 @@ class TestExtrema:
 
 
 def _cycle5_join_k2() -> Graph:
-    """C5 joined to K2: chi 5, and a frontier too wide for the DP."""
+    """C5 joined to K2: chi 5, and a greedy frontier of width 6, so the
+    partition walk's share of the meter, 5**6 * 7 units, holds all of its
+    751 units (``test_budget_cap_counts_work_units``)."""
     edges = [*cycle(5).edges, *[(v, w) for v in range(5) for w in (5, 6)], (5, 6)]
     g = Graph(7, edges)
     assert indices._greedy_order(g)[1] == 6
-    assert 5 ** 6 << 5 > indices.FRONTIER_STATES
+    assert 5 ** 6 * 7 > 751
     return g
 
 
@@ -366,19 +378,25 @@ class TestFrontierDP:
             _keyed(THORN_C5, 3)
 
     def test_work_cap_sends_long_inputs_past_the_dp(self, monkeypatch):
-        # the DP makes 483 moves on cycle:19 and 543 on cycle:21
+        # the walk runs out its share, 3**2 * n units, and the DP, which
+        # makes 303 moves on cycle:19 and 339 on cycle:21, has 329 and 311
+        # units left
         monkeypatch.setattr(coloring, "WORK_CAP", 500)
         assert full_report(cycle(19)).status == "exact"
         r = full_report(cycle(21))
         assert r.status == "bounds_only" and r.semantics_used == "permutation"
 
     def test_work_cap_counts_reached_states(self):
-        # its bound, 1028 * 4**3 * 2**4 states, is past WORK_CAP, but the DP
-        # makes 70,756 moves from the states it reaches; the canonical
-        # partition gives cm3 (1290, 2314)
+        # the walk runs out its share, 1028 * 4**3 units, and the DP makes
+        # 24,640 moves from the states it reaches, where the identity order
+        # makes 49,216; the canonical partition gives cm3 (1290, 2314)
         g = generate(parse_family_spec("thorn(complete:4;256)"))
-        assert indices._greedy_order(g)[1] == 3
-        assert 1028 * 4 ** 3 << 4 > coloring.WORK_CAP
+        order, width = indices._greedy_order(g)
+        assert width == 3
+        for placing, moves in ((order, 24_640), (range(g.order), 49_216)):
+            meter = Meter()
+            indices._frontier_extrema(g, 4, placing, meter)
+            assert coloring.WORK_CAP - meter.left == moves
         r = full_report(g)
         assert r.status == "exact" and r.semantics_used == "all"
         assert (r.cm3_min, r.cm3_max) == (1034, 2570)
@@ -416,6 +434,98 @@ class TestFrontierDP:
         finally:
             tracemalloc.stop()
         assert peak < 2**19
+
+    @pytest.mark.parametrize("spec,cm3", [
+        ("thorn(complete:5;2)", (30, 52)),
+        ("thorn(complete:5;3)", (35, 68)),
+        ("thorn(complete:6;1)", (41, 59)),
+    ])
+    def test_thorns_of_cliques_are_exact(self, spec, cm3):
+        # their partition walks run out the walk's share and the DP answers
+        # them; a DP that also kept the colors used made 4 to 4.5 times the
+        # moves, and a bound on its states turned these away
+        r = full_report(generate(parse_family_spec(spec)))
+        assert r.status == "exact" and r.semantics_used == "all"
+        assert (r.cm3_min, r.cm3_max) == cm3
+
+    def test_thorn_of_k7_stays_on_the_walk(self):
+        # its walk's share, 7**6 * 14 units, is the whole meter, so the DP,
+        # which would answer it in 35,707 moves, is left none
+        g = generate(parse_family_spec("thorn(complete:7;1)"))
+        keyed = _keyed(g, 7)
+        assert (keyed["cm3_min"][0], keyed["cm3_max"][0]) == (63, 89)
+        assert 7 ** 6 * 14 > coloring.WORK_CAP
+        r = full_report(g)
+        assert r.status == "bounds_only"
+        assert (r.cm3_min, r.cm3_max) == (69, 83)
+
+    @pytest.mark.parametrize("spec", ["thorn(complete:5;1)", "thorn(complete:6;1)"])
+    def test_clique_thorns_match_the_partition_path(self, spec):
+        # here a DP that also kept the colors used split the states that
+        # the frontier's colors alone merge: 2,625 moves against 765 on
+        # thorn(complete:5;1)
+        g = generate(parse_family_spec(spec))
+        ell = chromatic_number(g)
+        partitions = _iter_chi_partitions(g, ell)
+        assert _keyed(g, ell) == \
+            _by_key(indices._sweep_partitions(g, ell, partitions, Meter(float("inf"))))
+
+
+@st.composite
+def connected_bipartite(draw, max_n=8):
+    """A random tree across a random side split, plus random cross edges;
+    the split is drawn over a random numbering of the vertices."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    name = draw(st.permutations(range(n)))
+    cut = draw(st.integers(min_value=1, max_value=n - 1))  # name[:cut] is one side
+    side = [0] * n
+    for v in name[cut:]:
+        side[v] = 1
+    placed = [name[0], name[cut]]
+    edges = {tuple(sorted(placed))}
+    for v in draw(st.permutations(name[1:cut] + name[cut + 1:])):
+        u = draw(st.sampled_from([u for u in placed if side[u] != side[v]]))
+        edges.add((min(u, v), max(u, v)))
+        placed.append(v)
+    cross = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if side[u] != side[v] and (u, v) not in edges]
+    picks = draw(st.lists(st.booleans(), min_size=len(cross), max_size=len(cross)))
+    return Graph(n, sorted(edges) + [e for e, keep in zip(cross, picks) if keep])
+
+
+class TestTwoColorings:
+    @given(connected_bipartite())
+    @example(complete(2))
+    @example(star(6))
+    @example(Graph(6, [(0, 5), (5, 1), (1, 4), (4, 2), (2, 3)]))  # a path numbered out of order
+    @example(cycle(8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_frontier_dp_and_naive(self, g):
+        assert g.is_connected() and chromatic_number(g) == 2
+        expected = _keyed(g, 2)
+        assert expected == naive_extrema_witnesses(g)
+        for semantics in ("all", "permutation"):
+            r = full_report(g, semantics)
+            assert r.status == "exact" and r.semantics_used == semantics
+            assert _reported(g, semantics) == expected
+
+    def test_routing(self, monkeypatch):
+        def refuse(name):
+            def refused(*args):
+                raise AssertionError(f"{name} reached")
+            return refused
+
+        monkeypatch.setattr(indices, "_frontier_extrema", refuse("dp"))
+        monkeypatch.setattr(indices, "_iter_chi_partitions", refuse("walk"))
+        for g in (complete(2), path(9), cycle(10), star(7)):
+            for semantics in ("all", "permutation"):
+                assert full_report(g, semantics).status == "exact"
+        # two disjoint edges have four 2-colorings: the walk runs out its
+        # share, 2 * 4 units, and the DP answers
+        monkeypatch.undo()
+        monkeypatch.setattr(indices, "_frontier_extrema", refuse("dp"))
+        with pytest.raises(AssertionError, match="dp reached"):
+            full_report(Graph(4, [(0, 1), (2, 3)]))
 
 
 @st.composite
@@ -703,3 +813,16 @@ class TestFullReport:
         assert d["witnesses"]["cm1_min"] == [1, 2, 1, 2, 3]
         # the CSV columns are the report's JSON fields, in order
         assert [*d][:-1] == list(r.CSV_FIELDS) == [*r.to_json_dict()]
+
+    def test_extrema_stream_matches_pinned_digest(self):
+        # the 120 graphs of the extrema-stream benchmark, in population
+        # order: a route that moves a value or a least witness changes it
+        source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", source)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        reports = [full_report(Graph(n, edges)).to_json_dict(True)
+                   for _, n, edges in workloads.population()]
+        assert len(reports) == 120
+        text = json.dumps(reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == EXTREMA_STREAM_SHA256
