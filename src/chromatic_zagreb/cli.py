@@ -140,7 +140,7 @@ def _load_one_graph(args, parser: argparse.ArgumentParser) -> tuple[Graph, str]:
     if args.input:
         try:
             return load_graph(args.input), args.input
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise GraphParseError(f"cannot read {args.input}: {exc}") from None
     spec = parse_family_spec(args.family)
     return generate(spec), spec.label()

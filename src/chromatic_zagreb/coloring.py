@@ -1,8 +1,11 @@
 """Exact chromatic number and exhaustive enumeration of minimum colorings.
 
 Colors are 1-based integers; a minimum coloring of G uses exactly
-chi(G) colors and every color at least once. Two enumeration semantics
-are provided:
+chi(G) colors and every color at least once. One is found by the
+two-coloring sweep on bipartite inputs and otherwise by one DSATUR
+branch and bound, :func:`_dsatur`, which also answers every
+k-colorability question: those of :func:`find_coloring` and of the
+canonical partition. Two enumeration semantics are provided:
 
 * ``all``: every proper surjective assignment V -> {1..chi}, each exactly
   once, in lexicographic order of the assignment sequence. These are the
@@ -171,114 +174,92 @@ def _greedy_clique(masks: tuple[int, ...], n: int) -> int:
     return best
 
 
-def _greedy_coloring(masks: tuple[int, ...], n: int) -> list[int]:
-    """DSATUR greedy coloring; colors 1..k with every one used.
+def _dsatur(masks: tuple[int, ...] | list[int], n: int, k: int, enough: int) -> list[int] | None:
+    """DSATUR branch and bound: a proper coloring with at most k colors, or None.
 
-    The next vertex has the most distinct neighbour colors, then the
-    highest degree, then the lowest index; score = saturation * n + degree
-    orders the first two, and a heap of (-score, v) the three. Scores only
-    grow, so a raised score is pushed anew and the entry it outdates, or
-    one of a colored vertex, is skipped when popped.
-    """
-    colors = [0] * n
-    forbidden = [0] * n  # bitmask of colors used by colored neighbours (bit c-1)
-    score = [m.bit_count() for m in masks]
-    heap = [(-s, v) for v, s in enumerate(score)]
-    heapq.heapify(heap)
-    while heap:
-        s, v = heapq.heappop(heap)
-        if colors[v] or -s != score[v]:
-            continue
-        c = 1
-        while forbidden[v] >> (c - 1) & 1:
-            c += 1
-        colors[v] = c
-        bit = 1 << (c - 1)
-        m = masks[v]
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            if not forbidden[w] & bit:
-                forbidden[w] |= bit
-                score[w] += n
-                if not colors[w]:
-                    heapq.heappush(heap, (-score[w], w))
-    return colors
+    Each step colors the uncolored vertex with the most distinct neighbour
+    colors, then the highest degree, then the lowest index, with the free
+    colors in ascending order, at most one past those its component uses:
+    a vertex with no colored neighbour opens a component and is pinned to
+    color 1. So the first full coloring is DSATUR's greedy one. After a
+    full coloring with j colors the search backs up to the first vertex
+    that wears j and looks for j - 1. It returns the first coloring with at
+    most ``enough`` colors, else the last it found, which is optimal: a
+    component's first vertex out of colors means that component has no
+    coloring within the bound.
 
-
-def _colors_in(mask: int, colors: list[int]) -> int:
-    """Bit c-1 set for each color c > 0 that colors gives a vertex of mask."""
-    seen = 0
-    while mask:
-        low = mask & -mask
-        seen |= 1 << colors[low.bit_length() - 1] >> 1
-        mask ^= low
-    return seen
-
-
-def _search_k_coloring(masks: tuple[int, ...], n: int, k: int) -> list[int] | None:
-    """Backtracking: find a proper coloring with at most k colors, else None.
-
-    Vertices are tried component by component, in the order of their
-    components' first vertices by descending degree, and each component
-    in that order; a connected graph keeps it whole. The first vertex of
-    each component is pinned to color 1 and each later one may open at
-    most one color new to its component, which breaks color-label
-    symmetry without losing completeness. Components share no edge, so
-    when a component's first vertex runs out of colors the component has
-    no k-coloring, and the search stops there instead of retrying the
-    components before it. An explicit stack keeps deep searches clear of
-    the recursion limit.
+    The next vertex comes from a heap of (-score, v), score = saturation *
+    n + degree. Scores only grow on the way down, so a raised score is
+    pushed anew and an outdated entry, or one of a colored vertex, is
+    skipped when popped; a step back lowers scores, so the heap is rebuilt.
+    Colors never pass min(k, max degree + 1), which sizes the color counts.
     """
     if n == 0:
         return []
-    if k < 1:
-        return None
-    order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
-    first = [-1] * n  # first[v]: the place in order of the first vertex of v's component
-    for i, s in enumerate(order):
-        if first[s] < 0:
-            first[s] = i
-            stack = [s]
-            while stack:
-                for w in _vertices(masks[stack.pop()]):
-                    if first[w] < 0:
-                        first[w] = i
-                        stack.append(w)
-    order.sort(key=first.__getitem__)  # stable, so each component keeps its order
-    opens = [i == 0 or first[v] != first[order[i - 1]] for i, v in enumerate(order)]
-    colors = [0] * n  # at depth i, colors[order[i]] is the color tried last
-    banned = [0] * n  # at depth i: the colors of order[i]'s colored neighbours
-    opened = [0] * (n + 1)  # opened[i]: colors used by order[:i] in order[i - 1]'s component
-    i = 0
+    nbrs = [list(_vertices(m)) for m in masks]
+    score = [len(a) for a in nbrs]
+    width = min(k, max(score) + 1) + 1
+    seen = [0] * (n * width)  # seen[v * width + c]: v's colored neighbours that wear c
+    colors = [0] * n
+    order = [0] * n  # order[d]: the vertex colored at depth d
+    top = [0] * n  # top[d]: the colors order[d]'s component wears above depth d
+    best = None
+    bound = k
+    heap: list[tuple[int, int]] | None = None
+    d = c = 0  # c: the color last tried at depth d, 0 on entering it
     while True:
-        v = order[i]
-        c = colors[v]
-        if not c:  # entering depth i
-            banned[i] = _colors_in(masks[v], colors)
-        forbidden = banned[i]
-        used = 0 if opens[i] else opened[i]
-        limit = min(k, used + 1)
+        if not c:
+            if heap is None:
+                heap = [(-score[v], v) for v in range(n) if not colors[v]]
+                heapq.heapify(heap)
+            s, v = heapq.heappop(heap)
+            while colors[v] or -s != score[v]:
+                s, v = heapq.heappop(heap)
+            order[d] = v
+            top[d] = 0 if s > -n else max(top[d - 1], colors[order[d - 1]])
+        v = order[d]
+        limit = min(bound, top[d] + 1)
         c += 1
-        while c <= limit and forbidden >> (c - 1) & 1:
+        while c <= limit and seen[v * width + c]:
             c += 1
-        if c > limit:  # every color at depth i is spent: back up
-            if opens[i]:
-                return None
+        if c <= limit:
+            colors[v] = c
+            for w in nbrs[v]:
+                i = w * width + c
+                seen[i] += 1
+                if seen[i] == 1:
+                    score[w] += n
+                    if heap is not None and not colors[w]:
+                        heapq.heappush(heap, (-score[w], w))
+            d += 1
+            c = 0
+            if d < n:
+                continue
+            best = colors[:]
+            bound = max(best) - 1
+            if bound < enough:
+                return best
+            back = next(i for i, u in enumerate(order) if colors[u] > bound)
+        elif not top[d]:
+            return best
+        else:
+            back = d - 1
+        heap = None
+        while d > back:  # uncolor the vertices below back and the one at it
+            d -= 1
+            v = order[d]
+            c = colors[v]
             colors[v] = 0
-            i -= 1
-            continue
-        colors[v] = c
-        opened[i + 1] = max(used, c)
-        i += 1
-        if i == n:
-            return colors
+            for w in nbrs[v]:
+                i = w * width + c
+                seen[i] -= 1
+                if not seen[i]:
+                    score[w] -= n
 
 
 def _k_coloring(masks: tuple[int, ...] | list[int], n: int, k: int) -> list[int] | None:
     """A proper coloring with at most k colors, or None: the two-coloring
-    sweep for k = 2, the backtracking search for any other k."""
+    sweep for k = 2, the DSATUR search for any other k."""
     if k == 2:
         sides = _bipartition(masks, n)
         if sides is None:
@@ -287,49 +268,32 @@ def _k_coloring(masks: tuple[int, ...] | list[int], n: int, k: int) -> list[int]
         for v in sides[1]:
             colors[v] = 2
         return colors
-    return _search_k_coloring(tuple(masks), n, k)
+    return _dsatur(masks, n, k, k)
 
 
 def find_coloring(g: Graph, k: int) -> Coloring | None:
     """A proper coloring of g using at most k colors, or None if impossible.
 
-    The returned coloring is renumbered so the colors actually used form
-    1..l for some l <= k.
+    The colors it uses are 1..l for some l <= k.
     """
     raw = _k_coloring(g.adjacency_masks, g.order, k)
-    if raw is None:
-        return None
-    remap: dict[int, int] = {}
-    out = []
-    for c in raw:
-        if c not in remap:
-            remap[c] = len(remap) + 1
-        out.append(remap[c])
-    return Coloring.from_assignment(out)
+    return None if raw is None else Coloring.from_assignment(raw)
 
 
 def _min_coloring(masks: tuple[int, ...], n: int) -> list[int]:
     """A proper coloring of the graph on masks that uses exactly chi colors.
 
     Colors are 1..chi, every one used. The witness comes from the
-    two-coloring sweep on bipartite inputs, from DSATUR when its count
-    meets the lower bound, and otherwise from the first k-coloring the
-    backtracking search finds between the clique bound and DSATUR.
+    two-coloring sweep on bipartite inputs, and otherwise from the DSATUR
+    branch and bound, which stops early at a coloring with as many colors
+    as the lower bound: 3, or a greedily grown clique if larger.
     """
     if not any(masks):
         return [1] * n
     two = _k_coloring(masks, n, 2)
     if two is not None:
         return two
-    greedy = _greedy_coloring(masks, n)
-    upper = max(greedy)
-    if upper == 3:  # chi >= 3 without a two-coloring, so DSATUR is optimal
-        return greedy
-    for k in range(max(3, _greedy_clique(masks, n)), upper):
-        found = _search_k_coloring(masks, n, k)
-        if found is not None:
-            return found
-    return greedy
+    return _dsatur(masks, n, n, max(3, _greedy_clique(masks, n)))
 
 
 def chromatic_number(g: Graph) -> int:
@@ -337,8 +301,8 @@ def chromatic_number(g: Graph) -> int:
 
     The number of colors of the witness :func:`_min_coloring` builds:
     edgeless and bipartite inputs are read off directly; otherwise a DSATUR
-    greedy coloring bounds chi from above, 3 and a greedily grown clique
-    from below, and exhaustive backtracking closes the gap.
+    branch and bound improves on its greedy first coloring until it meets
+    3 or a greedily grown clique, or proves that it cannot.
     """
     if g.order < 1:
         raise ValueError("chromatic number needs order >= 1")

@@ -114,6 +114,14 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--input", str(tmp_path / "no.g6"))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["compute", "stability"])
+    @pytest.mark.parametrize("name", ["x.g6", "x.txt"])
+    def test_non_utf8_file_parse_error(self, capsys, tmp_path, command, name):
+        f = tmp_path / name
+        f.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli(capsys, command, "--input", str(f))
+        assert code == 2 and str(f) in err and "decode" in err
+
     def test_bad_family_spec(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--family", "wheel:4")
         assert code == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 
 import pytest
@@ -13,10 +14,9 @@ from chromatic_zagreb.coloring import (
     Coloring,
     EnumerationBudgetExceeded,
     Meter,
-    _greedy_coloring,
+    _dsatur,
     _iter_chi_partitions,
     _min_coloring,
-    _search_k_coloring,
     canonical_partition,
     chromatic_number,
     colorings_of_partition,
@@ -38,6 +38,21 @@ from conftest import (
     path,
     star,
 )
+
+
+# DSATUR colors this graph with 4 colors, but chi is 3
+_DSATUR_HARD = Graph(8, [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 5), (2, 5), (2, 6),
+                         (3, 5), (3, 6), (3, 7), (5, 6)])
+# it beside a K_{1,4} star, which needs fewer colors: DSATUR breaks the tie
+# of the two degree-4 vertices by index, so these search the two in turn
+_HARD_THEN_STAR = Graph(13, list(_DSATUR_HARD.edges) + [(8, j) for j in range(9, 13)])
+_STAR_THEN_HARD = Graph(13, [(0, j) for j in range(1, 5)]
+                        + [(u + 5, v + 5) for u, v in _DSATUR_HARD.edges])
+
+
+def _first_coloring(g: Graph) -> list[int]:
+    """The first full coloring of the branch and bound: DSATUR's greedy one."""
+    return _dsatur(g.adjacency_masks, g.order, g.order, g.order)
 
 
 @st.composite
@@ -93,6 +108,8 @@ class TestChromaticNumber:
         assert chromatic_number(hub) == 4
 
     @given(graphs())
+    @example(_HARD_THEN_STAR)
+    @example(_STAR_THEN_HARD)
     @settings(max_examples=80, deadline=None)
     def test_matches_naive(self, g):
         assert chromatic_number(g) == naive_chi(g)
@@ -117,41 +134,39 @@ class TestChromaticNumber:
 
     def test_min_coloring_beats_dsatur(self):
         # DSATUR needs 4 colors here, chi is 3: the witness must come from
-        # the backtracking search, not the greedy coloring
-        g = Graph(8, [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 5), (2, 5), (2, 6),
-                      (3, 5), (3, 6), (3, 7), (5, 6)])
-        assert max(_greedy_coloring(g.adjacency_masks, g.order)) == 4
+        # the branch and bound, not its first, greedy, coloring
+        g = _DSATUR_HARD
+        assert max(_first_coloring(g)) == 4
         colors = _min_coloring(g.adjacency_masks, g.order)
         assert all(colors[u] != colors[v] for u, v in g.edges)
         assert set(colors) == {1, 2, 3} and naive_chi(g) == 3
 
     @given(graphs(max_n=12))
     @example(cycle(5))
-    @example(Graph(8, [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 5), (2, 5), (2, 6),
-                       (3, 5), (3, 6), (3, 7), (5, 6)]))
+    @example(_DSATUR_HARD)
     @settings(max_examples=150, deadline=None)
     def test_greedy_coloring_is_dsatur(self, g):
-        assert _greedy_coloring(g.adjacency_masks, g.order) == naive_dsatur(g)
+        assert _first_coloring(g) == naive_dsatur(g)
 
     def test_deep_searches_run_without_recursion(self):
         long_path = path(1500)
         c = find_coloring(long_path, 2)
         assert c.palette_size == 2 and is_proper(long_path, c)
         # the DSATUR-hard graph above with a 1200-vertex path hung off vertex
-        # 7: DSATUR still needs 4 colors, so chi comes from the backtracking
-        # search, whose depth is the order
-        g = Graph(1208, [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 5), (2, 5),
-                         (2, 6), (3, 5), (3, 6), (3, 7), (5, 6), (7, 8)]
-                  + [(v, v + 1) for v in range(8, 1207)])
-        assert max(_greedy_coloring(g.adjacency_masks, g.order)) == 4
+        # 7: DSATUR still needs 4 colors, so chi comes from the branch and
+        # bound, whose depth is the order
+        g = Graph(1208, list(_DSATUR_HARD.edges) + [(v, v + 1) for v in range(7, 1207)])
+        assert max(_first_coloring(g)) == 4
         colors = _min_coloring(g.adjacency_masks, g.order)
         assert all(colors[u] != colors[v] for u, v in g.edges)
         assert set(colors) == {1, 2, 3} and chromatic_number(g) == 3
 
     @given(graphs(max_n=7), st.integers(1, 4))
+    @example(_HARD_THEN_STAR, 3)
+    @example(_STAR_THEN_HARD, 3)
     @settings(max_examples=80, deadline=None)
     def test_search_decides_k_colorability(self, g, k):
-        colors = _search_k_coloring(g.adjacency_masks, g.order, k)
+        colors = _dsatur(g.adjacency_masks, g.order, k, k)
         assert (colors is not None) == (naive_chi(g) <= k)
         if colors is not None:
             assert max(colors) <= k and all(colors[u] != colors[v] for u, v in g.edges)
@@ -175,8 +190,17 @@ class TestChromaticNumber:
         g = Graph(123, edges)
         start = time.perf_counter()
         assert find_coloring(g, 2) is None
-        assert _search_k_coloring(g.adjacency_masks, g.order, 2) is None
+        assert _dsatur(g.adjacency_masks, g.order, 2, 2) is None
         assert time.perf_counter() - start < 1
+
+    def test_dense_random_graph(self):
+        # G(50, 1/2): a fixed-order search for each k once took 23 s here
+        rng = random.Random(1)
+        g = Graph(50, [(u, v) for u in range(50) for v in range(u + 1, 50)
+                       if rng.random() < 0.5])
+        start = time.perf_counter()
+        assert chromatic_number(g) == 9
+        assert time.perf_counter() - start < 5
 
 
 class TestEnumeration:

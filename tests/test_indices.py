@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import json
 import sys
+import time
 import tracemalloc
 from array import array
 from contextlib import contextmanager
@@ -312,6 +313,19 @@ class TestExtrema:
         assert r.status == "exact" and r.semantics_used == "all"
         assert r.to_json_dict(True) | {"semantics_used": "permutation"} == \
             full_report(g, "permutation").to_json_dict(True)
+
+    @pytest.mark.parametrize("semantics", ["all", "permutation"])
+    def test_wide_multipartite_reports_bounds_quickly(self, semantics):
+        # 55 vertices in ten classes: the canonical partition's
+        # k-colorability checks once took about 2 s of the report
+        g = generate(parse_family_spec("multipartite:" + ",".join(map(str, range(1, 11)))))
+        start = time.perf_counter()
+        r = full_report(g, semantics)
+        assert time.perf_counter() - start < 1
+        assert r.status == "bounds_only"
+        assert (r.cm1_min, r.cm1_max) == (1210, 3025)
+        assert (r.cm2_min, r.cm2_max) == (21516, 61446)
+        assert (r.cm3_min, r.cm3_max) == (4158, 4158)
 
     def test_clique_scores_one_labeling(self, walked):
         # all ten classes of K10 are twins; 10! labelings took 4.7 s

@@ -266,12 +266,11 @@ class TestStabilityReport:
         monkeypatch.setattr(coloring, "WORK_CAP", 1)
         r = stability_report(double_star_3_4())
         assert (r.rho, r.method, r.rho_status) == (6, "cluster_deletion", "upper_bound")
-        # here the search backtracks before its first partition, so the
-        # bound (exact rho is 8) comes from the chi-coloring's classes
-        g = Graph(8, [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 5), (2, 5), (2, 6),
-                      (3, 5), (3, 6), (3, 7), (5, 6)])
-        r = stability_report(g)
-        assert (r.rho, r.rho_status) == (9, "upper_bound")
+        # here the search stops before its first partition, so the bound
+        # (exact rho is 12) comes from the classes of the chi-coloring,
+        # DSATUR's greedy one: sizes 5, 3 and 1
+        r = stability_report(generate(parse_family_spec("thorn(complete:3;2)")))
+        assert (r.rho, r.rho_status) == (14, "upper_bound")
 
     def test_one_cap_covers_every_class_count(self, monkeypatch, meters):
         # path:10 walks k = 2, 3 and 4 in 21, 3,062 and 34,920 units: each
