@@ -1,11 +1,11 @@
 """Exact chromatic number and exhaustive enumeration of minimum colorings.
 
 Colors are 1-based integers; a minimum coloring of G uses exactly
-chi(G) colors and every color at least once. One is found by the
-two-coloring sweep on bipartite inputs and otherwise by one DSATUR
-branch and bound, :func:`_dsatur`, which also answers every
-k-colorability question: those of :func:`find_coloring` and of the
-canonical partition. Two enumeration semantics are provided:
+chi(G) colors and every color at least once. One is found by the only
+coloring search here, a DSATUR branch and bound, :func:`_dsatur`, which
+also answers every k-colorability question: those of
+:func:`find_coloring` and of the canonical partition. Two enumeration
+semantics are provided:
 
 * ``all``: every proper surjective assignment V -> {1..chi}, each exactly
   once, in lexicographic order of the assignment sequence. These are the
@@ -120,60 +120,6 @@ def is_proper(g: Graph, c: Coloring) -> bool:
 # chromatic number
 
 
-def _bipartition(masks: tuple[int, ...], n: int) -> tuple[list[int], list[int]] | None:
-    """Two-color each component; return the (side0, side1) lists or None."""
-    color = [-1] * n
-    sides: tuple[list[int], list[int]] = ([], [])
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        sides[0].append(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            m = masks[u]
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                m ^= low
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    sides[color[w]].append(w)
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    return None
-    return sides
-
-
-def _greedy_clique(masks: tuple[int, ...], n: int) -> int:
-    """Greedy clique size, used as a lower bound on chi."""
-    if n == 0:
-        return 0
-    order = sorted(range(n), key=lambda v: -masks[v].bit_count())
-    best = 1
-    for start in order[: min(n, 8)]:
-        clique_mask = 1 << start
-        size = 1
-        candidates = masks[start]
-        while candidates:
-            pick = -1
-            pick_deg = -1
-            m = candidates
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                d = (masks[v] & candidates).bit_count()
-                if d > pick_deg:
-                    pick, pick_deg = v, d
-            clique_mask |= 1 << pick
-            size += 1
-            candidates &= masks[pick]
-        best = max(best, size)
-    return best
-
-
 def _dsatur(masks: tuple[int, ...] | list[int], n: int, k: int, enough: int) -> list[int] | None:
     """DSATUR branch and bound: a proper coloring with at most k colors, or None.
 
@@ -187,6 +133,15 @@ def _dsatur(masks: tuple[int, ...] | list[int], n: int, k: int, enough: int) -> 
     most ``enough`` colors, else the last it found, which is optimal: a
     component's first vertex out of colors means that component has no
     coloring within the bound.
+
+    ``enough`` rises to the largest clique the search meets, a lower bound
+    on chi, so a coloring with that many colors is known optimal at once.
+    A component's first vertex opens a clique, and each next vertex whose
+    saturation equals the clique's size joins it: only the members are
+    colored in that component, each with its own color, so it sees them
+    all. The first vertex that does not join ends the clique, as does a
+    step back. While ``enough`` stays at most chi, the coloring returned
+    does not depend on it.
 
     The next vertex comes from a heap of (-score, v), score = saturation *
     n + degree. Scores only grow on the way down, so a raised score is
@@ -207,6 +162,7 @@ def _dsatur(masks: tuple[int, ...] | list[int], n: int, k: int, enough: int) -> 
     bound = k
     heap: list[tuple[int, int]] | None = None
     d = c = 0  # c: the color last tried at depth d, 0 on entering it
+    run = 0  # the clique of the current component's first vertices, 0 once ended
     while True:
         if not c:
             if heap is None:
@@ -216,7 +172,13 @@ def _dsatur(masks: tuple[int, ...] | list[int], n: int, k: int, enough: int) -> 
             while colors[v] or -s != score[v]:
                 s, v = heapq.heappop(heap)
             order[d] = v
-            top[d] = 0 if s > -n else max(top[d - 1], colors[order[d - 1]])
+            if s > -n:  # no colored neighbour: v opens a component
+                top[d] = 0
+                run = 1
+            else:
+                top[d] = max(top[d - 1], colors[order[d - 1]])
+                run = run + 1 if run == -s // n else 0
+            enough = max(enough, run)
         v = order[d]
         limit = min(bound, top[d] + 1)
         c += 1
@@ -245,6 +207,7 @@ def _dsatur(masks: tuple[int, ...] | list[int], n: int, k: int, enough: int) -> 
         else:
             back = d - 1
         heap = None
+        run = 0
         while d > back:  # uncolor the vertices below back and the one at it
             d -= 1
             v = order[d]
@@ -257,52 +220,32 @@ def _dsatur(masks: tuple[int, ...] | list[int], n: int, k: int, enough: int) -> 
                     score[w] -= n
 
 
-def _k_coloring(masks: tuple[int, ...] | list[int], n: int, k: int) -> list[int] | None:
-    """A proper coloring with at most k colors, or None: the two-coloring
-    sweep for k = 2, the DSATUR search for any other k."""
-    if k == 2:
-        sides = _bipartition(masks, n)
-        if sides is None:
-            return None
-        colors = [1] * n
-        for v in sides[1]:
-            colors[v] = 2
-        return colors
-    return _dsatur(masks, n, k, k)
-
-
 def find_coloring(g: Graph, k: int) -> Coloring | None:
     """A proper coloring of g using at most k colors, or None if impossible.
 
-    The colors it uses are 1..l for some l <= k.
+    It is the DSATUR search's first coloring within k colors, so the colors
+    it uses are 1..l for some l <= k.
     """
-    raw = _k_coloring(g.adjacency_masks, g.order, k)
+    raw = _dsatur(g.adjacency_masks, g.order, k, k)
     return None if raw is None else Coloring.from_assignment(raw)
 
 
 def _min_coloring(masks: tuple[int, ...], n: int) -> list[int]:
     """A proper coloring of the graph on masks that uses exactly chi colors.
 
-    Colors are 1..chi, every one used. The witness comes from the
-    two-coloring sweep on bipartite inputs, and otherwise from the DSATUR
-    branch and bound, which stops early at a coloring with as many colors
-    as the lower bound: 3, or a greedily grown clique if larger.
+    Colors are 1..chi, every one used: the DSATUR branch and bound's first
+    coloring with as many colors as its clique bound, or its last, which is
+    optimal. Edgeless and bipartite inputs take its first, greedy, coloring.
     """
-    if not any(masks):
-        return [1] * n
-    two = _k_coloring(masks, n, 2)
-    if two is not None:
-        return two
-    return _dsatur(masks, n, n, max(3, _greedy_clique(masks, n)))
+    return _dsatur(masks, n, n, 1)
 
 
 def chromatic_number(g: Graph) -> int:
     """Exact chi(g), for any simple graph of order >= 1.
 
-    The number of colors of the witness :func:`_min_coloring` builds:
-    edgeless and bipartite inputs are read off directly; otherwise a DSATUR
-    branch and bound improves on its greedy first coloring until it meets
-    3 or a greedily grown clique, or proves that it cannot.
+    The number of colors of the witness :func:`_min_coloring` builds: a
+    DSATUR branch and bound improves on its greedy first coloring until it
+    meets the largest clique it saw, or proves that it cannot.
     """
     if g.order < 1:
         raise ValueError("chromatic number needs order >= 1")
@@ -449,7 +392,7 @@ def canonical_partition(
                     witness = [rest]
                     break
             elif k > 2:
-                found = _k_coloring(_induced(masks, rest), n, k - 1)
+                found = _dsatur(_induced(masks, rest), n, k - 1, k - 1)
                 if found is not None:
                     witness = _classes_of(found, rest, k - 1)
                     break
@@ -463,7 +406,7 @@ def canonical_partition(
                 sub[opener] = merged
                 for v in _vertices(merged):
                     sub[v] |= 1 << opener
-                found = _k_coloring(sub, n, k)
+                found = _dsatur(sub, n, k, k)
                 if found is not None:
                     witness = _classes_of(found, live, k)
                     witness[found[opener] - 1] |= grown

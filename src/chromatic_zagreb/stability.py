@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .coloring import EnumerationBudgetExceeded, Meter
-from .coloring import _bipartition, _iter_chi_partitions, _min_coloring
+from .coloring import _iter_chi_partitions, _min_coloring
 from .graph import Graph
 
 
@@ -24,13 +24,15 @@ class StabilityBudgetExceeded(Exception):
 
 
 def is_complete_bipartite(g: Graph) -> bool:
-    """True iff g is bipartite with every cross-partition pair present."""
-    if g.order < 2 or not g.is_connected():
-        return False
-    sides = _bipartition(g.adjacency_masks, g.order)
-    if sides is None:
-        return False
-    return g.size == len(sides[0]) * len(sides[1])
+    """True iff g is bipartite with every cross-partition pair present.
+
+    That is, N(0) = B is not empty and, with A the rest, every vertex of A
+    has neighbourhood B and every vertex of B has neighbourhood A.
+    """
+    masks = g.adjacency_masks
+    b = masks[0] if masks else 0
+    a = ((1 << g.order) - 1) ^ b
+    return b != 0 and all(m == (a if b >> v & 1 else b) for v, m in enumerate(masks))
 
 
 def is_chromatically_stable(g: Graph, coloring: list[int] | None = None) -> bool | None:
@@ -66,14 +68,16 @@ def stability_number_bipartite(g: Graph) -> int:
     """Closed-form stability number for connected 2-chromatic graphs.
 
     theta(c1) * theta(c2) - size: the number of cross-partition non-edges,
-    i.e. the additions that complete the bipartition.
+    i.e. the additions that complete the bipartition, whose sides are the
+    color classes of a chi-coloring.
     """
     if not g.is_connected():
         raise ValueError("closed form needs a connected graph")
-    sides = _bipartition(g.adjacency_masks, g.order)
-    if g.size == 0 or sides is None:  # 2-chromatic: an edge and a bipartition
+    coloring = _min_coloring(g.adjacency_masks, g.order)
+    if max(coloring, default=0) != 2:
         raise ValueError("closed form applies to 2-chromatic graphs only")
-    cross = len(sides[0]) * len(sides[1])
+    ones = coloring.count(1)
+    cross = ones * (g.order - ones)
     if g.size == cross:
         raise ValueError("graph is already complete bipartite (unstable)")
     return cross - g.size

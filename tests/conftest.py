@@ -52,6 +52,26 @@ def naive_dsatur(g: Graph) -> list[int]:
     return colors
 
 
+def naive_bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
+    """The two sides of a breadth-first 2-coloring of every component, each
+    opened at its lowest vertex, or None when some edge joins one side."""
+    side = [-1] * g.order
+    for start in range(g.order):
+        if side[start] != -1:
+            continue
+        side[start] = 0
+        queue = [start]
+        for u in queue:
+            for w in g.neighbors(u):
+                if side[w] == -1:
+                    side[w] = 1 - side[u]
+                    queue.append(w)
+    if any(side[u] == side[v] for u, v in g.edges):
+        return None
+    return ([v for v in range(g.order) if side[v] == 0],
+            [v for v in range(g.order) if side[v] == 1])
+
+
 def naive_min_colorings(g: Graph, ell: int | None = None) -> list[tuple[int, ...]]:
     if ell is None:
         ell = naive_chi(g)

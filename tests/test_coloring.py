@@ -48,6 +48,28 @@ _DSATUR_HARD = Graph(8, [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 5), (2, 5),
 _HARD_THEN_STAR = Graph(13, list(_DSATUR_HARD.edges) + [(8, j) for j in range(9, 13)])
 _STAR_THEN_HARD = Graph(13, [(0, j) for j in range(1, 5)]
                         + [(u + 5, v + 5) for u, v in _DSATUR_HARD.edges])
+# K4 beside 12 disjoint K_{1,4} stars: the stars have the higher degrees
+_K4_BESIDE_STARS = Graph(64, [(a, b) for a in range(4) for b in range(a + 1, 4)]
+                         + [(c, c + j) for c in range(4, 64, 5) for j in range(1, 5)])
+# the Groetzsch graph, C5's Mycielskian: triangle-free with chi = 4
+_GROETZSCH = Graph(11, [(i, (i + 1) % 5) for i in range(5)]
+                   + [(5 + i, (i + j) % 5) for i in range(5) for j in (1, 4)]
+                   + [(10, 5 + i) for i in range(5)])
+
+
+def _naive_chi_by_component(g: Graph) -> int:
+    """The largest naive_chi of a component of g on its own, chi(g)."""
+    chi = 0
+    left = set(range(g.order))
+    while left:
+        members = [min(left)]
+        for u in members:
+            members += [w for w in g.neighbors(u) if w not in members]
+        left -= set(members)
+        index = {v: i for i, v in enumerate(members)}
+        edges = [(index[u], index[v]) for u, v in g.edges if u in index]
+        chi = max(chi, naive_chi(Graph(len(members), edges)))
+    return chi
 
 
 def _first_coloring(g: Graph) -> list[int]:
@@ -161,6 +183,22 @@ class TestChromaticNumber:
         assert all(colors[u] != colors[v] for u, v in g.edges)
         assert set(colors) == {1, 2, 3} and chromatic_number(g) == 3
 
+    @given(graphs(max_n=10))
+    @example(_K4_BESIDE_STARS)
+    @example(_HARD_THEN_STAR)
+    @example(_STAR_THEN_HARD)
+    @example(Graph(6))
+    @example(Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]))
+    @example(cycle(5))
+    @example(_GROETZSCH)
+    @settings(max_examples=50, deadline=None)
+    def test_clique_bound_never_overestimates(self, g):
+        # a bound above chi would stop the search at a coloring with too many
+        colors = _dsatur(g.adjacency_masks, g.order, g.order, 1)
+        assert all(colors[u] != colors[v] for u, v in g.edges)
+        assert max(colors) == _naive_chi_by_component(g)
+        assert colors == _min_coloring(g.adjacency_masks, g.order)
+
     @given(graphs(max_n=7), st.integers(1, 4))
     @example(_HARD_THEN_STAR, 3)
     @example(_STAR_THEN_HARD, 3)
@@ -172,14 +210,11 @@ class TestChromaticNumber:
             assert max(colors) <= k and all(colors[u] != colors[v] for u, v in g.edges)
 
     def test_uncolorable_component_stops_the_search(self):
-        # K4 beside 12 disjoint K_{1,4} stars: the clique bound is 2, so
-        # k = 3 is searched, and every star's colorings were once retried
-        # for each dead end in K4 (about x3 per star, 2.6 s at 12)
-        edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        edges += [(c, c + j) for c in range(4, 64, 5) for j in range(1, 5)]
-        g = Graph(64, edges)
+        # K4 beside 12 disjoint K_{1,4} stars: every star's colorings were
+        # once retried for each dead end in K4 (about x3 per star, 2.6 s at
+        # 12) while the search looked for 3 colors
         start = time.perf_counter()
-        assert chromatic_number(g) == 4
+        assert chromatic_number(_K4_BESIDE_STARS) == 4
         assert time.perf_counter() - start < 1
 
     def test_disconnected_non_bipartite_input(self):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chromatic_zagreb import coloring, generate, parse_family_spec
-from chromatic_zagreb.coloring import chromatic_number, _bipartition
+from chromatic_zagreb.coloring import chromatic_number
 from chromatic_zagreb.corpus import (
     connected_bipartite_graphs,
     labeled_connected_bipartite_graphs,
@@ -24,7 +24,7 @@ from chromatic_zagreb.stability import (
     stability_report,
 )
 
-from conftest import complete, cycle, naive_chi, path, star
+from conftest import complete, cycle, naive_bipartition, naive_chi, path, star
 
 
 @st.composite
@@ -80,6 +80,22 @@ class TestCompleteBipartite:
         (Graph(1), False),
     ])
     def test_known(self, g, expected):
+        assert is_complete_bipartite(g) == expected
+
+    @given(graphs(max_n=8))
+    @example(Graph(1))
+    @example(Graph(2))
+    @example(complete(2))
+    @example(cycle(4))
+    @example(cycle(5))
+    @example(Graph(5, [(i, j) for i in (0, 1) for j in (2, 3, 4)]))  # K_{2,3}
+    @example(Graph(4, [(0, 1), (2, 3)]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_definition(self, g):
+        # connected, 2-colorable, and every pair across the sides an edge
+        sides = naive_bipartition(g)
+        expected = (g.order >= 2 and g.is_connected() and sides is not None
+                    and g.size == len(sides[0]) * len(sides[1]))
         assert is_complete_bipartite(g) == expected
 
 
@@ -173,7 +189,7 @@ class TestExhaustiveCorpora:
         for label, g in connected_bipartite_graphs(8):
             counts[g.order] = counts.get(g.order, 0) + 1
             assert g.is_connected()
-            assert _bipartition(g.adjacency_masks, g.order) is not None
+            assert naive_bipartition(g) is not None
         assert counts == {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
 
     def test_class_enumeration_matches_labeled_dedup(self):
@@ -210,7 +226,7 @@ class TestExhaustiveCorpora:
 
     def test_intra_partition_addition_forces_chi_3(self):
         for _, g in connected_bipartite_graphs(7):
-            sides = _bipartition(g.adjacency_masks, g.order)
+            sides = naive_bipartition(g)
             for side in sides:
                 for u, v in itertools.combinations(sorted(side), 2):
                     if not g.has_edge(u, v):
