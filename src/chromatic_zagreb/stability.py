@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .coloring import EnumerationBudgetExceeded, Meter
-from .coloring import _iter_chi_partitions, _min_coloring
+from .coloring import _iter_chi_partitions, _min_coloring, _vertices
 from .graph import Graph
 
 
@@ -113,25 +113,96 @@ def stability_number_bruteforce(
     raise AssertionError("completing the graph always removes every non-edge")
 
 
+def _independence_number(masks: tuple[int, ...], n: int, meter: Meter) -> int:
+    """alpha: the most vertices of an independent set, by branch and bound.
+
+    A node first takes every candidate of degree <= 1 among the candidates,
+    since some largest independent set holds it. A greedy clique cover of
+    the rest then bounds what the node can still add, since an independent
+    set meets each clique at most once. Last it branches on a candidate of
+    highest degree, taken or left out. The search keeps an explicit stack
+    and charges ``meter`` one unit per node.
+    """
+    best = 0
+    stack = [((1 << n) - 1, 0)]  # (candidates, vertices taken)
+    while stack:
+        meter.charge(1)
+        live, size = stack.pop()
+        # taking v drops its neighbour w, so only w's neighbours need a new look
+        work = list(_vertices(live))
+        while work:
+            v = work.pop()
+            near = masks[v] & live
+            if live >> v & 1 and not near & (near - 1):
+                size += 1
+                live ^= 1 << v | near
+                if near:
+                    work.extend(_vertices(masks[near.bit_length() - 1] & live))
+        cover, rest = 0, live
+        while rest and size + cover <= best:
+            clique = rest & -rest
+            common = masks[clique.bit_length() - 1] & rest
+            while common:
+                low = common & -common
+                clique |= low
+                common &= masks[low.bit_length() - 1]
+            rest ^= clique
+            cover += 1
+        if not live:
+            best = max(best, size)
+        elif size + cover > best:
+            v = max(_vertices(live), key=lambda u: (masks[u] & live).bit_count())
+            stack.append((live ^ 1 << v, size))
+            stack.append((live & ~(masks[v] | 1 << v), size + 1))
+    return best
+
+
+def _most_pairs(n: int, k: int, alpha: int) -> int:
+    """The most of sum C(s_i,2) over k class sizes s_i in 1..alpha summing to n.
+
+    The sum is convex in the sizes, so the most comes from filling classes
+    to alpha one after another: q full ones and one of r + 1, with
+    q, r = divmod(n - k, alpha - 1), or all k full once q reaches k. It
+    falls as k grows. alpha = n gives C(n - k + 1, 2).
+    """
+    q, r = divmod(n - k, alpha - 1)
+    if q >= k:
+        return k * alpha * (alpha - 1) // 2
+    return q * alpha * (alpha - 1) // 2 + r * (r + 1) // 2
+
+
 def _stability_number(g: Graph, coloring: list[int]) -> tuple[int, str]:
     """(rho, exact | upper_bound) for a stable g and a chi-coloring of it.
 
     A graph with a non-edge is unstable iff it is complete multipartite, so
     rho = C(n,2) - size - max sum C(|P_i|,2) over partitions of V into
-    k = chi..n-1 independent sets, of which the coloring's classes are one;
-    k sets hold at most C(n-k+1,2) pairs. The walks of all k charge one
-    Meter; past its cap the best partition seen gives an upper bound.
+    k = chi..n-1 independent sets, of which the coloring's classes are one.
+    No such set holds more than alpha vertices, so k sets hold at most
+    ``_most_pairs(n, k, alpha)`` pairs, which falls as k grows: the walk
+    over k stops, or never starts, once that meets the best partition seen.
+    The alpha search and the walks of all k charge one Meter. Past its cap
+    every partition of fewer classes has been seen and the best of them
+    falls short of the cap at the current k, so it gives an upper bound.
+    If the alpha search runs out, alpha is taken as n, and the walk, left
+    no units, ends at once.
     """
     n = g.order
     sizes = Counter(coloring).values()
     pairs = sum([s * (s - 1) for s in sizes]) // 2
     meter = Meter()
     try:
+        alpha = _independence_number(g.adjacency_masks, n, meter)
+    except EnumerationBudgetExceeded:
+        alpha = n
+    try:
         for k in range(len(sizes), n):
-            if (n - k + 1) * (n - k) // 2 <= pairs:
+            most = _most_pairs(n, k, alpha)
+            if most <= pairs:
                 break
             for partition in _iter_chi_partitions(g, k, meter):
                 pairs = max(pairs, sum([len(c) * (len(c) - 1) for c in partition]) // 2)
+                if pairs >= most:  # no partition of k or more classes beats it
+                    break
     except EnumerationBudgetExceeded:
         return n * (n - 1) // 2 - g.size - pairs, "upper_bound"
     return n * (n - 1) // 2 - g.size - pairs, "exact"
@@ -142,9 +213,11 @@ class StabilityReport:
     """Verdict record: chi, stability, and the stability number rho.
 
     rho comes from the partition search of :func:`_stability_number`
-    (``cluster_deletion`` on the complement); it is an ``upper_bound`` only
-    when that search, over all class counts together, met the one work
-    cap of the call (WORK_CAP units of a Meter).
+    (``cluster_deletion`` on the complement), cut short by an
+    independence-number bound; it is an ``upper_bound`` only when the alpha
+    search and the walks over all class counts together met the one work
+    cap of the call (WORK_CAP units of a Meter) before that bound met the
+    best partition found.
     """
 
     order: int

@@ -37,6 +37,14 @@ def naive_chi(g: Graph) -> int:
     raise AssertionError
 
 
+def naive_alpha(g: Graph) -> int:
+    """The most vertices of a subset with no edge inside it."""
+    edges = set(g.edges)
+    return max(k for k in range(g.order + 1)
+               for subset in itertools.combinations(range(g.order), k)
+               if not any(pair in edges for pair in itertools.combinations(subset, 2)))
+
+
 def naive_dsatur(g: Graph) -> list[int]:
     """DSATUR from its definition: color next the uncolored vertex with the
     most distinct neighbour colors, then the highest degree, then the lowest

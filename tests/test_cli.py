@@ -308,6 +308,12 @@ class TestStability:
         d = json.loads(out)
         assert d["stable"] is True and d["rho"] == 1
 
+    def test_alpha_bound_proves_a_long_path(self, capsys):
+        code, out, _ = run_cli(capsys, "stability", "--family", "path:1500",
+                               "--format", "json")
+        d = json.loads(out)
+        assert code == 0 and (d["rho"], d["rho_status"]) == (561_001, "exact")
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "stab.json"
         run_cli(capsys, "stability", "--family", "cycle:6", "--out", str(dest))

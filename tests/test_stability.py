@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chromatic_zagreb import coloring, generate, parse_family_spec
-from chromatic_zagreb.coloring import chromatic_number
+from chromatic_zagreb.coloring import Meter, chromatic_number
 from chromatic_zagreb.corpus import (
     connected_bipartite_graphs,
     labeled_connected_bipartite_graphs,
@@ -17,6 +19,8 @@ from chromatic_zagreb.corpus import (
 from chromatic_zagreb.graph import Graph
 from chromatic_zagreb.stability import (
     StabilityBudgetExceeded,
+    _independence_number,
+    _most_pairs,
     is_chromatically_stable,
     is_complete_bipartite,
     stability_number_bipartite,
@@ -24,7 +28,15 @@ from chromatic_zagreb.stability import (
     stability_report,
 )
 
-from conftest import complete, cycle, naive_bipartition, naive_chi, path, star
+from conftest import (
+    complete,
+    cycle,
+    naive_alpha,
+    naive_bipartition,
+    naive_chi,
+    path,
+    star,
+)
 
 
 @st.composite
@@ -67,6 +79,28 @@ def canonical_bipartite_classes(n: int) -> list[tuple[str, list[tuple[int, int]]
 def double_star_3_4() -> Graph:
     """Two adjacent centers, one with three leaves, one with two."""
     return Graph(7, [(0, 3), (0, 4), (0, 5), (0, 6), (1, 6), (2, 6)])
+
+
+def inward_path(n: int) -> Graph:
+    """A path whose two leaves are its lowest vertices: the even vertices
+    ascending, then the odd ones descending."""
+    walk = list(range(0, n, 2)) + list(range(n - 1 - n % 2, 0, -2))
+    return Graph(n, list(zip(walk, walk[1:])))
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def grotzsch() -> Graph:
+    """The Mycielskian of C5: each v + 5 has the neighbours of v, and 10
+    joins every v + 5; triangle-free with chi = 4 and alpha = 5."""
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    shadows = [(u, v + 5) for u, v in c5] + [(u + 5, v) for u, v in c5]
+    return Graph(11, c5 + shadows + [(v + 5, 10) for v in range(5)])
 
 
 class TestCompleteBipartite:
@@ -182,6 +216,54 @@ class TestStabilityNumber:
             assert (r.rho, r.rho_status) == (brute, "exact")
 
 
+class TestIndependenceBound:
+    @given(graphs(max_n=10))
+    @example(cycle(5))
+    @example(cycle(7))
+    @example(petersen())
+    @example(Graph(7, [(i, j) for i in range(3) for j in range(3, 7)]))  # K_{3,4}
+    @example(grotzsch())
+    @example(Graph(3))
+    @example(inward_path(8))
+    @example(Graph(9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8)]))
+    @settings(max_examples=150, deadline=None)
+    def test_alpha_matches_naive(self, g):
+        masks = g.adjacency_masks
+        assert _independence_number(masks, g.order, Meter(float("inf"))) == naive_alpha(g)
+
+    @pytest.mark.parametrize("n", [41, 42])
+    def test_trees_end_at_the_first_node(self, n):
+        # the work list of degree <= 1 candidates reaches the leaves last;
+        # each leaf taken exposes the next one only through the work list
+        g = inward_path(n)
+        assert _independence_number(g.adjacency_masks, n, Meter(1)) == (n + 1) // 2
+
+    def test_most_pairs_matches_every_composition(self):
+        # alpha = 1 is left out: only a complete graph has it, and it has no rho
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                # the compositions of n into k parts, cut at k - 1 points
+                compositions = [
+                    [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
+                    for cuts in itertools.combinations(range(1, n), k - 1)
+                ]
+                for alpha in range(2, n + 1):
+                    fits = [sum(s * (s - 1) // 2 for s in c)
+                            for c in compositions if max(c) <= alpha]
+                    if fits:
+                        assert _most_pairs(n, k, alpha) == max(fits), (n, k, alpha)
+
+    @given(graphs(max_n=7))
+    @example(double_star_3_4())
+    @example(path(7))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_never_exceeds_bruteforce(self, g):
+        assume(is_chromatically_stable(g) is True)
+        n = g.order
+        most = _most_pairs(n, naive_chi(g), naive_alpha(g))
+        assert n * (n - 1) // 2 - g.size - most <= stability_number_bruteforce(g)
+
+
 class TestExhaustiveCorpora:
     def test_bipartite_class_counts(self):
         # counts cross-checked below against a labeled enumeration
@@ -252,6 +334,9 @@ class TestStabilityReport:
     @pytest.mark.parametrize("spec,rho", [
         ("path:9", 12), ("cycle:9", 15), ("thorn(path:4;1)", 9),
         ("path:10", 16), ("cycle:10", 15), ("cycle:7", 8),
+        # the alpha bound proves each of these without a walk past chi classes
+        ("path:13", 30), ("path:14", 36), ("path:16", 49), ("cycle:13", 35),
+        ("caterpillar:2,0,3,1,2", 24), ("path:24", 121), ("cycle:25", 143),
     ])
     def test_exact_values(self, spec, rho):
         r = stability_report(generate(parse_family_spec(spec)))
@@ -289,19 +374,47 @@ class TestStabilityReport:
         assert (r.rho, r.rho_status) == (14, "upper_bound")
 
     def test_one_cap_covers_every_class_count(self, monkeypatch, meters):
-        # path:10 walks k = 2, 3 and 4 in 21, 3,062 and 34,920 units: each
-        # k within the cap, all three past it, so the walk stops at the cap
-        monkeypatch.setattr(coloring, "WORK_CAP", 35_000)
-        r = stability_report(path(10))
-        assert (r.rho, r.rho_status) == (16, "upper_bound")
+        # thorn(complete:3;2): the alpha search takes 1 unit, and the walk
+        # takes 706 units at k = 3 and 7,007 at k = 4, where a partition
+        # meets the alpha bound of 15 pairs: each k within the cap, all
+        # together past it, so the walk stops at the cap (exact rho is 12)
+        monkeypatch.setattr(coloring, "WORK_CAP", 7_500)
+        r = stability_report(generate(parse_family_spec("thorn(complete:3;2)")))
+        assert (r.rho, r.rho_status) == (14, "upper_bound")
         (meter,) = meters
-        assert 35_000 < meter.spent <= 35_000 + 10  # one charge past it at most
+        assert 7_500 < meter.spent <= 7_500 + 9  # one charge past it at most
+
+    @pytest.mark.parametrize("spec,rho", [
+        ("path:1500", 561_001),
+        ("cycle:1501", 562_499),
+    ])
+    def test_alpha_bound_closes_large_inputs(self, spec, rho, schema_validator):
+        # the chi-coloring's classes meet the alpha bound, so nothing is walked
+        start = time.perf_counter()
+        r = stability_report(generate(parse_family_spec(spec)))
+        assert time.perf_counter() - start < 1
+        assert (r.rho, r.rho_status) == (rho, "exact")
+        schema_validator(r.to_json_dict(), "stability_report.schema.json")
 
     def test_work_cap_bounds_large_inputs(self, schema_validator):
-        # capped; the chi-coloring is the bipartition, so the bound is the closed form
-        r = stability_report(path(1500))
-        assert (r.rho, r.rho_status) == (750 * 750 - 1499, "upper_bound")
+        # the alpha bound at k = chi = 3 leaves a gap (rho >= 143), so the walk
+        # runs to the cap
+        r = stability_report(generate(parse_family_spec("thorn(cycle:9;2)")))
+        assert (r.rho, r.rho_status) == (167, "upper_bound")
         schema_validator(r.to_json_dict(), "stability_report.schema.json")
+
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.5])
+    def test_random_graphs_stop_within_seconds(self, p):
+        # the alpha search and the walk share one cap: 0.5 s at p = 0.05 and
+        # 0.1, and 3.3-4.4 s at p = 0.5 on 2 cores, most of it the chi search
+        # and the walk up to the cap; the alpha search takes 5-459 nodes
+        rng = random.Random(60)
+        g = Graph(60, [(u, v) for u in range(60) for v in range(u + 1, 60)
+                       if rng.random() < p])
+        start = time.perf_counter()
+        r = stability_report(g)
+        assert time.perf_counter() - start < 15
+        assert r.rho_status in ("exact", "upper_bound")
 
     def test_disconnected_flagged(self):
         r = stability_report(Graph(4, [(0, 1), (2, 3)]))
