@@ -120,11 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # main maps ValueError to a usage error
+        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _csv(rows) -> str:

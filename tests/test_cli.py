@@ -361,6 +361,16 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--claims", "oracle-extrema")
         assert code == 3 and "must-hold failures" in err
 
+    @pytest.mark.parametrize("option,value", [("--tree-max-order", "60"),
+                                              ("--tree-max-order", "3"),
+                                              ("--max-order", "0")])
+    def test_order_out_of_range_is_usage_error(self, capsys, option, value):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--claims", "obs-i", option, value)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("czi: ") and err.count("\n") == 1 and value in err
+
     def test_help_lists_claim_ids(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--help"])
@@ -369,3 +379,16 @@ class TestVerify:
         for cid in ("obs-i", "obs-xii", "lem-3.2-ii-min-printed", "thm-4.4",
                     "oracle-extrema"):
             assert cid in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--family", "path:3"),
+    ("family", "complete:4"),
+    ("stability", "--family", "path:3"),
+    ("verify", "--claims", "obs-i"),
+])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    for dest in (tmp_path, tmp_path / "missing" / "x.json"):
+        code, _, err = run_cli(capsys, *argv, "--out", str(dest))
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith(f"czi: cannot write {dest}: ") and err.count("\n") == 1

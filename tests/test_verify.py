@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from chromatic_zagreb import verify
+from chromatic_zagreb import cli, verify
 from chromatic_zagreb.coloring import Coloring
 from chromatic_zagreb.generators import generate, parse_family_spec
 from chromatic_zagreb.indices import chromatic_m2, chromatic_m3
@@ -228,6 +229,19 @@ class TestVerdicts:
         assert skipped and all("budget" in r.actual for r in skipped)
         in_budget = [r for r in res if r.verdict != "skipped_budget"]
         assert in_budget and all(r.verdict == "verified" for r in in_budget)
+
+    def test_inexact_engine_report_fails_oracle_extrema(self, capsys, monkeypatch):
+        real = verify.full_report
+        monkeypatch.setattr(verify, "full_report", lambda g, **kw: dataclasses.replace(
+            real(g, **kw), status="bounds_only"))
+        res = run_claims(SMALL, "oracle-extrema")
+        assert res and all(
+            (r.verdict, r.must_hold, r.actual, r.witness)
+            == ("skipped_budget", True, "engine status bounds_only", None) for r in res)
+        assert build_report(SMALL, res)["summary"]["must_hold_failures"] == ["oracle-extrema"]
+        assert cli.main(["verify", "--claims", "oracle-extrema", "--max-order", "4",
+                         "--random-graphs", "2"]) == 3
+        assert "must-hold failures: oracle-extrema" in capsys.readouterr().err
 
     def test_prop_4_6_double_star_counterexample_recorded(self):
         cfg = CorpusConfig(max_order=7, random_graph_count=5, random_tree_count=5,
