@@ -25,6 +25,7 @@ from .verify import (
     report_to_csv,
     report_to_json,
     run_claims,
+    select_claims,
 )
 
 EXIT_OK = 0
@@ -102,8 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="claim ids:\n  " + "\n  ".join(id_lines),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p_verify.add_argument("--max-order", type=_count, default=8)
-    p_verify.add_argument("--seed", type=int, default=0)
+    defaults = CorpusConfig()
+    p_verify.add_argument("--max-order", type=_count, default=defaults.max_order)
+    p_verify.add_argument("--seed", type=int, default=defaults.seed)
     p_verify.add_argument("--claims", default="all",
                           help="comma list of ids, prefixes, or ranges like obs-i..obs-xii")
     p_verify.add_argument("--out", metavar="PATH",
@@ -111,20 +113,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--strict", action="store_true",
                           help="exit 4 when any instance was skipped for budget")
-    p_verify.add_argument("--random-graphs", type=_count, default=200)
-    p_verify.add_argument("--random-trees", type=_count, default=100)
-    p_verify.add_argument("--samples", type=_count, default=2,
+    p_verify.add_argument("--random-graphs", type=_count, default=defaults.random_graph_count)
+    p_verify.add_argument("--random-trees", type=_count, default=defaults.random_tree_count)
+    p_verify.add_argument("--samples", type=_count, default=defaults.monotonicity_samples,
                           help="random instances per order in the monotonicity suites")
-    p_verify.add_argument("--tree-max-order", type=_count, default=10)
+    p_verify.add_argument("--tree-max-order", type=_count, default=defaults.tree_max_order)
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, mode: str = "w") -> None:
     if not out_path:
         sys.stdout.write(text)
         return
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:  # main maps ValueError to a usage error
         raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
@@ -294,10 +296,13 @@ def _cmd_verify(args, parser) -> int:
         tree_max_order=args.tree_max_order,
     )
     try:
-        results = run_claims(config, args.claims)
+        select_claims(args.claims)
     except UnknownClaimError as exc:
         print(f"czi verify: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.out:  # fail on an unwritable path before the run, and keep what it holds
+        _emit("", args.out, "a")
+    results = run_claims(config, args.claims)
     report = build_report(config, results)
     if args.format == "csv":
         text = report_to_csv(results)

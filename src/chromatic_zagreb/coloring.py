@@ -18,6 +18,11 @@ semantics are provided:
 
 For connected bipartite graphs the proper 2-partition is unique, so the
 two semantics emit the same set.
+
+A partition is always held as its restricted-growth string: a tuple that
+gives each vertex its 0-based class, the classes numbered in order of
+their first vertex. Labels p_0, p_1, ... of its classes then color vertex
+v with p[partition[v]], and label order is assignment order.
 """
 
 from __future__ import annotations
@@ -258,13 +263,14 @@ def chromatic_number(g: Graph) -> int:
 
 def _iter_chi_partitions(
     g: Graph, ell: int, meter: Meter | None = None
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+) -> Iterator[tuple[int, ...]]:
     """Yield every partition of V into exactly ell independent classes.
 
     Classes are discovered in first-vertex order (restricted-growth
-    search), so each set partition appears exactly once, with its classes
-    in first-vertex order and each class ascending. The search keeps an
-    explicit stack, so its depth is not bounded by the recursion limit.
+    search), so each set partition appears exactly once, as its
+    restricted-growth string, in lexicographic order of the strings. The
+    search keeps an explicit stack, so its depth is not bounded by the
+    recursion limit.
     It charges ``meter``, when given, one unit per backtrack, dead ends
     too, and n per partition, so it stops where that meter's cap is met.
     """
@@ -281,12 +287,7 @@ def _iter_chi_partitions(
         if v == n:
             if len(class_masks) == ell:
                 meter.charge(n)
-                classes: list[list[int]] = [[] for _ in range(ell)]
-                for u in range(n):
-                    classes[placed[u]].append(u)
-                # from a list: a tuple built from an iterator is resized, and
-                # CPython's tuple free list then keeps it once freed (peak RSS)
-                yield tuple([tuple(members) for members in classes])
+                yield tuple(placed)
         else:
             opened = len(class_masks)
             k = option[v]
@@ -342,19 +343,19 @@ def _classes_of(colors: list[int], live: int, k: int) -> list[int]:
     return classes
 
 
-def canonical_partition(
-    g: Graph, coloring: list[int] | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """The lexicographically least proper chi-partition, built class by class.
+def canonical_partition(g: Graph, coloring: list[int] | None = None) -> tuple[int, ...]:
+    """The lexicographically least proper chi-partition, built class by
+    class, as its restricted-growth string.
 
     Partitions compare as tuples of ascending classes in first-vertex
-    order, and a class that is a proper prefix of another is the smaller.
-    So each class opens at the smallest unplaced vertex, closes as soon as
-    the unplaced rest has a proper coloring with the classes still
-    missing, and otherwise takes the smallest later vertex that keeps a
-    completion feasible. A vertex skipped there stays out of the class
-    with no further check: a completion holding it and later members
-    would also complete the members it was refused with.
+    order, and a class that is a proper prefix of another is the smaller;
+    that is not the order of their strings. So each class opens at the
+    smallest unplaced vertex, closes as soon as the unplaced rest has a
+    proper coloring with the classes still missing, and otherwise takes
+    the smallest later vertex that keeps a completion feasible. A vertex
+    skipped there stays out of the class with no further check: a
+    completion holding it and later members would also complete the
+    members it was refused with.
 
     Each step is answered first from a witness coloring of the unplaced
     vertices, kept as per-color class bitmasks and started from
@@ -373,9 +374,9 @@ def canonical_partition(
     ell = max(coloring, default=0)
     unplaced = (1 << n) - 1
     witness = _classes_of(coloring, unplaced, ell)
-    partition = []
-    while unplaced:
-        k = ell - len(partition)  # classes still to build, the open one included
+    partition = [0] * n
+    for built in range(ell):
+        k = ell - built  # classes still to build, the open one included
         opener = (unplaced & -unplaced).bit_length() - 1
         members = 1 << opener
         blocked = masks[opener]  # the neighbours of the members
@@ -413,25 +414,18 @@ def canonical_partition(
                     break
             members |= 1 << x
             blocked |= masks[x]
-        partition.append(tuple(_vertices(members)))
+        for v in _vertices(members):
+            partition[v] = built
         unplaced ^= members
     return tuple(partition)
 
 
-def label_partition(
-    partition: tuple[tuple[int, ...], ...], labels: tuple[int, ...], n: int
-) -> tuple[int, ...]:
-    """The assignment that gives every vertex of partition[i] color labels[i]."""
-    assignment = [0] * n
-    for label, members in zip(labels, partition):
-        for v in members:
-            assignment[v] = label
-    return tuple(assignment)
+def label_partition(partition: tuple[int, ...], labels: tuple[int, ...]) -> tuple[int, ...]:
+    """The assignment that gives every vertex of class i color labels[i]."""
+    return tuple([labels[i] for i in partition])
 
 
-def colorings_of_partition(
-    partition: tuple[tuple[int, ...], ...], n: int
-) -> Iterator[Coloring]:
+def colorings_of_partition(partition: tuple[int, ...]) -> Iterator[Coloring]:
     """All ell! labelings of one partition, lazily, in assignment order.
 
     With the classes in first-vertex order, two labelings first differ at
@@ -439,10 +433,9 @@ def colorings_of_partition(
     lexicographic order of the label permutations is that of the
     assignments.
     """
-    classes = sorted(partition, key=min)
-    ell = len(classes)
+    ell = max(partition) + 1
     for labels in itertools.permutations(range(1, ell + 1)):
-        yield Coloring(label_partition(classes, labels, n), ell)
+        yield Coloring(label_partition(partition, labels), ell)
 
 
 def _iter_all_min_colorings(g: Graph, ell: int) -> Iterator[Coloring]:
@@ -454,7 +447,7 @@ def _iter_all_min_colorings(g: Graph, ell: int) -> Iterator[Coloring]:
     chi-partition.
     """
     # one call per partition: each stream binds its own partition
-    streams = [colorings_of_partition(p, g.order) for p in _iter_chi_partitions(g, ell)]
+    streams = [colorings_of_partition(p) for p in _iter_chi_partitions(g, ell)]
     yield from heapq.merge(*streams, key=attrgetter("assignment"))
 
 
@@ -474,6 +467,6 @@ def enumerate_min_colorings(g: Graph, semantics: Semantics = "all") -> Iterator[
     if semantics == "all":
         yield from _iter_all_min_colorings(g, ell)
     elif semantics == "permutation":
-        yield from colorings_of_partition(canonical_partition(g, coloring), g.order)
+        yield from colorings_of_partition(canonical_partition(g, coloring))
     else:
         raise ValueError(f"unknown semantics {semantics!r}")

@@ -205,35 +205,37 @@ def family_corpus(
     return out
 
 
-def random_connected_corpus(
-    count: int, max_order: int, seed: int, min_order: int = 4
-) -> list[tuple[str, Graph]]:
-    """Seeded random connected graphs with orders cycling min_order..max_order.
+# the least order of the random corpora
+RANDOM_MIN_ORDER = 4
+
+
+def random_connected_corpus(count: int, max_order: int, seed: int) -> list[tuple[str, Graph]]:
+    """Seeded random connected graphs with orders cycling
+    RANDOM_MIN_ORDER..max_order.
 
     Extra-edge density cycles through sparse to dense, so trees and
     near-complete graphs both appear. Empty when the order window is.
     """
-    if max_order < min_order:
+    if max_order < RANDOM_MIN_ORDER:
         return []
     rng = SplitMix64(seed)
     densities = (0, 15, 30, 50, 80)
     out = []
     for i in range(count):
-        n = min_order + i % (max_order - min_order + 1)
+        n = RANDOM_MIN_ORDER + i % (max_order - RANDOM_MIN_ORDER + 1)
         g = random_connected_graph(n, rng, densities[i % len(densities)])
         out.append((f"random:{n}:{i}", g))
     return out
 
 
-def random_tree_corpus(
-    count: int, max_order: int, seed: int, min_order: int = 4
-) -> list[tuple[str, Graph]]:
-    if max_order < min_order:
+def random_tree_corpus(count: int, max_order: int, seed: int) -> list[tuple[str, Graph]]:
+    """Seeded random trees with orders cycling RANDOM_MIN_ORDER..max_order."""
+    if max_order < RANDOM_MIN_ORDER:
         return []
     rng = SplitMix64(seed)
     out = []
     for i in range(count):
-        n = min_order + i % (max_order - min_order + 1)
+        n = RANDOM_MIN_ORDER + i % (max_order - RANDOM_MIN_ORDER + 1)
         out.append((f"random-tree:{n}:{i}", random_tree(n, rng)))
     return out
 

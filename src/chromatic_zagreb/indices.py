@@ -4,8 +4,9 @@ Classical indices are degree sums; chromatic ones replace degrees with
 1-based color indices of a minimum coloring and are then minimized /
 maximized over the minimum colorings from :mod:`.coloring`. A connected
 bipartite graph has two, its bipartition and the swap of it, which are
-scored directly. Otherwise either semantics scores chi-partitions on
-their quotient, the class sizes and the edge counts between classes:
+scored directly. Otherwise either semantics scores chi-partitions, as
+restricted-growth strings, on their quotient, the class sizes and the
+edge counts between classes:
 under ``all`` every chi-partition, under ``permutation`` the canonical
 one. Under ``all`` a walk that does not finish within the frontier DP's
 bound on its states hands over to one forward dynamic program over a
@@ -20,7 +21,9 @@ twin-ordered labelings takes cm3 from a DP over the sets of classes
 labelled so far (a linear arrangement) on int keys that pack a sum
 above its labeling, and walks the labelings for cm2: label sets for the
 twin groups, then every order of the labels left for the twin-free
-classes.
+classes. Every route hands its witnesses over as assignment tuples, and
+:func:`full_report` alone makes each distinct one a Coloring and checks
+it, once.
 """
 
 from __future__ import annotations
@@ -137,8 +140,13 @@ class ExtremaResult:
     status: ExtremaStatus
 
 
-def _sweep(g: Graph, colorings) -> dict[int, tuple[int, Coloring, int, Coloring]]:
-    """One pass over a coloring stream tracking min/max of all three indices.
+Witness = tuple[int, ...]  # an assignment: vertex v wears color witness[v]
+Extrema = dict[int, tuple[int, Witness, int, Witness]]  # per index: min, witness, max, witness
+
+
+def _sweep(g: Graph, assignments) -> Extrema:
+    """One pass over a stream of assignments tracking min/max of all three
+    indices.
 
     Streams arrive in lexicographic order, so strict comparisons leave the
     lexicographically least witness in place for ties. It scores the two
@@ -147,20 +155,20 @@ def _sweep(g: Graph, colorings) -> dict[int, tuple[int, Coloring, int, Coloring]
     partition passed its work cap. It also stays as the coloring-stream
     reference that the least-witness tests check the partition path
     against, and ``perfbench/spans.py`` rebinds it by name to count the
-    colorings scored.
+    assignments scored.
     """
     edges = g.edges
     best: list[list] = []  # per index: [min, its witness, max, its witness]
-    for c in colorings:
-        sums = zagreb_sums(c.assignment, edges)
+    for a in assignments:
+        sums = zagreb_sums(a, edges)
         if not best:
-            best = [[val, c, val, c] for val in sums]
+            best = [[val, a, val, a] for val in sums]
             continue
         for slot, val in zip(best, sums):
             if val < slot[0]:
-                slot[0], slot[1] = val, c
+                slot[0], slot[1] = val, a
             if val > slot[2]:
-                slot[2], slot[3] = val, c
+                slot[2], slot[3] = val, a
     return {k: tuple(slot) for k, slot in enumerate(best, 1)}
 
 
@@ -429,24 +437,21 @@ def _labeling_extrema(sizes: list[int], counts: list[list[int]], meter: Meter):
     return _square_extrema(sizes), _walked_product_extrema(counts, lower), cuts
 
 
-def _quotient(g: Graph, partition) -> tuple[list[int], list[list[int]]]:
-    """A partition's class sizes, and the symmetric matrix of its edge
-    counts between class pairs, 0 on the diagonal: classes are independent."""
-    cls = [0] * g.order
-    for i, members in enumerate(partition):
-        for v in members:
-            cls[v] = i
-    counts = [[0] * len(partition) for _ in partition]
+def _quotient(g: Graph, partition, ell: int) -> tuple[list[int], list[list[int]]]:
+    """The class sizes of a partition of ell classes, and the symmetric
+    matrix of its edge counts between class pairs, 0 on the diagonal:
+    classes are independent."""
+    counts = [[0] * ell for _ in range(ell)]
     for u, v in g.edges:
-        a, b = cls[u], cls[v]
+        a, b = partition[u], partition[v]
         counts[a][b] += 1
         counts[b][a] += 1
-    return [len(members) for members in partition], counts
+    return [partition.count(i) for i in range(ell)], counts
 
 
-def _sweep_partitions(g: Graph, ell: int, partitions, meter: Meter):
-    """:func:`_sweep` over every labeling of every partition, without
-    building the colorings.
+def _sweep_partitions(g: Graph, ell: int, partitions, meter: Meter) -> Extrema:
+    """:func:`_sweep` over every labeling of every partition of ell
+    classes, without building the assignments.
 
     Each partition is reduced once to its quotient, on which a labeling p
     (class i wears color p[i]) scores sum size_i p_i^2, sum e_ab p_a p_b
@@ -454,30 +459,24 @@ def _sweep_partitions(g: Graph, ell: int, partitions, meter: Meter):
     extrema and least labelings. With the classes in first-vertex order,
     label order is assignment order, so a partition's witnesses are its
     least attaining labelings; across partitions a tie goes to the smaller
-    assignment. Only the six witnesses become Coloring objects. Each
-    quotient charges ``meter`` its edges, then its scoring.
+    assignment, built only for a labeling that may win. Each quotient
+    charges ``meter`` its edges, then its scoring.
     """
-    n = g.order
     # per index: [min, its assignment, max, its assignment]
     best = [[math.inf, None, -math.inf, None] for _ in range(3)]
     for partition in partitions:
         meter.charge(g.size)
-        found = _labeling_extrema(*_quotient(g, partition), meter)
+        found = _labeling_extrema(*_quotient(g, partition, ell), meter)
         for slot, (lo, lo_p, hi, hi_p) in zip(best, found):
             if lo <= slot[0]:
-                a = label_partition(partition, lo_p, n)
+                a = label_partition(partition, lo_p)
                 if lo < slot[0] or a < slot[1]:
                     slot[0], slot[1] = lo, a
             if hi >= slot[2]:
-                a = label_partition(partition, hi_p, n)
+                a = label_partition(partition, hi_p)
                 if hi > slot[2] or a < slot[3]:
                     slot[2], slot[3] = hi, a
-    # one Coloring per distinct witness, shared between the slots it wins
-    witnesses = {a: Coloring(a, ell) for slot in best for a in (slot[1], slot[3])}
-    return {
-        k: (lo, witnesses[lo_a], hi, witnesses[hi_a])
-        for k, (lo, lo_a, hi, hi_a) in enumerate(best, 1)
-    }
+    return {k: tuple(slot) for k, slot in enumerate(best, 1)}
 
 
 def _greedy_order(g: Graph) -> tuple[list[int], int]:
@@ -532,7 +531,7 @@ def _greedy_order(g: Graph) -> tuple[list[int], int]:
     return order, width
 
 
-def _frontier_extrema(g: Graph, ell: int, order: list[int], meter: Meter):
+def _frontier_extrema(g: Graph, ell: int, order: list[int], meter: Meter) -> Extrema:
     """All six extrema and their least witnesses by one forward DP over
     ``order``, in the shape of :func:`_sweep_partitions`.
 
@@ -594,15 +593,15 @@ def _frontier_extrema(g: Graph, ell: int, order: list[int], meter: Meter):
     (best,) = states.values()
     values = [key >> top for key in best[:3]] + [-(key >> top) for key in best[3:]]
     mask = (1 << bits) - 1
-    witnesses: dict[int, Coloring] = {}
-    for code in {key & (1 << top) - 1 for key in best}:
-        witnesses[code] = Coloring(tuple([code >> bits * (n - 1 - v) & mask for v in range(n)]), ell)
+    witnesses = {code: tuple([code >> bits * (n - 1 - v) & mask for v in range(n)])
+                 for code in {key & (1 << top) - 1 for key in best}}
     found = [witnesses[key & (1 << top) - 1] for key in best]
     return {k: (values[k - 1], found[k - 1], values[k + 2], found[k + 2]) for k in (1, 2, 3)}
 
 
-def _compute_extrema(g: Graph, semantics: Semantics):
-    """Extrema of all three indices at once: (per-index results, semantics, status).
+def _compute_extrema(g: Graph, semantics: Semantics) -> tuple[Extrema, int, str, str]:
+    """Extrema of all three indices at once, with witness assignments:
+    (per-index results, chi, semantics, status).
 
     A connected graph with chi = 2 has two minimum colorings, its
     bipartition and the swap of it, and :func:`_sweep` scores both; under
@@ -622,31 +621,30 @@ def _compute_extrema(g: Graph, semantics: Semantics):
     coloring = _min_coloring(g.adjacency_masks, g.order)
     ell = max(coloring)
     if ell == 2 and g.is_connected():
-        flipped = [3 - c for c in coloring]
-        colorings = [Coloring(tuple(a), 2) for a in sorted([coloring, flipped])]
-        return _sweep(g, colorings), semantics, "exact"
+        flipped = tuple([3 - c for c in coloring])
+        return _sweep(g, sorted([tuple(coloring), flipped])), 2, semantics, "exact"
     if semantics == "all":
         meter = Meter()
         order, width = _greedy_order(g)
         walk = meter.share(ell ** width * g.order)
         try:
             partitions = _iter_chi_partitions(g, ell, walk)
-            return _sweep_partitions(g, ell, partitions, walk), "all", "exact"
+            return _sweep_partitions(g, ell, partitions, walk), ell, "all", "exact"
         except EnumerationBudgetExceeded:
             pass
         try:
-            return _frontier_extrema(g, ell, order, meter), "all", "exact"
+            return _frontier_extrema(g, ell, order, meter), ell, "all", "exact"
         except EnumerationBudgetExceeded:
             pass
     partition = canonical_partition(g, coloring)
+    status = "exact" if semantics == "permutation" else "bounds_only"
     try:
-        results = _sweep_partitions(g, ell, [partition], Meter())
-        return results, "permutation", "exact" if semantics == "permutation" else "bounds_only"
+        return _sweep_partitions(g, ell, [partition], Meter()), ell, "permutation", status
     except EnumerationBudgetExceeded:
         # with the classes in first-vertex order these two are in assignment order
         labelings = (tuple(range(1, ell + 1)), tuple(range(ell, 0, -1)))
-        colorings = [Coloring(label_partition(partition, p, g.order), ell) for p in labelings]
-        return _sweep(g, colorings), "permutation", "bounds_only"
+        assignments = [label_partition(partition, p) for p in labelings]
+        return _sweep(g, assignments), ell, "permutation", "bounds_only"
 
 
 def chromatic_extrema(
@@ -722,33 +720,35 @@ def full_report(
 ) -> IndexReport:
     """Aggregate classical values and all six chromatic extrema for one graph.
 
-    Every surviving witness is re-validated (proper, surjective, evaluates
-    to its reported value) before the report is emitted.
+    The routes hand over witnesses as assignments; here each distinct one
+    becomes a Coloring (so surjective onto 1..chi) and is re-validated
+    once: proper, and its three sums, which must give every value it is a
+    witness to.
     """
-    results, semantics_used, status = _compute_extrema(g, semantics)
+    results, ell, semantics_used, status = _compute_extrema(g, semantics)
     values: dict[str, int] = {}
     witnesses: dict[str, Coloring | None] = {}
+    checked: dict[Witness, tuple[Coloring, tuple[int, int, int] | None]] = {}  # witness: sums
     # the index-2 default 0 coincides with the raw empty sum, so only
     # index 3 actually changes under the compat convention
     compat_applied = paper_compat and g.size == 0
     for index in (1, 2, 3):
-        lo, lo_w, hi, hi_w = results[index]
+        lo, lo_a, hi, hi_a = results[index]
         if compat_applied and index == 3:
             lo = hi = 1
-            lo_w = hi_w = None
-        values[f"cm{index}_min"] = lo
-        values[f"cm{index}_max"] = hi
-        witnesses[f"cm{index}_min"] = lo_w
-        witnesses[f"cm{index}_max"] = hi_w
-    for key, w in witnesses.items():
-        if w is None:
-            continue
-        got = zagreb_sums(w.assignment, g.edges)[int(key[2]) - 1]
-        if not is_proper(g, w) or got != values[key]:
-            raise AssertionError(f"witness for {key} failed re-validation")
-    for index in (1, 2, 3):
-        if values[f"cm{index}_min"] > values[f"cm{index}_max"]:
+            lo_a = hi_a = None
+        if lo > hi:
             raise AssertionError(f"extrema inverted for index {index}")
+        for key, value, a in ((f"cm{index}_min", lo, lo_a), (f"cm{index}_max", hi, hi_a)):
+            values[key], witnesses[key] = value, None
+            if a is None:
+                continue
+            if a not in checked:
+                w = Coloring(a, ell)
+                checked[a] = w, zagreb_sums(a, g.edges) if is_proper(g, w) else None
+            witnesses[key], sums = checked[a]
+            if sums is None or sums[index - 1] != value:
+                raise AssertionError(f"witness for {key} failed re-validation")
     m1, m2, m3 = zagreb_sums(g.degree_sequence(), g.edges)
     return IndexReport(
         order=g.order,

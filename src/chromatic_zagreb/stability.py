@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .coloring import EnumerationBudgetExceeded, Meter
-from .coloring import _iter_chi_partitions, _min_coloring, _vertices
+from .coloring import _classes_of, _iter_chi_partitions, _min_coloring, _vertices
 from .graph import Graph
 
 
@@ -56,12 +56,10 @@ def is_chromatically_stable(g: Graph, coloring: list[int] | None = None) -> bool
     masks = g.adjacency_masks
     if coloring is None:
         coloring = _min_coloring(masks, n)
-    classes = [0] * (max(coloring) + 1)
-    for v, c in enumerate(coloring):
-        classes[c] |= 1 << v
     full = (1 << n) - 1
+    classes = _classes_of(coloring, full, max(coloring))
     # a non-neighbour of v outside v's own class is a bichromatic non-edge
-    return any(full & ~(masks[v] | classes[c]) for v, c in enumerate(coloring))
+    return any(full & ~(masks[v] | classes[c - 1]) for v, c in enumerate(coloring))
 
 
 def stability_number_bipartite(g: Graph) -> int:
@@ -200,7 +198,7 @@ def _stability_number(g: Graph, coloring: list[int]) -> tuple[int, str]:
             if most <= pairs:
                 break
             for partition in _iter_chi_partitions(g, k, meter):
-                pairs = max(pairs, sum([len(c) * (len(c) - 1) for c in partition]) // 2)
+                pairs = max(pairs, sum([s * (s - 1) for s in map(partition.count, range(k))]) // 2)
                 if pairs >= most:  # no partition of k or more classes beats it
                     break
     except EnumerationBudgetExceeded:

@@ -387,7 +387,11 @@ class TestVerify:
     ("stability", "--family", "path:3"),
     ("verify", "--claims", "obs-i"),
 ])
-def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+def test_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    def refused(*args):
+        raise AssertionError("the claims ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_claims", refused)
     for dest in (tmp_path, tmp_path / "missing" / "x.json"):
         code, _, err = run_cli(capsys, *argv, "--out", str(dest))
         assert code == 1 and "Traceback" not in err

@@ -47,6 +47,8 @@ from conftest import complete, cycle, naive_extrema, naive_extrema_witnesses, pa
 
 # sha256 of the JSON list of the extrema-stream reports with witnesses
 EXTREMA_STREAM_SHA256 = "f7b450585850feb149a34716785da50ed6f5324e60bc0cdade095e9cb4c13df6"
+# the same under permutation semantics
+PERMUTATION_STREAM_SHA256 = "74b1a7127041903c79cf9462a6366057cbd7a5f44bbd65b4e5daba6ffb4f482a"
 
 
 @st.composite
@@ -66,7 +68,7 @@ def _reported(g, semantics):
 def _by_key(results):
     """Extrema results by report key, as (value, witness assignment)."""
     return {
-        f"cm{k}_{end}": (value, witness.assignment)
+        f"cm{k}_{end}": (value, witness)
         for k, (lo, lo_w, hi, hi_w) in results.items()
         for end, value, witness in (("min", lo, lo_w), ("max", hi, hi_w))
     }
@@ -74,7 +76,7 @@ def _by_key(results):
 
 def _swept(g, semantics):
     """Values and least witnesses from the coloring-stream sweep, by report key."""
-    return _by_key(_sweep(g, enumerate_min_colorings(g, semantics)))
+    return _by_key(_sweep(g, (c.assignment for c in enumerate_min_colorings(g, semantics))))
 
 
 def _least_extrema(score, ell):
@@ -789,6 +791,19 @@ class TestFullReport:
         assert r.cm1_min == r.cm1_max == 10
         assert r.cm2_min == 4 and r.cm3_min == 2
 
+    @pytest.mark.parametrize("g,distinct", [(complete(6), 1), (path(3), 2), (cycle(5), 3)])
+    def test_each_distinct_witness_is_checked_once(self, monkeypatch, g, distinct):
+        calls = []
+
+        def counted(graph, c):
+            calls.append(c.assignment)
+            return is_proper(graph, c)
+
+        monkeypatch.setattr(indices, "is_proper", counted)
+        r = full_report(g)
+        assert len(calls) == len(set(calls)) == distinct
+        assert set(calls) == {w.assignment for w in r.witnesses.values()}
+
     @given(graphs())
     @settings(max_examples=30, deadline=None)
     def test_report_invariants(self, g):
@@ -840,3 +855,15 @@ class TestFullReport:
         assert len(reports) == 120
         text = json.dumps(reports)
         assert hashlib.sha256(text.encode()).hexdigest() == EXTREMA_STREAM_SHA256
+
+    def test_permutation_stream_matches_pinned_digest(self):
+        # the same 120 graphs under permutation semantics: a change to a
+        # canonical partition or to its labelings changes it
+        source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", source)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        reports = [full_report(Graph(n, edges), "permutation").to_json_dict(True)
+                   for _, n, edges in workloads.population()]
+        text = json.dumps(reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == PERMUTATION_STREAM_SHA256
