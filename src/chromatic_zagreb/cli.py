@@ -1,7 +1,8 @@
 """Command-line front end: compute, family, stability, verify.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 must-hold claim
-failure, 4 budget exhaustion under --strict.
+failure, 4 a search past its work cap: before any report, or under
+--strict behind a bounds-only result or a skipped claim.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import csv
 import sys
 from io import StringIO
 
+from . import coloring
 from . import families as fam
 from .generators import FamilySpecError, generate, parse_family_spec
 from .graph import Graph
@@ -32,7 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_CLAIM_FAILURE = 3
-EXIT_BUDGET_STRICT = 4
+EXIT_BUDGET = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,7 +169,7 @@ def _cmd_compute(args, parser) -> int:
         text = report_to_json(report.to_json_dict(include_witnesses=args.witness))
     _emit(text, args.out)
     if args.strict and report.status != "exact":
-        return EXIT_BUDGET_STRICT
+        return EXIT_BUDGET
     return EXIT_OK
 
 
@@ -327,7 +329,7 @@ def _cmd_verify(args, parser) -> int:
         )
         return EXIT_CLAIM_FAILURE
     if args.strict and summary["skipped_budget"] > 0:
-        return EXIT_BUDGET_STRICT
+        return EXIT_BUDGET
     return EXIT_OK
 
 
@@ -346,6 +348,10 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphParseError, FamilySpecError) as exc:
         print(f"czi: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except coloring.EnumerationBudgetExceeded:
+        print(f"czi: a search passed the work cap of {coloring.WORK_CAP} units "
+              "before any report", file=sys.stderr)
+        return EXIT_BUDGET
     except ValueError as exc:
         print(f"czi: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,17 +1,14 @@
 """Exact chromatic number and exhaustive enumeration of minimum colorings.
 
 Colors are 1-based integers; a minimum coloring of G uses exactly
-chi(G) colors and every color at least once. One is found by the only
-coloring search here, a DSATUR branch and bound, :func:`_dsatur`, which
-also answers every k-colorability question: those of
-:func:`find_coloring` and of the canonical partition. Two enumeration
-semantics are provided:
+chi(G) colors and every color at least once. Every coloring question,
+chi, k-colorability and the walks over partitions, runs on one metered
+search, :func:`_search`. Two enumeration semantics are provided:
 
 * ``all``: every proper surjective assignment V -> {1..chi}, each exactly
   once, in lexicographic order of the assignment sequence. These are the
   chi! labelings of every chi-partition (partitions of V into chi
-  independent classes), merged from one restricted-growth walk over the
-  partitions.
+  independent classes), merged into one stream.
 * ``permutation``: one canonical chi-partition (lexicographically least
   sorted vertex-set representation over all proper chi-partitions)
   crossed with all chi! color label permutations.
@@ -29,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Literal
@@ -42,17 +40,17 @@ class EnumerationBudgetExceeded(Exception):
     """Raised internally when a search passes its call's work cap."""
 
 
-# the work cap of one top-level call, an extrema report or a stability
-# number, in the units a Meter counts
+# the work cap of one top-level call, an extrema report, a stability
+# report or a chromatic number, in the units a Meter counts
 WORK_CAP = 2**20
 
 
 class Meter:
     """The work budget of one top-level call, shared by all its searches.
 
-    Each search charges the work it does, in units of a step, a move, an
-    edge or a labeling; past the cap, WORK_CAP unless given, a charge
-    raises EnumerationBudgetExceeded.
+    Each search charges the work it does, in units of a search node, a
+    vertex, a move, an edge or a labeling; past the cap, WORK_CAP unless
+    given, a charge raises EnumerationBudgetExceeded.
     """
 
     def __init__(self, cap: float | None = None) -> None:
@@ -122,74 +120,116 @@ def is_proper(g: Graph, c: Coloring) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# chromatic number
+# the coloring search
 
 
-def _dsatur(masks: tuple[int, ...] | list[int], n: int, k: int, enough: int) -> list[int] | None:
-    """DSATUR branch and bound: a proper coloring with at most k colors, or None.
+def _vertices(mask: int) -> Iterator[int]:
+    """The vertices of a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _neighbours(g: Graph) -> list[list[int]]:
+    """Per vertex, its neighbours ascending: built once per top-level call."""
+    nbrs: list[list[int]] = [[] for _ in range(g.order)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def _search(
+    nbrs: list[list[int]], live: int, k: int, pin: bool, meter: Meter, fixed: int = 0
+) -> Iterator[list[int]]:
+    """The coloring search: yield proper colorings of ``live`` within k
+    colors, each as one list of every vertex's color (-1 off live), valid
+    until the next ``next()``; ``fixed`` wears color 1 throughout.
 
     Each step colors the uncolored vertex with the most distinct neighbour
-    colors, then the highest degree, then the lowest index, with the free
-    colors in ascending order, at most one past those its component uses:
-    a vertex with no colored neighbour opens a component and is pinned to
-    color 1. So the first full coloring is DSATUR's greedy one. After a
-    full coloring with j colors the search backs up to the first vertex
-    that wears j and looks for j - 1. It returns the first coloring with at
-    most ``enough`` colors, else the last it found, which is optimal: a
-    component's first vertex out of colors means that component has no
-    coloring within the bound.
+    colors, then the highest degree, then the lowest index (DSATUR), with
+    the free colors ascending, at most one past those used (restricted
+    growth). Its state counts per vertex and color the neighbours wearing
+    it. ``pin`` is the one switch between the kinds of caller:
 
-    ``enough`` rises to the largest clique the search meets, a lower bound
-    on chi, so a coloring with that many colors is known optimal at once.
-    A component's first vertex opens a clique, and each next vertex whose
-    saturation equals the clique's size joins it: only the members are
-    colored in that component, each with its own color, so it sees them
-    all. The first vertex that does not join ends the clique, as does a
-    step back. While ``enough`` stays at most chi, the coloring returned
-    does not depend on it.
+    * set, deciding: a vertex with no colored neighbour opens a component
+      and is pinned to color 1, and growth counts its component's colors.
+      After a coloring with j colors the search backs up to the first
+      vertex wearing j and looks for j - 1. It ends when a component's
+      first vertex runs out of colors, which proves the last coloring
+      optimal, or at a coloring with as many colors as the largest clique
+      met: a component's first vertex opens one, and each next vertex
+      whose saturation equals its size joins it, until one does not.
+    * clear, enumerating: growth counts the colors of the whole graph, as
+      a class may span components, and a vertex joins a used color only
+      while enough vertices are left to open the rest, so every partition
+      into exactly k independent classes comes once.
 
     The next vertex comes from a heap of (-score, v), score = saturation *
-    n + degree. Scores only grow on the way down, so a raised score is
-    pushed anew and an outdated entry, or one of a colored vertex, is
-    skipped when popped; a step back lowers scores, so the heap is rebuilt.
-    Colors never pass min(k, max degree + 1), which sizes the color counts.
+    n + degree: a raised score is pushed anew, a stale entry skipped, and a
+    step back rebuilds it from the uncolored vertices, ``order[d:]``. It
+    charges ``meter`` the live vertices, then a unit per vertex colored.
     """
-    if n == 0:
-        return []
-    nbrs = [list(_vertices(m)) for m in masks]
+    n = len(nbrs)
+    colors = [0 if live >> v & 1 else -1 for v in range(n)]
+    order = [v for v in range(n) if not colors[v]]  # order[d]: the vertex colored at depth d
+    count = len(order)
+    meter.charge(count)
+    floor = 0 if pin else k  # the colors a full coloring must use
+    if count < floor:
+        return
+    if not count:
+        yield colors
+        return
+    place = {v: d for d, v in enumerate(order)}
     score = [len(a) for a in nbrs]
-    width = min(k, max(score) + 1) + 1
+    # colors never pass k, nor, when pinned, max degree + 1; that sizes the counts
+    width = (min(k, max(score) + 1) if pin else k) + 1
     seen = [0] * (n * width)  # seen[v * width + c]: v's colored neighbours that wear c
-    colors = [0] * n
-    order = [0] * n  # order[d]: the vertex colored at depth d
-    top = [0] * n  # top[d]: the colors order[d]'s component wears above depth d
-    best = None
+    for v in _vertices(fixed):
+        colors[v] = 1
+        for w in nbrs[v]:
+            seen[w * width + 1] += 1
+            if seen[w * width + 1] == 1:
+                score[w] += n
+    # top[d]: the colors used above depth d, by its component if pinned
+    top = [1 if fixed else 0] + [0] * count
     bound = k
+    enough = 1
     heap: list[tuple[int, int]] | None = None
     d = c = 0  # c: the color last tried at depth d, 0 on entering it
     run = 0  # the clique of the current component's first vertices, 0 once ended
     while True:
         if not c:
             if heap is None:
-                heap = [(-score[v], v) for v in range(n) if not colors[v]]
+                heap = [(-score[v], v) for v in order[d:]]
                 heapq.heapify(heap)
             s, v = heapq.heappop(heap)
             while colors[v] or -s != score[v]:
                 s, v = heapq.heappop(heap)
-            order[d] = v
+            u = order[d]  # swap v into place d
+            order[place[v]], place[u] = u, place[v]
+            order[d], place[v] = v, d
             if s > -n:  # no colored neighbour: v opens a component
-                top[d] = 0
                 run = 1
+                if pin:
+                    top[d] = 0
             else:
-                top[d] = max(top[d - 1], colors[order[d - 1]])
                 run = run + 1 if run == -s // n else 0
-            enough = max(enough, run)
+            if run > enough:
+                enough = run
         v = order[d]
-        limit = min(bound, top[d] + 1)
+        used = top[d]
+        limit = used + 1 if used < bound else bound
         c += 1
-        while c <= limit and seen[v * width + c]:
+        if used + count - d <= floor and c < limit:  # each vertex left must open a color
+            c = limit
+        base = v * width
+        while c <= limit and seen[base + c]:
             c += 1
         if c <= limit:
+            meter.charge(1)
             colors[v] = c
             for w in nbrs[v]:
                 i = w * width + c
@@ -199,16 +239,19 @@ def _dsatur(masks: tuple[int, ...] | list[int], n: int, k: int, enough: int) -> 
                     if heap is not None and not colors[w]:
                         heapq.heappush(heap, (-score[w], w))
             d += 1
+            top[d] = c if c > used else used
             c = 0
-            if d < n:
+            if d < count:
                 continue
-            best = colors[:]
-            bound = max(best) - 1
-            if bound < enough:
-                return best
-            back = next(i for i, u in enumerate(order) if colors[u] > bound)
-        elif not top[d]:
-            return best
+            yield colors
+            back = d - 1
+            if pin:
+                bound = max(colors) - 1
+                if bound < enough:
+                    return
+                back = next(i for i, u in enumerate(order) if colors[u] > bound)
+        elif not (d and used):  # the search's first vertex, or a pinned opener
+            return
         else:
             back = d - 1
         heap = None
@@ -226,35 +269,29 @@ def _dsatur(masks: tuple[int, ...] | list[int], n: int, k: int, enough: int) -> 
 
 
 def find_coloring(g: Graph, k: int) -> Coloring | None:
-    """A proper coloring of g using at most k colors, or None if impossible.
-
-    It is the DSATUR search's first coloring within k colors, so the colors
-    it uses are 1..l for some l <= k.
-    """
-    raw = _dsatur(g.adjacency_masks, g.order, k, k)
+    """A proper coloring of g using at most k colors, or None if impossible:
+    the deciding search's first, on a fresh Meter, so it uses 1..l, l <= k."""
+    raw = next(_search(_neighbours(g), (1 << g.order) - 1, k, True, Meter()), None)
     return None if raw is None else Coloring.from_assignment(raw)
 
 
-def _min_coloring(masks: tuple[int, ...], n: int) -> list[int]:
-    """A proper coloring of the graph on masks that uses exactly chi colors.
-
-    Colors are 1..chi, every one used: the DSATUR branch and bound's first
-    coloring with as many colors as its clique bound, or its last, which is
-    optimal. Edgeless and bipartite inputs take its first, greedy, coloring.
-    """
-    return _dsatur(masks, n, n, 1)
+def _min_coloring(g: Graph, meter: Meter) -> list[int]:
+    """A proper coloring of g that uses exactly chi colors, 1..chi: the
+    deciding search's last, charged to ``meter``. Edgeless and bipartite
+    inputs take its first, greedy, coloring."""
+    best: list[int] = []
+    for colors in _search(_neighbours(g), (1 << g.order) - 1, g.order, True, meter):
+        best = colors[:]
+    return best
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chi(g), for any simple graph of order >= 1.
-
-    The number of colors of the witness :func:`_min_coloring` builds: a
-    DSATUR branch and bound improves on its greedy first coloring until it
-    meets the largest clique it saw, or proves that it cannot.
-    """
+    """Exact chi(g), for any simple graph of order >= 1: the colors of
+    :func:`_min_coloring`'s witness on a fresh Meter, past whose cap it
+    raises EnumerationBudgetExceeded."""
     if g.order < 1:
         raise ValueError("chromatic number needs order >= 1")
-    return max(_min_coloring(g.adjacency_masks, g.order))
+    return max(_min_coloring(g, Meter()))
 
 
 # ---------------------------------------------------------------------------
@@ -264,75 +301,19 @@ def chromatic_number(g: Graph) -> int:
 def _iter_chi_partitions(
     g: Graph, ell: int, meter: Meter | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Yield every partition of V into exactly ell independent classes.
-
-    Classes are discovered in first-vertex order (restricted-growth
-    search), so each set partition appears exactly once, as its
-    restricted-growth string, in lexicographic order of the strings. The
-    search keeps an explicit stack, so its depth is not bounded by the
-    recursion limit.
-    It charges ``meter``, when given, one unit per backtrack, dead ends
-    too, and n per partition, so it stops where that meter's cap is met.
+    """Yield every partition of V into exactly ell independent classes,
+    each once, in the enumerating search's order, renumbered as its
+    restricted-growth string. It charges ``meter``, when given, the
+    search's units and n per partition.
     """
-    meter = meter or Meter(float("inf"))
+    meter = meter or Meter(math.inf)
     n = g.order
-    masks = g.adjacency_masks
-    class_masks: list[int] = []
-    placed = [0] * n  # the class each placed vertex joined or opened
-    # next option at each depth: k < len(class_masks) joins class k,
-    # k == len(class_masks) opens a new class
-    option = [0] * (n + 1)
-    v = 0
-    while v >= 0:
-        if v == n:
-            if len(class_masks) == ell:
-                meter.charge(n)
-                yield tuple(placed)
-        else:
-            opened = len(class_masks)
-            k = option[v]
-            # joining an existing class leaves at most n - v - 1 chances
-            # to open the classes still missing
-            if opened + n - v - 1 >= ell:
-                while k < opened and masks[v] & class_masks[k]:
-                    k += 1
-            else:
-                k = max(k, opened)
-            if k < opened or (k == opened and opened < ell):
-                option[v] = k + 1
-                placed[v] = k
-                if k < opened:
-                    class_masks[k] |= 1 << v
-                else:
-                    class_masks.append(1 << v)
-                v += 1
-                option[v] = 0
-                continue
-        # every option at v is spent: undo the placement of v - 1
-        meter.charge(1)
-        v -= 1
-        if v >= 0:
-            k = placed[v]
-            if class_masks[k] == 1 << v:  # v opened this class
-                class_masks.pop()
-            else:
-                class_masks[k] ^= 1 << v
-
-
-def _vertices(mask: int) -> Iterator[int]:
-    """The vertices of a bitmask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _induced(masks: tuple[int, ...], live: int) -> list[int]:
-    """The masks of the subgraph induced by live; other vertices isolated."""
-    sub = [0] * len(masks)
-    for v in _vertices(live):
-        sub[v] = masks[v] & live
-    return sub
+    for colors in _search(_neighbours(g), (1 << n) - 1, ell, False, meter):
+        meter.charge(n)
+        rank = [0] * (ell + 1)  # rank[c]: the place of c's first vertex among the classes'
+        for i, c in enumerate(sorted(range(1, ell + 1), key=colors.index)):
+            rank[c] = i
+        yield tuple(map(rank.__getitem__, colors))
 
 
 def _classes_of(colors: list[int], live: int, k: int) -> list[int]:
@@ -343,34 +324,37 @@ def _classes_of(colors: list[int], live: int, k: int) -> list[int]:
     return classes
 
 
-def canonical_partition(g: Graph, coloring: list[int] | None = None) -> tuple[int, ...]:
+def canonical_partition(
+    g: Graph, coloring: list[int] | None = None, meter: Meter | None = None
+) -> tuple[int, ...]:
     """The lexicographically least proper chi-partition, built class by
     class, as its restricted-growth string.
 
     Partitions compare as tuples of ascending classes in first-vertex
-    order, and a class that is a proper prefix of another is the smaller;
-    that is not the order of their strings. So each class opens at the
-    smallest unplaced vertex, closes as soon as the unplaced rest has a
-    proper coloring with the classes still missing, and otherwise takes
-    the smallest later vertex that keeps a completion feasible. A vertex
-    skipped there stays out of the class with no further check: a
-    completion holding it and later members would also complete the
-    members it was refused with.
+    order, a proper prefix the smaller; that is not the order of their
+    strings. So each class opens at the smallest unplaced vertex, closes
+    as soon as the unplaced rest has a proper coloring with the classes
+    still missing, and otherwise takes the smallest later vertex that
+    keeps a completion feasible. A vertex skipped there stays out with no
+    further check: a completion holding it and later members would also
+    complete the members it was refused with.
 
     Each step is answered first from a witness coloring of the unplaced
-    vertices, kept as per-color class bitmasks and started from
-    :func:`_min_coloring`: it says yes when its open class holds the
-    candidate, or equals the members. Otherwise a candidate asks for a
-    k-coloring of the unplaced vertices with the open class's members
-    merged into one vertex, and the coloring that answers yes becomes the
-    witness. A caller that already holds a chi-coloring of g (colors
-    1..chi, as from :func:`_min_coloring`) may pass it; it must use chi
-    colors, so that "at most k colors" for the rest means exactly k.
+    vertices, kept as per-color class bitmasks: it says yes when its open
+    class holds the candidate, or equals the members. Otherwise the
+    deciding search looks for a k-coloring of the unplaced vertices with
+    the members fixed to one color, which becomes the witness. The first
+    witness is a chi-coloring of g (colors 1..chi, all used, so that "at
+    most k colors" for the rest means exactly k): the caller's, or
+    :func:`_min_coloring`'s. Every search charges ``meter``, a fresh one
+    unless given.
     """
     n = g.order
     masks = g.adjacency_masks
+    nbrs = _neighbours(g)
+    meter = meter or Meter()
     if coloring is None:
-        coloring = _min_coloring(masks, n)
+        coloring = _min_coloring(g, meter)
     ell = max(coloring, default=0)
     unplaced = (1 << n) - 1
     witness = _classes_of(coloring, unplaced, ell)
@@ -393,7 +377,7 @@ def canonical_partition(g: Graph, coloring: list[int] | None = None) -> tuple[in
                     witness = [rest]
                     break
             elif k > 2:
-                found = _dsatur(_induced(masks, rest), n, k - 1, k - 1)
+                found = next(_search(nbrs, rest, k - 1, True, meter), None)
                 if found is not None:
                     witness = _classes_of(found, rest, k - 1)
                     break
@@ -402,15 +386,10 @@ def canonical_partition(g: Graph, coloring: list[int] | None = None) -> tuple[in
                     break
                 grown = members | 1 << x
                 live = unplaced & ~grown
-                sub = _induced(masks, live | 1 << opener)
-                merged = (blocked | masks[x]) & live
-                sub[opener] = merged
-                for v in _vertices(merged):
-                    sub[v] |= 1 << opener
-                found = _dsatur(sub, n, k, k)
+                found = next(_search(nbrs, live, k, True, meter, grown), None)
                 if found is not None:
                     witness = _classes_of(found, live, k)
-                    witness[found[opener] - 1] |= grown
+                    witness[0] |= grown
                     break
             members |= 1 << x
             blocked |= masks[x]
@@ -462,11 +441,12 @@ def enumerate_min_colorings(g: Graph, semantics: Semantics = "all") -> Iterator[
     """
     if g.order < 1:
         raise ValueError("enumeration needs order >= 1")
-    coloring = _min_coloring(g.adjacency_masks, g.order)
+    uncapped = Meter(math.inf)
+    coloring = _min_coloring(g, uncapped)
     ell = max(coloring)
     if semantics == "all":
         yield from _iter_all_min_colorings(g, ell)
     elif semantics == "permutation":
-        yield from colorings_of_partition(canonical_partition(g, coloring))
+        yield from colorings_of_partition(canonical_partition(g, coloring, uncapped))
     else:
         raise ValueError(f"unknown semantics {semantics!r}")

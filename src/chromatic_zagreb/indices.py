@@ -49,6 +49,7 @@ from .coloring import (
     strengths,
     _iter_chi_partitions,
     _min_coloring,
+    _neighbours,
 )
 from .families import ThornBaseData
 from .graph import Graph
@@ -479,10 +480,11 @@ def _sweep_partitions(g: Graph, ell: int, partitions, meter: Meter) -> Extrema:
     return {k: tuple(slot) for k, slot in enumerate(best, 1)}
 
 
-def _greedy_order(g: Graph) -> tuple[list[int], int]:
+def _greedy_order(g: Graph, ell: int = 2, room: float = math.inf) -> tuple[list[int], int]:
     """A vertex order that keeps the frontier narrow, and its width: the
     most vertices on the frontier, the placed vertices with an unplaced
-    neighbour, after any prefix of the order.
+    neighbour, after any prefix of the order. It stops short once
+    ell**width * n, the bound on the frontier DP's states, reaches ``room``.
 
     Next comes the unplaced neighbour of the placed vertices whose placing
     leaves the smallest frontier, ties to the lower index; when no
@@ -493,10 +495,7 @@ def _greedy_order(g: Graph) -> tuple[list[int], int]:
     skips stale entries gives the next vertex, in O((n + m) log n) in all.
     """
     n = g.order
-    nbrs: list[list[int]] = [[] for _ in range(n)]  # from the edges: O(n + m) at any order
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    nbrs = _neighbours(g)
     left = [len(a) for a in nbrs]  # per vertex: its unplaced neighbours
     grow = [1 if k else 0 for k in left]
     placed = [False] * n
@@ -515,7 +514,10 @@ def _greedy_order(g: Graph) -> tuple[list[int], int]:
         placed[v] = True
         order.append(v)
         size += grow[v]
-        width = max(width, size)
+        if size > width:
+            width = size
+            if ell ** width * n >= room:
+                break
         for u in nbrs[v]:
             left[u] -= 1
             if not placed[u]:
@@ -603,43 +605,44 @@ def _compute_extrema(g: Graph, semantics: Semantics) -> tuple[Extrema, int, str,
     """Extrema of all three indices at once, with witness assignments:
     (per-index results, chi, semantics, status).
 
-    A connected graph with chi = 2 has two minimum colorings, its
-    bipartition and the swap of it, and :func:`_sweep` scores both; under
-    ``permutation`` too, as the canonical partition is the bipartition.
-    Otherwise, under ``all``, every chi-partition is scored on a share of
-    the call's Meter, ell**width * n units, the greedy order's bound on
-    the states the frontier DP holds over all its layers; past that share,
-    :func:`_frontier_extrema` runs on the rest of the meter. Past both,
-    and always under ``permutation``, the canonical partition is scored on
-    a fresh meter; past that one too, only its identity and reversed
-    labelings are: valid colorings, so bounds, not extrema.
+    The chi search charges the call's Meter. A connected graph with
+    chi = 2 has two minimum colorings, its bipartition and the swap, and
+    :func:`_sweep` scores both, as the canonical partition is the
+    bipartition. Otherwise, under ``all``, every chi-partition is scored on
+    a share of the meter, ell**width * n units, the greedy order's bound on
+    the frontier DP's states, which then runs on the rest, if any. Past
+    both, and always under ``permutation``, the canonical partition is
+    built and scored on a fresh meter, and past that only its identity and
+    reversed labelings are: valid colorings, so bounds, not extrema.
     """
     if g.order < 1:
         raise ValueError("extrema need order >= 1")
     if semantics not in ("all", "permutation"):
         raise ValueError(f"unknown semantics {semantics!r}")
-    coloring = _min_coloring(g.adjacency_masks, g.order)
+    meter = Meter()
+    coloring = _min_coloring(g, meter)
     ell = max(coloring)
     if ell == 2 and g.is_connected():
         flipped = tuple([3 - c for c in coloring])
         return _sweep(g, sorted([tuple(coloring), flipped])), 2, semantics, "exact"
     if semantics == "all":
-        meter = Meter()
-        order, width = _greedy_order(g)
+        order, width = _greedy_order(g, ell, meter.left)
         walk = meter.share(ell ** width * g.order)
         try:
             partitions = _iter_chi_partitions(g, ell, walk)
             return _sweep_partitions(g, ell, partitions, walk), ell, "all", "exact"
         except EnumerationBudgetExceeded:
             pass
-        try:
-            return _frontier_extrema(g, ell, order, meter), ell, "all", "exact"
-        except EnumerationBudgetExceeded:
-            pass
-    partition = canonical_partition(g, coloring)
+        if meter.left:  # else the walk took the whole meter, and the order is cut short
+            try:
+                return _frontier_extrema(g, ell, order, meter), ell, "all", "exact"
+            except EnumerationBudgetExceeded:
+                pass
+    meter = Meter()
+    partition = canonical_partition(g, coloring, meter)
     status = "exact" if semantics == "permutation" else "bounds_only"
     try:
-        return _sweep_partitions(g, ell, [partition], Meter()), ell, "permutation", status
+        return _sweep_partitions(g, ell, [partition], meter), ell, "permutation", status
     except EnumerationBudgetExceeded:
         # with the classes in first-vertex order these two are in assignment order
         labelings = (tuple(range(1, ell + 1)), tuple(range(ell, 0, -1)))
@@ -723,7 +726,8 @@ def full_report(
     The routes hand over witnesses as assignments; here each distinct one
     becomes a Coloring (so surjective onto 1..chi) and is re-validated
     once: proper, and its three sums, which must give every value it is a
-    witness to.
+    witness to. A chi search or canonical partition past its meter's cap
+    leaves no coloring to report: EnumerationBudgetExceeded is raised.
     """
     results, ell, semantics_used, status = _compute_extrema(g, semantics)
     values: dict[str, int] = {}

@@ -55,7 +55,7 @@ def is_chromatically_stable(g: Graph, coloring: list[int] | None = None) -> bool
         return None
     masks = g.adjacency_masks
     if coloring is None:
-        coloring = _min_coloring(masks, n)
+        coloring = _min_coloring(g, Meter())
     full = (1 << n) - 1
     classes = _classes_of(coloring, full, max(coloring))
     # a non-neighbour of v outside v's own class is a bichromatic non-edge
@@ -71,7 +71,7 @@ def stability_number_bipartite(g: Graph) -> int:
     """
     if not g.is_connected():
         raise ValueError("closed form needs a connected graph")
-    coloring = _min_coloring(g.adjacency_masks, g.order)
+    coloring = _min_coloring(g, Meter())
     if max(coloring, default=0) != 2:
         raise ValueError("closed form applies to 2-chromatic graphs only")
     ones = coloring.count(1)
@@ -169,7 +169,7 @@ def _most_pairs(n: int, k: int, alpha: int) -> int:
     return q * alpha * (alpha - 1) // 2 + r * (r + 1) // 2
 
 
-def _stability_number(g: Graph, coloring: list[int]) -> tuple[int, str]:
+def _stability_number(g: Graph, coloring: list[int], meter: Meter) -> tuple[int, str]:
     """(rho, exact | upper_bound) for a stable g and a chi-coloring of it.
 
     A graph with a non-edge is unstable iff it is complete multipartite, so
@@ -178,16 +178,15 @@ def _stability_number(g: Graph, coloring: list[int]) -> tuple[int, str]:
     No such set holds more than alpha vertices, so k sets hold at most
     ``_most_pairs(n, k, alpha)`` pairs, which falls as k grows: the walk
     over k stops, or never starts, once that meets the best partition seen.
-    The alpha search and the walks of all k charge one Meter. Past its cap
-    every partition of fewer classes has been seen and the best of them
-    falls short of the cap at the current k, so it gives an upper bound.
+    The alpha search and the walks of all k charge the report's ``meter``:
+    past its cap every partition of fewer classes has been seen and the
+    best falls short of the cap at the current k, so it is an upper bound.
     If the alpha search runs out, alpha is taken as n, and the walk, left
     no units, ends at once.
     """
     n = g.order
     sizes = Counter(coloring).values()
     pairs = sum([s * (s - 1) for s in sizes]) // 2
-    meter = Meter()
     try:
         alpha = _independence_number(g.adjacency_masks, n, meter)
     except EnumerationBudgetExceeded:
@@ -212,10 +211,10 @@ class StabilityReport:
 
     rho comes from the partition search of :func:`_stability_number`
     (``cluster_deletion`` on the complement), cut short by an
-    independence-number bound; it is an ``upper_bound`` only when the alpha
-    search and the walks over all class counts together met the one work
-    cap of the call (WORK_CAP units of a Meter) before that bound met the
-    best partition found.
+    independence-number bound; it is an ``upper_bound`` only when the chi
+    search, the alpha search and the walks over all class counts met the
+    call's work cap (WORK_CAP units of a Meter) before that bound met the
+    best partition found, and no report at all if the chi search did.
     """
 
     order: int
@@ -247,17 +246,18 @@ class StabilityReport:
 
 
 def stability_report(g: Graph, label: str | None = None) -> StabilityReport:
-    """Full stability analysis for one graph.
-
-    Disconnected inputs are still analyzed but flagged via ``connected``.
+    """Full stability analysis for one graph. Disconnected inputs are still
+    analyzed but flagged via ``connected``; a chi search past the work cap
+    raises EnumerationBudgetExceeded.
     """
     if g.order < 2:
         raise ValueError("stability needs order >= 2")
-    coloring = _min_coloring(g.adjacency_masks, g.order)
+    meter = Meter()
+    coloring = _min_coloring(g, meter)
     stable = is_chromatically_stable(g, coloring)
     rho, method, rho_status = None, "not_applicable", "not_applicable"
     if stable:  # not for unstable or complete (None) graphs
-        rho, rho_status = _stability_number(g, coloring)
+        rho, rho_status = _stability_number(g, coloring, meter)
         method = "cluster_deletion"
     return StabilityReport(
         g.order, g.size, max(coloring), stable, stable is None, rho,

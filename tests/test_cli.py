@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -166,16 +169,17 @@ class TestCompute:
 
     def test_wide_thorn_stops_at_the_work_cap(self, capsys, meters):
         # greedy frontier width 6: the partition walk's share of the call's
-        # meter, 7**6 * 14 units, is all of it. The walk and its scoring stop
-        # at the cap, the DP at its first layer, and the canonical partition
-        # is scored on a fresh meter; a unit of the walk cost about 0.23 us
-        # on 2 cores, so the bound allows over ten times that for both caps
+        # meter, 7**6 * 14 units, is all the chi search left of it. The walk
+        # and its scoring stop at the cap, the DP is left no units and not
+        # run, and the canonical partition is built and scored on a fresh
+        # meter; a unit of the walk cost about 0.3 us on 2 cores, so the
+        # bound allows over ten times that for both caps
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "compute", "--family", "thorn(complete:7;1)")
         took = time.perf_counter() - start
         assert code == 0 and json.loads(out)["status"] == "bounds_only"
         call, walk, canonical = meters
-        assert walk.left < 0 and call.left < 0 and 0 < canonical.spent < 1000
+        assert walk.left < 0 and call.left == 0 and 0 < canonical.spent < 1000
         assert took < 2 * coloring.WORK_CAP * 5e-6
 
     def test_large_clique_permutation_is_exact(self, capsys):
@@ -186,6 +190,40 @@ class TestCompute:
         d = json.loads(out)
         assert d["status"] == "exact" and d["semantics_used"] == "permutation"
         assert d["cm1_min"] == d["cm1_max"] == 650
+
+
+class TestWorkCapExit:
+    """A search that passes the work cap before any report exits 4."""
+
+    @pytest.fixture
+    def dense_input(self, tmp_path):
+        # G(70, 1/2): its chi search passes the default cap after 12-21 s
+        rng = random.Random(1)
+        path = tmp_path / "g70.txt"
+        path.write_text("".join(f"{u} {v}\n" for u in range(70) for v in range(u + 1, 70)
+                                if rng.random() < 0.5))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["compute", "stability"])
+    def test_chi_search_past_the_cap(self, capsys, monkeypatch, dense_input, command):
+        monkeypatch.setattr(coloring, "WORK_CAP", 5_000)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--input", dense_input)
+        assert time.perf_counter() - start < 1
+        assert code == cli.EXIT_BUDGET == 4 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("czi: ")
+        assert "5000 units" in err and "Traceback" not in err
+
+    def test_canonical_partition_past_the_cap(self, capsys, monkeypatch, meters):
+        # the chi search takes 120 units of the call's meter and the
+        # canonical partition 988 of a fresh one: past this cap
+        monkeypatch.setattr(coloring, "WORK_CAP", 500)
+        code, out, err = run_cli(capsys, "compute", "--family", "multipartite:20,20,20",
+                                 "--semantics", "permutation")
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("czi: ")
+        call, canonical = meters
+        assert call.spent == 120 and canonical.left < 0
 
 
 class TestCountArguments:
@@ -268,8 +306,9 @@ class TestFamily:
 
     def test_oracle_status_marks_bounds(self, capsys, monkeypatch):
         # past the cap the enumeration column holds the canonical
-        # partition's values: valid colorings, not the extrema
-        monkeypatch.setattr(coloring, "WORK_CAP", 5)
+        # partition's values: valid colorings, not the extrema. The chi
+        # search of K4 takes all 8 units of this cap
+        monkeypatch.setattr(coloring, "WORK_CAP", 8)
         code, out, _ = run_cli(capsys, "family", "complete:4", "--format", "json")
         assert code == 0
         assert [r["oracle"]["status"] for r in json.loads(out)] == ["bounds_only"] * 2
@@ -396,3 +435,13 @@ def test_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path, argv):
         code, _, err = run_cli(capsys, *argv, "--out", str(dest))
         assert code == 1 and "Traceback" not in err
         assert err.startswith(f"czi: cannot write {dest}: ") and err.count("\n") == 1
+
+
+def test_readme_names_every_exit_code():
+    # the sentence after "Exit codes:" names each code with its constant
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Exit codes:(.*?)\.(\s|$)", readme, re.S).group(1)
+    pairs = re.findall(r"(\d+)\s[^,;]*?\(`(\w+)`\)", sentence)
+    named = {name: int(code) for code, name in pairs}
+    constants = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert named == constants

@@ -14,9 +14,10 @@ from chromatic_zagreb.coloring import (
     Coloring,
     EnumerationBudgetExceeded,
     Meter,
-    _dsatur,
     _iter_chi_partitions,
     _min_coloring,
+    _neighbours,
+    _search,
     canonical_partition,
     chromatic_number,
     colorings_of_partition,
@@ -90,7 +91,12 @@ def _naive_chi_by_component(g: Graph) -> int:
 
 def _first_coloring(g: Graph) -> list[int]:
     """The first full coloring of the branch and bound: DSATUR's greedy one."""
-    return _dsatur(g.adjacency_masks, g.order, g.order, g.order)
+    return next(_search(_neighbours(g), (1 << g.order) - 1, g.order, True, Meter()))[:]
+
+
+def _k_coloring(g: Graph, k: int) -> list[int] | None:
+    """The deciding search's first coloring of g within k colors, or None."""
+    return next(_search(_neighbours(g), (1 << g.order) - 1, k, True, Meter()), None)
 
 
 @st.composite
@@ -99,6 +105,14 @@ def graphs(draw, max_n=6):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [p for p, keep in zip(pairs, picks) if keep])
+
+
+@st.composite
+def relabeled_graphs(draw, max_n=7):
+    """A graph from :func:`graphs`, its vertices renumbered at random."""
+    g = draw(graphs(max_n))
+    perm = draw(st.permutations(range(g.order)))
+    return Graph(g.order, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 class TestColoringType:
@@ -165,7 +179,7 @@ class TestChromaticNumber:
     @given(graphs(max_n=7))
     @settings(max_examples=80, deadline=None)
     def test_min_coloring_is_a_chi_witness(self, g):
-        colors = _min_coloring(g.adjacency_masks, g.order)
+        colors = _min_coloring(g, Meter())
         assert len(colors) == g.order
         assert all(colors[u] != colors[v] for u, v in g.edges)
         assert set(colors) == set(range(1, naive_chi(g) + 1))
@@ -175,7 +189,7 @@ class TestChromaticNumber:
         # the branch and bound, not its first, greedy, coloring
         g = _DSATUR_HARD
         assert max(_first_coloring(g)) == 4
-        colors = _min_coloring(g.adjacency_masks, g.order)
+        colors = _min_coloring(g, Meter())
         assert all(colors[u] != colors[v] for u, v in g.edges)
         assert set(colors) == {1, 2, 3} and naive_chi(g) == 3
 
@@ -195,7 +209,7 @@ class TestChromaticNumber:
         # bound, whose depth is the order
         g = Graph(1208, list(_DSATUR_HARD.edges) + [(v, v + 1) for v in range(7, 1207)])
         assert max(_first_coloring(g)) == 4
-        colors = _min_coloring(g.adjacency_masks, g.order)
+        colors = _min_coloring(g, Meter())
         assert all(colors[u] != colors[v] for u, v in g.edges)
         assert set(colors) == {1, 2, 3} and chromatic_number(g) == 3
 
@@ -210,17 +224,17 @@ class TestChromaticNumber:
     @settings(max_examples=50, deadline=None)
     def test_clique_bound_never_overestimates(self, g):
         # a bound above chi would stop the search at a coloring with too many
-        colors = _dsatur(g.adjacency_masks, g.order, g.order, 1)
+        colors = _min_coloring(g, Meter())
         assert all(colors[u] != colors[v] for u, v in g.edges)
         assert max(colors) == _naive_chi_by_component(g)
-        assert colors == _min_coloring(g.adjacency_masks, g.order)
+        assert colors == _min_coloring(g, Meter())
 
     @given(graphs(max_n=7), st.integers(1, 4))
     @example(_HARD_THEN_STAR, 3)
     @example(_STAR_THEN_HARD, 3)
     @settings(max_examples=80, deadline=None)
     def test_search_decides_k_colorability(self, g, k):
-        colors = _dsatur(g.adjacency_masks, g.order, k, k)
+        colors = _k_coloring(g, k)
         assert (colors is not None) == (naive_chi(g) <= k)
         if colors is not None:
             assert max(colors) <= k and all(colors[u] != colors[v] for u, v in g.edges)
@@ -241,7 +255,7 @@ class TestChromaticNumber:
         g = Graph(123, edges)
         start = time.perf_counter()
         assert find_coloring(g, 2) is None
-        assert _dsatur(g.adjacency_masks, g.order, 2, 2) is None
+        assert _k_coloring(g, 2) is None
         assert time.perf_counter() - start < 1
 
     def test_dense_random_graph(self):
@@ -337,7 +351,7 @@ class TestCanonicalPartition:
         assert classes(canonical_partition(g)) == least
         assert min(map(classes, _iter_chi_partitions(g, len(least)))) == least
         # a caller's chi-coloring, as given or relabelled, is only a start
-        colors = _min_coloring(g.adjacency_masks, g.order)
+        colors = _min_coloring(g, Meter())
         assert classes(canonical_partition(g, colors)) == least
         ell = max(colors)
         assert classes(canonical_partition(g, [ell + 1 - c for c in colors])) == least
@@ -349,18 +363,23 @@ class TestCanonicalPartition:
                                                             tuple(range(1, 1500, 2)))
 
     def test_step_cap_counts_dead_ends(self):
-        # K6 has no partition into 5 independent sets: every step is a dead end
+        # K6 has no partition into 5 independent sets: the search charges
+        # its 6 vertices, then colors 5 before the sixth is a dead end
         assert list(_iter_chi_partitions(complete(6), 5)) == []
+        assert list(_iter_chi_partitions(complete(6), 5, Meter(11))) == []
         with pytest.raises(EnumerationBudgetExceeded):
-            list(_iter_chi_partitions(complete(6), 5, Meter(5)))
-        # P4's one bipartition: 4 units for the partition, 5 backtracks
-        assert len(list(_iter_chi_partitions(path(4), 2, Meter(9)))) == 1
+            list(_iter_chi_partitions(complete(6), 5, Meter(10)))
+        # P4's one bipartition: 4 units for its vertices, 4 for the nodes
+        # and 4 for the partition; the dead ends on the way back cost nothing
+        assert len(list(_iter_chi_partitions(path(4), 2, Meter(12)))) == 1
         with pytest.raises(EnumerationBudgetExceeded):
-            list(_iter_chi_partitions(path(4), 2, Meter(8)))
+            list(_iter_chi_partitions(path(4), 2, Meter(11)))
 
     @given(graphs())
     @settings(max_examples=40, deadline=None)
     def test_partitions_in_restricted_growth_order(self, g):
+        # the search's order is DSATUR's, but each partition comes once, as
+        # its restricted-growth string in index order
         ell = naive_chi(g)
         words = set()  # class of each vertex, classes numbered by first vertex
         for ass in naive_min_colorings(g, ell):
@@ -370,7 +389,26 @@ class TestCanonicalPartition:
             tuple(tuple(v for v in range(g.order) if word[v] == i) for i in range(ell))
             for word in sorted(words)
         ]
-        assert [classes(p) for p in _iter_chi_partitions(g, ell)] == expected
+        got = list(_iter_chi_partitions(g, ell))
+        assert all(restricted_growth(classes(p), g.order) == p for p in got)
+        assert [classes(p) for p in sorted(got)] == expected
+
+    @given(relabeled_graphs())
+    @settings(max_examples=80, deadline=None)
+    # classes that span components: pinning each component's first vertex
+    # to one color would lose all but one of these 2-partitions
+    @example(Graph(6, [(3, 1), (0, 5), (2, 4)]))
+    @example(Graph(7, [(6, 2), (2, 4), (4, 6), (0, 5), (1, 3)]))
+    @example(Graph(5))
+    def test_each_chi_partition_comes_once(self, g):
+        ell = naive_chi(g)
+        got = list(_iter_chi_partitions(g, ell))
+        assert len(set(got)) == len(got)
+        words = set()
+        for ass in naive_min_colorings(g, ell):
+            first: dict[int, int] = {}
+            words.add(tuple(first.setdefault(c, len(first)) for c in ass))
+        assert set(got) == words
 
     def test_labelings_come_in_assignment_order(self):
         partition = restricted_growth(((1, 4), (0, 3), (2,)), 5)

@@ -22,6 +22,7 @@ from chromatic_zagreb.coloring import (
     Coloring,
     Meter,
     _iter_chi_partitions,
+    _min_coloring,
     chromatic_number,
     enumerate_min_colorings,
     is_proper,
@@ -262,9 +263,10 @@ class TestExtrema:
             assert values == {expected}
 
     def test_budget_fallback_flags_bounds(self, monkeypatch):
-        # a cap below even the canonical partition's 16 quotient edges
+        # a cap that holds the chi search (14 units) and the canonical
+        # partition (25 units), but not its 16 quotient edges as well
         g = _cycle5_join_k2()
-        monkeypatch.setattr(coloring, "WORK_CAP", 5)
+        monkeypatch.setattr(coloring, "WORK_CAP", 30)
         r = chromatic_extrema(g, 1)
         assert r.status == "bounds_only"
         assert r.semantics_used == "permutation"
@@ -275,17 +277,21 @@ class TestExtrema:
         assert is_proper(g, r.min_witness)
 
     def test_budget_cap_counts_work_units(self, monkeypatch):
-        # 5 chi-partitions (those of the 5-cycle): the walk's 36 backtracks
-        # and 7 units per partition, then per quotient its 16 edges and its
-        # 5! packed labelings, which give cm2 and cm3 at once. These caps
-        # are below the walk's share, 5**6 * 7 units, so the share is the
-        # whole meter and a walk past it leaves the DP no units
+        # 5 chi-partitions (those of the 5-cycle): the walk's 7 vertices,
+        # its 15 nodes and 7 units per partition, then per quotient its 16
+        # edges and its 5! packed labelings, which give cm2 and cm3 at once.
+        # The chi search takes the call's first 14 units. These caps are
+        # below the walk's share, 5**6 * 7 units, so the share is the rest
+        # of the meter and a walk past it leaves the DP no units
         g = _cycle5_join_k2()
         meter = Meter()
         assert len(list(_iter_chi_partitions(g, 5, meter))) == 5
-        assert coloring.WORK_CAP - meter.left == 36 + 5 * 7
+        assert coloring.WORK_CAP - meter.left == 7 + 15 + 5 * 7
         indices._sweep_partitions(g, 5, _iter_chi_partitions(g, 5), meter)
-        assert coloring.WORK_CAP - meter.left == 751 == 71 + 5 * (16 + 120)
+        assert coloring.WORK_CAP - meter.left == 737 == 57 + 5 * (16 + 120)
+        meter = Meter()
+        _min_coloring(g, meter)
+        assert coloring.WORK_CAP - meter.left == 14
         monkeypatch.setattr(coloring, "WORK_CAP", 751)
         at_cap = chromatic_extrema(g, 1)
         assert at_cap.status == "exact" and at_cap.semantics_used == "all"
@@ -307,9 +313,12 @@ class TestExtrema:
         call, walk = meters
         assert walk.spent < 300
 
-    @pytest.mark.parametrize("spec", ["multipartite:5,5,5,5", "multipartite:2,3,4,4,5"])
+    @pytest.mark.parametrize("spec", ["multipartite:5,5,5,5", "multipartite:2,3,4,4,5",
+                                      "multipartite:20,20,20"])
     def test_one_partition_multipartite_is_exact(self, spec):
-        # a complete multipartite graph has one chi-partition, the canonical one
+        # a complete multipartite graph has one chi-partition, the canonical
+        # one; in index order the walk met its share on 20,20,20 before that
+        # one, in DSATUR order it takes one node per vertex
         g = generate(parse_family_spec(spec))
         r = full_report(g)
         assert r.status == "exact" and r.semantics_used == "all"
@@ -394,10 +403,10 @@ class TestFrontierDP:
             _keyed(THORN_C5, 3)
 
     def test_work_cap_sends_long_inputs_past_the_dp(self, monkeypatch):
-        # the walk runs out its share, 3**2 * n units, and the DP, which
-        # makes 303 moves on cycle:19 and 339 on cycle:21, has 329 and 311
-        # units left
-        monkeypatch.setattr(coloring, "WORK_CAP", 500)
+        # the chi search takes 38 and 42 units, the walk runs out its share,
+        # 3**2 * n units, and the DP, which makes 303 moves on cycle:19 and
+        # 339 on cycle:21, has 331 and 309 units left
+        monkeypatch.setattr(coloring, "WORK_CAP", 540)
         assert full_report(cycle(19)).status == "exact"
         r = full_report(cycle(21))
         assert r.status == "bounds_only" and r.semantics_used == "permutation"
@@ -423,6 +432,9 @@ class TestFrontierDP:
         assert indices._greedy_order(complete(6))[1] == 5
         assert indices._greedy_order(Graph(4))[1] == 0
         assert indices._greedy_order(star(6)) == ([0, 1, 2, 3, 4, 5], 1)
+        # cut short once 6**width * 6 reaches the room given: the DP is not run
+        assert indices._greedy_order(complete(6), 6, 6 ** 2 * 6) == ([0, 1], 2)
+        assert indices._greedy_order(complete(6), 6, 6 ** 2 * 6 + 1) == ([0, 1, 2], 3)
 
     @pytest.mark.parametrize("spec,cm1,cm3", [
         ("thorn(cycle:9;2)", (71, 181), (28, 50)),

@@ -362,22 +362,24 @@ class TestStabilityReport:
             (stability_number_bruteforce(cycle(5)), "cluster_deletion", "exact")
 
     def test_budget_degrades_to_upper_bound(self, monkeypatch):
-        # the walk stops at once, leaving the chi-coloring's bound: here the
-        # bipartition, that is the closed form
-        monkeypatch.setattr(coloring, "WORK_CAP", 1)
+        # the chi search takes the whole cap, 14 units, so the walk stops at
+        # once, leaving the chi-coloring's bound: here the bipartition, that
+        # is the closed form
+        monkeypatch.setattr(coloring, "WORK_CAP", 14)
         r = stability_report(double_star_3_4())
         assert (r.rho, r.method, r.rho_status) == (6, "cluster_deletion", "upper_bound")
-        # here the search stops before its first partition, so the bound
-        # (exact rho is 12) comes from the classes of the chi-coloring,
-        # DSATUR's greedy one: sizes 5, 3 and 1
+        # here too (18 units), so the bound (exact rho is 12) comes from the
+        # classes of the chi-coloring, DSATUR's greedy one: sizes 5, 3 and 1
+        monkeypatch.setattr(coloring, "WORK_CAP", 18)
         r = stability_report(generate(parse_family_spec("thorn(complete:3;2)")))
         assert (r.rho, r.rho_status) == (14, "upper_bound")
 
     def test_one_cap_covers_every_class_count(self, monkeypatch, meters):
-        # thorn(complete:3;2): the alpha search takes 1 unit, and the walk
-        # takes 706 units at k = 3 and 7,007 at k = 4, where a partition
-        # meets the alpha bound of 15 pairs: each k within the cap, all
-        # together past it, so the walk stops at the cap (exact rho is 12)
+        # thorn(complete:3;2): the chi search takes 18 units, the alpha
+        # search 1, and the walk 714 units at k = 3 and 7,025 at k = 4,
+        # where a partition meets the alpha bound of 15 pairs: each k within
+        # the cap, all together past it, so the walk stops at the cap (exact
+        # rho is 12)
         monkeypatch.setattr(coloring, "WORK_CAP", 7_500)
         r = stability_report(generate(parse_family_spec("thorn(complete:3;2)")))
         assert (r.rho, r.rho_status) == (14, "upper_bound")
@@ -433,7 +435,7 @@ class TestStabilityReport:
     def test_verdict_line_prints_an_upper_bound_as_a_bound(self, monkeypatch):
         assert stability_report(double_star_3_4()).verdict_line() == \
             "chi=2: chromatically stable, rho=5 (cluster_deletion)"
-        monkeypatch.setattr(coloring, "WORK_CAP", 1)
+        monkeypatch.setattr(coloring, "WORK_CAP", 14)  # all of it for the chi search
         r = stability_report(double_star_3_4())
         assert r.verdict_line() == \
             "chi=2: chromatically stable, rho<=6 (cluster_deletion, upper bound)"
