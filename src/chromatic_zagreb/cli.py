@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from io import StringIO
 
@@ -55,7 +56,9 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The czi parser, built once; each subcommand's ``run`` serves it."""
     parser = _Parser(prog="czi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -76,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     p_compute.add_argument("--strict", action="store_true",
                            help="exit 4 when results fall back to bounds")
+    p_compute.set_defaults(run=_cmd_compute)
 
     p_family = sub.add_parser(
         "family", help="closed-form family values, with an enumeration column when cheap"
@@ -90,12 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--oracle-max-order", type=_count, default=9,
                           help="enumerate the instance when its order is at most this")
     p_family.add_argument("--out", metavar="PATH")
+    p_family.set_defaults(run=_cmd_family)
 
     p_stab = sub.add_parser("stability", help="chromatic stability verdict and number")
     p_stab.add_argument("--input", metavar="FILE")
     p_stab.add_argument("--family", metavar="SPEC")
     p_stab.add_argument("--format", choices=("line", "json"), default="line")
     p_stab.add_argument("--out", metavar="PATH", help="also write the JSON report here")
+    p_stab.set_defaults(run=_cmd_stability)
 
     ids = claim_ids()
     id_lines = [", ".join(ids[i:i + 5]) for i in range(0, len(ids), 5)]
@@ -120,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=_count, default=defaults.monotonicity_samples,
                           help="random instances per order in the monotonicity suites")
     p_verify.add_argument("--tree-max-order", type=_count, default=defaults.tree_max_order)
+    p_verify.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -259,7 +266,10 @@ def _family_table(records: list[dict]) -> str:
 
 def _cmd_family(args, parser) -> int:
     variants = ["as_printed", "corrected"] if args.variant == "both" else [args.variant]
-    records = _family_records(args.spec, variants, args.oracle_max_order)
+    try:
+        records = _family_records(args.spec, variants, args.oracle_max_order)
+    except ValueError as exc:  # the closed forms' own checks: the spec has none
+        raise FamilySpecError(str(exc)) from None
     if args.format == "json":
         text = report_to_json(records)
     elif args.format == "csv":
@@ -337,14 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "compute":
-            return _cmd_compute(args, parser)
-        if args.command == "family":
-            return _cmd_family(args, parser)
-        if args.command == "stability":
-            return _cmd_stability(args, parser)
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
+        return args.run(args, parser)
     except (GraphParseError, FamilySpecError) as exc:
         print(f"czi: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -355,7 +358,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"czi: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 def entrypoint() -> None:

@@ -131,17 +131,8 @@ def _vertices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _neighbours(g: Graph) -> list[list[int]]:
-    """Per vertex, its neighbours ascending: built once per top-level call."""
-    nbrs: list[list[int]] = [[] for _ in range(g.order)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return nbrs
-
-
 def _search(
-    nbrs: list[list[int]], live: int, k: int, pin: bool, meter: Meter, fixed: int = 0
+    nbrs: tuple[tuple[int, ...], ...], live: int, k: int, pin: bool, meter: Meter, fixed: int = 0
 ) -> Iterator[list[int]]:
     """The coloring search: yield proper colorings of ``live`` within k
     colors, each as one list of every vertex's color (-1 off live), valid
@@ -271,7 +262,7 @@ def _search(
 def find_coloring(g: Graph, k: int) -> Coloring | None:
     """A proper coloring of g using at most k colors, or None if impossible:
     the deciding search's first, on a fresh Meter, so it uses 1..l, l <= k."""
-    raw = next(_search(_neighbours(g), (1 << g.order) - 1, k, True, Meter()), None)
+    raw = next(_search(g.adjacency_lists, (1 << g.order) - 1, k, True, Meter()), None)
     return None if raw is None else Coloring.from_assignment(raw)
 
 
@@ -280,7 +271,7 @@ def _min_coloring(g: Graph, meter: Meter) -> list[int]:
     deciding search's last, charged to ``meter``. Edgeless and bipartite
     inputs take its first, greedy, coloring."""
     best: list[int] = []
-    for colors in _search(_neighbours(g), (1 << g.order) - 1, g.order, True, meter):
+    for colors in _search(g.adjacency_lists, (1 << g.order) - 1, g.order, True, meter):
         best = colors[:]
     return best
 
@@ -308,12 +299,10 @@ def _iter_chi_partitions(
     """
     meter = meter or Meter(math.inf)
     n = g.order
-    for colors in _search(_neighbours(g), (1 << n) - 1, ell, False, meter):
+    for colors in _search(g.adjacency_lists, (1 << n) - 1, ell, False, meter):
         meter.charge(n)
-        rank = [0] * (ell + 1)  # rank[c]: the place of c's first vertex among the classes'
-        for i, c in enumerate(sorted(range(1, ell + 1), key=colors.index)):
-            rank[c] = i
-        yield tuple(map(rank.__getitem__, colors))
+        first: dict[int, int] = {}  # per color, its class's place in first-vertex order
+        yield tuple([first.setdefault(c, len(first)) for c in colors])
 
 
 def _classes_of(colors: list[int], live: int, k: int) -> list[int]:
@@ -351,7 +340,7 @@ def canonical_partition(
     """
     n = g.order
     masks = g.adjacency_masks
-    nbrs = _neighbours(g)
+    nbrs = g.adjacency_lists
     meter = meter or Meter()
     if coloring is None:
         coloring = _min_coloring(g, meter)

@@ -10,10 +10,12 @@ class Graph:
 
     Adjacency is stored as one integer bitmask per vertex, which keeps
     neighbourhood tests and degree counts cheap inside the exhaustive
-    searches built on top. Instances are immutable and hashable.
+    searches built on top, and as ascending neighbour tuples, built on
+    first use, which the coloring searches walk. Instances are immutable
+    and hashable, by order and masks.
     """
 
-    __slots__ = ("_order", "_masks", "_edges", "_hash")
+    __slots__ = ("_order", "_masks", "_edges", "_lists", "_hash")
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if order < 0:
@@ -36,6 +38,7 @@ class Graph:
                 pairs.append((u, u + 1 + low.bit_length() - 1))
                 rest ^= low
         self._edges = tuple(pairs)
+        self._lists: tuple[tuple[int, ...], ...] | None = None
         self._hash = hash((order, self._masks))
 
     @property
@@ -57,6 +60,17 @@ class Graph:
         """Per-vertex neighbour bitmasks (bit v of mask u set iff uv is an edge)."""
         return self._masks
 
+    @property
+    def adjacency_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex neighbours, ascending: built once, on first use."""
+        if self._lists is None:
+            nbrs: list[list[int]] = [[] for _ in range(self._order)]
+            for u, v in self._edges:  # u ascending, so both lists fill in order
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            self._lists = tuple(map(tuple, nbrs))
+        return self._lists
+
     def degree(self, v: int) -> int:
         if not 0 <= v < self._order:
             raise IndexError(f"vertex {v} out of range for order {self._order}")
@@ -68,13 +82,7 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self._order:
             raise IndexError(f"vertex {v} out of range for order {self._order}")
-        out = []
-        m = self._masks[v]
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return self.adjacency_lists[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self._order and 0 <= v < self._order):

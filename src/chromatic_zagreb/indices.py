@@ -49,7 +49,6 @@ from .coloring import (
     strengths,
     _iter_chi_partitions,
     _min_coloring,
-    _neighbours,
 )
 from .families import ThornBaseData
 from .graph import Graph
@@ -495,7 +494,7 @@ def _greedy_order(g: Graph, ell: int = 2, room: float = math.inf) -> tuple[list[
     skips stale entries gives the next vertex, in O((n + m) log n) in all.
     """
     n = g.order
-    nbrs = _neighbours(g)
+    nbrs = g.adjacency_lists
     left = [len(a) for a in nbrs]  # per vertex: its unplaced neighbours
     grow = [1 if k else 0 for k in left]
     placed = [False] * n

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import random
@@ -323,10 +324,12 @@ class TestFamily:
         assert code == 2 and "no closed forms" in err
 
     def test_parameter_validation(self, capsys):
-        for spec in ("multipartite:3,1", "complete:abc", "tree:abc", "complete:0"):
+        for spec in ("multipartite:3,1", "complete:abc", "tree:abc", "complete:0",
+                     "tree:3", "thorn(complete:1;2)", "thorn(star:1;2)"):
             code, _, err = run_cli(capsys, "family", spec)
             assert code == 2, spec
             assert "invalid literal" not in err
+            assert err.startswith("czi: ") and err.count("\n") == 1, spec
 
 
 class TestStability:
@@ -445,3 +448,29 @@ def test_readme_names_every_exit_code():
     named = {name: int(code) for code, name in pairs}
     constants = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
     assert named == constants
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    # a subcommand's parser is named "czi <command>"; the top-level one is "czi"
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for argv in (("compute", "--family", "path:3"), ("family", "complete:3")):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert built.count("czi") <= 1
+
+
+def test_readme_package_layout_names_every_module():
+    # the block after "## Package layout" lists one module per line
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Package layout\s*```\n(.*?)```", readme, re.S).group(1)
+    named = re.findall(r"^\s+(\w+\.py)\s", block, re.M)
+    modules = sorted(p.name for p in (root / "src" / "chromatic_zagreb").glob("*.py"))
+    assert sorted(named) == [m for m in modules if m != "__init__.py"]

@@ -16,7 +16,6 @@ from chromatic_zagreb.coloring import (
     Meter,
     _iter_chi_partitions,
     _min_coloring,
-    _neighbours,
     _search,
     canonical_partition,
     chromatic_number,
@@ -91,12 +90,12 @@ def _naive_chi_by_component(g: Graph) -> int:
 
 def _first_coloring(g: Graph) -> list[int]:
     """The first full coloring of the branch and bound: DSATUR's greedy one."""
-    return next(_search(_neighbours(g), (1 << g.order) - 1, g.order, True, Meter()))[:]
+    return next(_search(g.adjacency_lists, (1 << g.order) - 1, g.order, True, Meter()))[:]
 
 
 def _k_coloring(g: Graph, k: int) -> list[int] | None:
     """The deciding search's first coloring of g within k colors, or None."""
-    return next(_search(_neighbours(g), (1 << g.order) - 1, k, True, Meter()), None)
+    return next(_search(g.adjacency_lists, (1 << g.order) - 1, k, True, Meter()), None)
 
 
 @st.composite

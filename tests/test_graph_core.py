@@ -79,6 +79,9 @@ class TestGraph:
             assert not g.has_edge(u, u) if g.order else True
             for v in g.neighbors(u):
                 assert g.has_edge(v, u)
+            read_off = sorted({v for e in g.edges if u in e for v in e} - {u})
+            assert g.adjacency_lists[u] == g.neighbors(u) == tuple(read_off)
+        assert len(g.adjacency_lists) == g.order
         assert 2 * g.size == sum(g.degree_sequence())
 
     @given(graphs())
