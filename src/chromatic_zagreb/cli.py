@@ -1,8 +1,8 @@
 """Command-line front end: compute, family, stability, verify.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 must-hold claim
-failure, 4 a search past its work cap: before any report, or under
---strict behind a bounds-only result or a skipped claim.
+failure, 4 a search past its work cap or memory run out: before any
+report, or under --strict behind a bounds-only result or a skipped claim.
 """
 
 from __future__ import annotations
@@ -358,6 +358,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"czi: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        pass  # reported below, once the frames that hold the memory are freed
+    print("czi: out of memory before any report", file=sys.stderr)
+    return EXIT_BUDGET
 
 
 def entrypoint() -> None:

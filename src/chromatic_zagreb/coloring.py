@@ -149,12 +149,14 @@ def _search(
       After a coloring with j colors the search backs up to the first
       vertex wearing j and looks for j - 1. It ends when a component's
       first vertex runs out of colors, which proves the last coloring
-      optimal, or at a coloring with as many colors as the largest clique
-      met: a component's first vertex opens one, and each next vertex
-      whose saturation equals its size joins it, until one does not.
+      optimal, or at once when that first vertex wearing j sits at depth
+      j - 1: each vertex above it then opened a color and wears the
+      largest color growth allows, so none has one left to try. That stop
+      assumes no ``fixed`` vertices; their caller takes only the first
+      coloring.
     * clear, enumerating: growth counts the colors of the whole graph, as
       a class may span components, and a vertex joins a used color only
-      while enough vertices are left to open the rest, so every partition
+      while the vertices left can still open the rest, so every partition
       into exactly k independent classes comes once.
 
     The next vertex comes from a heap of (-score, v), score = saturation *
@@ -187,10 +189,8 @@ def _search(
     # top[d]: the colors used above depth d, by its component if pinned
     top = [1 if fixed else 0] + [0] * count
     bound = k
-    enough = 1
     heap: list[tuple[int, int]] | None = None
     d = c = 0  # c: the color last tried at depth d, 0 on entering it
-    run = 0  # the clique of the current component's first vertices, 0 once ended
     while True:
         if not c:
             if heap is None:
@@ -202,14 +202,8 @@ def _search(
             u = order[d]  # swap v into place d
             order[place[v]], place[u] = u, place[v]
             order[d], place[v] = v, d
-            if s > -n:  # no colored neighbour: v opens a component
-                run = 1
-                if pin:
-                    top[d] = 0
-            else:
-                run = run + 1 if run == -s // n else 0
-            if run > enough:
-                enough = run
+            if pin and s > -n:  # no colored neighbour: v opens a component
+                top[d] = 0
         v = order[d]
         used = top[d]
         limit = used + 1 if used < bound else bound
@@ -238,15 +232,14 @@ def _search(
             back = d - 1
             if pin:
                 bound = max(colors) - 1
-                if bound < enough:
-                    return
                 back = next(i for i, u in enumerate(order) if colors[u] > bound)
+                if back == bound:
+                    return
         elif not (d and used):  # the search's first vertex, or a pinned opener
             return
         else:
             back = d - 1
         heap = None
-        run = 0
         while d > back:  # uncolor the vertices below back and the one at it
             d -= 1
             v = order[d]

@@ -244,9 +244,9 @@ def random_tree_corpus(count: int, max_order: int, seed: int) -> list[tuple[str,
 # exhaustive connected bipartite graphs, one per isomorphism class
 
 
-def connected_bipartite_graphs(max_order: int, min_order: int = 2):
+def connected_bipartite_graphs(max_order: int):
     """One representative per isomorphism class of connected bipartite
-    graphs with min_order <= order <= max_order, orders ascending.
+    graphs with 2 <= order <= max_order, orders ascending.
 
     For each side split (a, b), a <= b, biadjacency matrices are listed as
     column multisets in lexicographic order, and each class is kept at its
@@ -254,7 +254,7 @@ def connected_bipartite_graphs(max_order: int, min_order: int = 2):
     Connectivity forces a unique bipartition, so these least members are
     exactly the isomorphism classes.
     """
-    for n in range(min_order, max_order + 1):
+    for n in range(2, max_order + 1):
         for label, g in _bipartite_classes_of_order(n):
             yield label, g
 

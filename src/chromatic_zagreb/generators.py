@@ -149,10 +149,6 @@ def thorn(base: FamilySpec, m: int) -> FamilySpec:
     return FamilySpec("thorn", (m,), base=base)
 
 
-# CLI sugar kinds that normalize onto the core FamilySpec kinds.
-_SUGAR = {"complete-bipartite", "equal-multipartite", "multipartite"}
-
-
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse the mini-grammar 'kind:p1,p2,...' with 'thorn(base;m)' nesting one level.
 

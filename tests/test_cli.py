@@ -7,6 +7,8 @@ import csv
 import json
 import random
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -194,7 +196,8 @@ class TestCompute:
 
 
 class TestWorkCapExit:
-    """A search that passes the work cap before any report exits 4."""
+    """A search past the work cap, or an input past memory, exits 4
+    before any report."""
 
     @pytest.fixture
     def dense_input(self, tmp_path):
@@ -225,6 +228,25 @@ class TestWorkCapExit:
         assert len(err.splitlines()) == 1 and err.startswith("czi: ")
         call, canonical = meters
         assert call.spent == 120 and canonical.left < 0
+
+    def test_input_too_large_to_hold(self, tmp_path):
+        # the child caps its own address space at 1 GB before it reads the
+        # header, so the billion-vertex graph fails to allocate there
+        path = tmp_path / "big.txt"
+        path.write_text("n=1000000000\n0 1\n", encoding="utf-8")
+        child = ("import resource, sys\n"
+                 "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
+                 "from chromatic_zagreb import cli\n"
+                 "raise SystemExit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", child, "compute", "--input", str(path)],
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"})
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == cli.EXIT_BUDGET and proc.stdout == ""
+        assert proc.stderr == "czi: out of memory before any report\n"
 
 
 class TestCountArguments:

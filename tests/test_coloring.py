@@ -48,9 +48,13 @@ _DSATUR_HARD = Graph(8, [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 5), (2, 5),
 _HARD_THEN_STAR = Graph(13, list(_DSATUR_HARD.edges) + [(8, j) for j in range(9, 13)])
 _STAR_THEN_HARD = Graph(13, [(0, j) for j in range(1, 5)]
                         + [(u + 5, v + 5) for u, v in _DSATUR_HARD.edges])
+# it beside K4, in both numberings: DSATUR colors it first (its degrees
+# are the higher) with 4 colors, and chi is 4 for K4's sake
+_K4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+_HARD_THEN_K4 = Graph(12, list(_DSATUR_HARD.edges) + [(u + 8, v + 8) for u, v in _K4])
+_K4_THEN_HARD = Graph(12, _K4 + [(u + 4, v + 4) for u, v in _DSATUR_HARD.edges])
 # K4 beside 12 disjoint K_{1,4} stars: the stars have the higher degrees
-_K4_BESIDE_STARS = Graph(64, [(a, b) for a in range(4) for b in range(a + 1, 4)]
-                         + [(c, c + j) for c in range(4, 64, 5) for j in range(1, 5)])
+_K4_BESIDE_STARS = Graph(64, _K4 + [(c, c + j) for c in range(4, 64, 5) for j in range(1, 5)])
 # the Groetzsch graph, C5's Mycielskian: triangle-free with chi = 4
 _GROETZSCH = Graph(11, [(i, (i + 1) % 5) for i in range(5)]
                    + [(5 + i, (i + j) % 5) for i in range(5) for j in (1, 4)]
@@ -220,13 +224,26 @@ class TestChromaticNumber:
     @example(Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]))
     @example(cycle(5))
     @example(_GROETZSCH)
+    @example(_HARD_THEN_K4)
+    @example(_K4_THEN_HARD)
     @settings(max_examples=50, deadline=None)
-    def test_clique_bound_never_overestimates(self, g):
-        # a bound above chi would stop the search at a coloring with too many
+    def test_min_coloring_is_optimal(self, g):
+        # a stop before the search is exhausted must not leave too many colors
         colors = _min_coloring(g, Meter())
         assert all(colors[u] != colors[v] for u, v in g.edges)
         assert max(colors) == _naive_chi_by_component(g)
         assert colors == _min_coloring(g, Meter())
+
+    @pytest.mark.parametrize("g", [_HARD_THEN_K4, _K4_THEN_HARD])
+    def test_growth_cap_stop_beside_k4(self, g):
+        # the search stops at once only when the first vertex wearing j sits
+        # at depth j - 1. Here the first 4 is deep in the DSATUR-hard
+        # component, so it is 3-colored anew before K4 proves 4 needed: 12
+        # units for the vertices, 12 nodes for the greedy coloring and 9 more
+        assert _min_coloring(g, Meter(33)) == _first_coloring(g)
+        with pytest.raises(EnumerationBudgetExceeded):
+            _min_coloring(g, Meter(32))
+        assert chromatic_number(g) == 4
 
     @given(graphs(max_n=7), st.integers(1, 4))
     @example(_HARD_THEN_STAR, 3)
