@@ -21,9 +21,11 @@ twin-ordered labelings takes cm3 from a DP over the sets of classes
 labelled so far (a linear arrangement) on int keys that pack a sum
 above its labeling, and walks the labelings for cm2: label sets for the
 twin groups, then every order of the labels left for the twin-free
-classes. Every route hands its witnesses over as assignment tuples, and
-:func:`full_report` alone makes each distinct one a Coloring and checks
-it, once.
+classes. Under ``all`` a partition scores cm2 or cm3 only when its
+rearrangement bounds do not put every labeling strictly inside the
+extrema found so far. Every route hands its witnesses over as
+assignment tuples, and :func:`full_report` alone makes each distinct
+one a Coloring and checks it, once.
 """
 
 from __future__ import annotations
@@ -150,12 +152,12 @@ def _sweep(g: Graph, assignments) -> Extrema:
 
     Streams arrive in lexicographic order, so strict comparisons leave the
     lexicographically least witness in place for ties. It scores the two
-    minimum colorings of a connected bipartite graph, and the identity and
-    reversed labelings of the canonical partition when scoring that
-    partition passed its work cap. It also stays as the coloring-stream
-    reference that the least-witness tests check the partition path
-    against, and ``perfbench/spans.py`` rebinds it by name to count the
-    assignments scored.
+    minimum colorings of a connected bipartite graph, and the labelings in
+    hand of the canonical partition when scoring that partition passed
+    its work cap (:func:`_canonical_bounds`). It also stays as the
+    coloring-stream reference that the least-witness tests check the
+    partition path against, and ``perfbench/spans.py`` rebinds it by name
+    to count the assignments scored.
     """
     edges = g.edges
     best: list[list] = []  # per index: [min, its witness, max, its witness]
@@ -411,30 +413,58 @@ def _walked_product_extrema(counts: list[list[int]], lower: list[int]):
     return lo, lo_p, hi, hi_p
 
 
-def _labeling_extrema(sizes: list[int], counts: list[list[int]], meter: Meter):
+def _labeling_extrema(sizes: list[int], counts: list[list[int]], meter: Meter, wanted=(2, 3)):
     """Per index, (min, labels, max, labels) over the labelings of one
     partition quotient from :func:`_quotient`: class sizes, and the
     symmetric matrix of edge counts between class pairs.
 
-    Each labels is the least labeling attaining its value. cm1 is a sort.
-    A quotient of at most PACKED_CLASSES classes reads cm2 and cm3 off
-    :func:`_packed_extrema` when its bound on a cm2 sum,
+    Each labels is the least labeling attaining its value. cm1 is a sort;
+    of cm2 and cm3 only the ``wanted`` ones are scored, and an index left
+    unscored is None. A quotient of at most PACKED_CLASSES classes reads
+    cm2 and cm3 off :func:`_packed_extrema` when its bound on a cm2 sum,
     sum e_ab * ell (ell - 1), stays below 2**32 (a cm3 sum is smaller) and
     it has more than ell! / PACKED_WALK_RATIO twin-ordered labelings,
-    charging ``meter`` the ell! labelings packed. Any other takes cm3 from
-    the DP over prefix sets and walks its twin-ordered labelings for cm2,
-    charging the DP's moves and the labelings walked, each before the work.
+    charging ``meter`` the ell! labelings packed; cm3 alone takes the
+    tables only below PACKED_CLASSES classes, where they beat the DP. Any
+    other walks its twin-ordered labelings for cm2 and takes cm3 from the
+    DP over prefix sets, charging the labelings walked and the DP's
+    moves, each before the work.
     """
     lower = _twin_lower(sizes, counts)
     ell = len(lower)
     count = _labeling_count(lower)
     if (ell <= PACKED_CLASSES and sum(map(sum, counts)) // 2 * ell * (ell - 1) < 1 << 32
-            and count * PACKED_WALK_RATIO > math.factorial(ell)):
+            and count * PACKED_WALK_RATIO > math.factorial(ell)
+            and (2 in wanted or 3 in wanted and ell < PACKED_CLASSES)):
         meter.charge(math.factorial(ell))
         return (_square_extrema(sizes), *_packed_extrema(counts, ell))
-    cuts = _cut_extrema(counts, lower, meter)
-    meter.charge(count)
-    return _square_extrema(sizes), _walked_product_extrema(counts, lower), cuts
+    if 2 in wanted:  # first, so a refused walk has run no DP
+        meter.charge(count)
+    cuts = _cut_extrema(counts, lower, meter) if 3 in wanted else None
+    products = _walked_product_extrema(counts, lower) if 2 in wanted else None
+    return _square_extrema(sizes), products, cuts
+
+
+@cache
+def _label_pair_values(ell: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The products x y and the gaps y - x over the label pairs x < y of
+    1..ell, each sorted. Cached per ell for the process."""
+    pairs = list(combinations(range(1, ell + 1), 2))
+    return tuple(sorted([x * y for x, y in pairs])), tuple(sorted([y - x for x, y in pairs]))
+
+
+def _pair_bounds(counts: list[list[int]]):
+    """(lower, upper) bounds on sum e_ab p_a p_b and on sum e_ab |p_a - p_b|
+    over the labelings of a quotient (``counts``, from :func:`_quotient`).
+
+    A labeling maps the class pairs one-to-one onto the label pairs, so
+    each sum pairs the edge counts with the label pairs' products, or
+    gaps, in some order; by the rearrangement inequality it lies between
+    the opposite-order and the same-order pairing of the sorted lists.
+    """
+    weights = sorted([e for a, row in enumerate(counts) for e in row[a + 1:]])
+    return [(sum(map(mul, weights, reversed(values))), sum(map(mul, weights, values)))
+            for values in _label_pair_values(len(counts))]
 
 
 def _quotient(g: Graph, partition, ell: int) -> tuple[list[int], list[list[int]]]:
@@ -459,15 +489,27 @@ def _sweep_partitions(g: Graph, ell: int, partitions, meter: Meter) -> Extrema:
     extrema and least labelings. With the classes in first-vertex order,
     label order is assignment order, so a partition's witnesses are its
     least attaining labelings; across partitions a tie goes to the smaller
-    assignment, built only for a labeling that may win. Each quotient
-    charges ``meter`` its edges, then its scoring.
+    assignment, built only for a labeling that may win.
+
+    A cm2 or cm3 whose :func:`_pair_bounds` lie strictly inside the
+    extrema found so far is not scored: as the best values only get
+    better, no labeling of the partition can attain or tie a final
+    extremum, so no least witness moves. The first partition is scored in
+    full. Each quotient charges ``meter`` its edges, then the scoring it
+    does.
     """
     # per index: [min, its assignment, max, its assignment]
     best = [[math.inf, None, -math.inf, None] for _ in range(3)]
     for partition in partitions:
         meter.charge(g.size)
-        found = _labeling_extrema(*_quotient(g, partition, ell), meter)
-        for slot, (lo, lo_p, hi, hi_p) in zip(best, found):
+        sizes, counts = _quotient(g, partition, ell)
+        wanted = [k for k, (lo, hi) in zip((2, 3), _pair_bounds(counts))
+                  if lo <= best[k - 1][0] or hi >= best[k - 1][2]]
+        found = _labeling_extrema(sizes, counts, meter, wanted)
+        for slot, ends in zip(best, found):
+            if ends is None:
+                continue
+            lo, lo_p, hi, hi_p = ends
             if lo <= slot[0]:
                 a = label_partition(partition, lo_p)
                 if lo < slot[0] or a < slot[1]:
@@ -611,8 +653,8 @@ def _compute_extrema(g: Graph, semantics: Semantics) -> tuple[Extrema, int, str,
     a share of the meter, ell**width * n units, the greedy order's bound on
     the frontier DP's states, which then runs on the rest, if any. Past
     both, and always under ``permutation``, the canonical partition is
-    built and scored on a fresh meter, and past that only its identity and
-    reversed labelings are: valid colorings, so bounds, not extrema.
+    built and scored on a fresh meter; past that :func:`_canonical_bounds`
+    gives bounds, not extrema.
     """
     if g.order < 1:
         raise ValueError("extrema need order >= 1")
@@ -640,13 +682,39 @@ def _compute_extrema(g: Graph, semantics: Semantics) -> tuple[Extrema, int, str,
     meter = Meter()
     partition = canonical_partition(g, coloring, meter)
     status = "exact" if semantics == "permutation" else "bounds_only"
+    left = meter.left
     try:
         return _sweep_partitions(g, ell, [partition], meter), ell, "permutation", status
     except EnumerationBudgetExceeded:
-        # with the classes in first-vertex order these two are in assignment order
-        labelings = (tuple(range(1, ell + 1)), tuple(range(ell, 0, -1)))
-        assignments = [label_partition(partition, p) for p in labelings]
-        return _sweep(g, assignments), ell, "permutation", "bounds_only"
+        return _canonical_bounds(g, ell, partition, Meter(left)), ell, "permutation", "bounds_only"
+
+
+def _canonical_bounds(g: Graph, ell: int, partition, meter: Meter) -> Extrema:
+    """The canonical partition's extrema where its labelings are refused,
+    in the shape of :func:`_sweep_partitions`, on the units that scoring
+    had.
+
+    cm1 is the sort and cm3 the DP over prefix sets, each kept if it fits
+    ``meter`` with the quotient's edges. Any index left takes the best of
+    the labelings in hand, identity and reversed and the witnesses found:
+    valid colorings, so bounds, not extrema.
+    """
+    found = [None, None, None]
+    try:
+        meter.charge(g.size)
+        sizes, counts = _quotient(g, partition, ell)
+        found[0] = _square_extrema(sizes)
+        found[2] = _cut_extrema(counts, _twin_lower(sizes, counts), meter)
+    except EnumerationBudgetExceeded:
+        pass
+    labelings = [tuple(range(1, ell + 1)), tuple(range(ell, 0, -1))]
+    labelings += [p for ends in found if ends for p in ends[1::2]]
+    swept = _sweep(g, sorted({label_partition(partition, p) for p in labelings}))
+    for k, ends in enumerate(found, 1):
+        if ends:
+            lo, lo_p, hi, hi_p = ends
+            swept[k] = lo, label_partition(partition, lo_p), hi, label_partition(partition, hi_p)
+    return swept
 
 
 def chromatic_extrema(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 import time
 import tracemalloc
@@ -328,7 +329,9 @@ class TestExtrema:
     @pytest.mark.parametrize("semantics", ["all", "permutation"])
     def test_wide_multipartite_reports_bounds_quickly(self, semantics):
         # 55 vertices in ten classes: the canonical partition's
-        # k-colorability checks once took about 2 s of the report
+        # k-colorability checks once took about 2 s of the report. Its
+        # 10! cm2 labelings are refused, so cm2 takes the best labeling in
+        # hand, while cm1 (a sort) and cm3 (the cut DP) stay exact
         g = generate(parse_family_spec("multipartite:" + ",".join(map(str, range(1, 11)))))
         start = time.perf_counter()
         r = full_report(g, semantics)
@@ -336,7 +339,7 @@ class TestExtrema:
         assert r.status == "bounds_only"
         assert (r.cm1_min, r.cm1_max) == (1210, 3025)
         assert (r.cm2_min, r.cm2_max) == (21516, 61446)
-        assert (r.cm3_min, r.cm3_max) == (4158, 4158)
+        assert (r.cm3_min, r.cm3_max) == (3662, 5882)
 
     def test_clique_scores_one_labeling(self, walked):
         # all ten classes of K10 are twins; 10! labelings took 4.7 s
@@ -768,6 +771,105 @@ class TestEightClassWalk:
         meter = Meter()
         indices._labeling_extrema(*TWO_GROUPS_8, meter)
         assert coloring.WORK_CAP - meter.left == 3640
+
+
+@contextmanager
+def unbounded():
+    """_sweep_partitions with the rearrangement bounds disabled: every
+    partition scores cm2 and cm3."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indices, "_pair_bounds", lambda counts: [(-math.inf, math.inf)] * 2)
+        yield
+
+
+# extrema-stream's n11-p77: chi 8, nine chi-partitions, every quotient of
+# eight classes, so each one that scores cm2 walks its labelings
+N11_P77 = Graph(11, [
+    (0, 1), (0, 2), (0, 3), (0, 6), (0, 8), (0, 9), (0, 10),
+    (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10),
+    (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 10),
+    (3, 6), (3, 7), (3, 8), (3, 9), (3, 10),
+    (4, 5), (4, 6), (4, 7), (4, 8), (4, 10),
+    (5, 6), (5, 7), (5, 8), (5, 9), (5, 10),
+    (6, 7), (6, 8), (6, 9), (6, 10),
+    (7, 8), (7, 9), (7, 10),
+    (8, 9), (8, 10),
+])
+
+
+class TestPruning:
+    @given(quotients(max_ell=6, max_count=5))
+    @example(CLIQUE_7)
+    @example(TWIN_FREE_7)
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_enclose_every_labeling(self, quotient):
+        counts = quotient[1]
+        (lo2, hi2), (lo3, hi3) = indices._pair_bounds(counts)
+        pairs = _pairs(counts)
+        for p in permutations(range(1, len(counts) + 1)):
+            assert lo2 <= sum(e * p[a] * p[b] for a, b, e in pairs) <= hi2
+            assert lo3 <= sum(e * abs(p[a] - p[b]) for a, b, e in pairs) <= hi3
+
+    def test_bounds_of_a_path(self):
+        # counts 2, 0, 1 sorted against the products 2, 3, 6 and the gaps
+        # 1, 1, 2 of the label pairs of 1..3; both ends are attained
+        counts = _matrix(3, {(0, 1): 2, (1, 2): 1})
+        assert indices._pair_bounds(counts) == [(7, 15), (3, 5)]
+
+    @given(renumbered_graphs(max_n=9))
+    @example(THORN_C5)
+    @settings(max_examples=60, deadline=None)
+    def test_same_extrema_as_unbounded_and_frontier_dp(self, g):
+        ell = chromatic_number(g)
+        order, width = indices._greedy_order(g)
+        assume(ell ** width <= 4 ** 6)  # keeps the DP's states few
+        pruned = _by_key(indices._sweep_partitions(g, ell, _iter_chi_partitions(g, ell), Meter()))
+        with unbounded():
+            partitions = _iter_chi_partitions(g, ell)
+            assert pruned == _by_key(indices._sweep_partitions(g, ell, partitions, Meter()))
+        assert pruned == _by_key(indices._frontier_extrema(g, ell, order, Meter()))
+
+    def test_dense_graph_walks_fewer_quotients(self, monkeypatch):
+        walks = []
+        walk = indices._walked_product_extrema
+        monkeypatch.setattr(indices, "_walked_product_extrema",
+                            lambda *args: walks.append(args) or walk(*args))
+        assert len(list(_iter_chi_partitions(N11_P77, 8))) == 9
+        r = full_report(N11_P77)
+        assert r.status == "exact" and r.semantics_used == "all"
+        assert 0 < len(walks) < 9
+        walks.clear()
+        with unbounded():
+            assert full_report(N11_P77).to_json_dict(True) == r.to_json_dict(True)
+        assert len(walks) == 9
+
+    def test_single_index_routes(self, monkeypatch):
+        def refuse(name):
+            def refused(*args):
+                raise AssertionError(f"{name} ran")
+            return refused
+
+        full = indices._labeling_extrema(*TWIN_FREE_7, Meter())
+        six = ([1] * 6, [row[:6] for row in TWIN_FREE_7[1][:6]])
+        # neither index: cm1 alone, and nothing charged
+        meter = Meter()
+        assert indices._labeling_extrema(*TWIN_FREE_7, meter, ()) == (full[0], None, None)
+        assert coloring.WORK_CAP - meter.left == 0
+        with monkeypatch.context() as mp:
+            mp.setattr(indices, "_cut_extrema", refuse("the cut DP"))
+            # cm3 alone below seven classes: the packed tables
+            assert indices._labeling_extrema(*six, Meter(), (3,))[2] == \
+                indices._packed_extrema(six[1], 6)[1]
+            # cm2 alone: the packed tables, or the walk of 3,360 labelings
+            assert indices._labeling_extrema(*TWIN_FREE_7, Meter(), (2,)) == full
+            meter = Meter()
+            indices._labeling_extrema(*TWO_GROUPS_8, meter, (2,))
+            assert coloring.WORK_CAP - meter.left == 3360
+        # cm3 alone at seven classes: the cut DP's 7 * 2**6 moves, not 7! labelings
+        monkeypatch.setattr(indices, "_packed_extrema", refuse("the packed tables"))
+        meter = Meter()
+        assert indices._labeling_extrema(*TWIN_FREE_7, meter, (3,)) == (full[0], None, full[2])
+        assert coloring.WORK_CAP - meter.left == 448
 
 
 class TestFullReport:

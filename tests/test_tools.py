@@ -1,12 +1,16 @@
-"""tools/source_lines.py, which gives ROADMAP's source-size figure."""
+"""tools/source_lines.py, which gives ROADMAP's source-size figure, and
+tools/report_diff.py, which compares the reports of two checkouts."""
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "source_lines.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "tools" / "source_lines.py"
+REPORT_DIFF = ROOT / "tools" / "report_diff.py"
 
 
 def run_tool(root: Path) -> subprocess.CompletedProcess:
@@ -42,3 +46,40 @@ def test_root_without_package_sources_exits_1(tmp_path):
     proc = run_tool(tmp_path)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == f"no package sources under {tmp_path}\n"
+
+
+def run_report_diff(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(REPORT_DIFF), *map(str, args)],
+                          capture_output=True, text=True)
+
+
+def test_report_diff_of_a_tree_against_itself_exits_0():
+    proc = run_report_diff(ROOT, ROOT, "--count", 3, "--seed", 1)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    digest, root = lines[0].split(" ", 1)
+    assert len(digest) == 64 and root == str(ROOT)
+
+
+def test_report_diff_of_a_missing_root_exits_2(tmp_path):
+    proc = run_report_diff(ROOT, tmp_path / "missing")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"report_diff: no package sources under {tmp_path / 'missing'}\n"
+
+
+def test_report_diff_prints_the_first_difference_and_exits_1(tmp_path):
+    # a copy of the package whose reports all carry another label
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "chromatic_zagreb" / "indices.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_report = full_report\n\n\n"
+                 "def full_report(*args, **kwargs):\n"
+                 "    from dataclasses import replace\n"
+                 "    return replace(_report(*args, **kwargs), label='changed')\n")
+    proc = run_report_diff(ROOT, tmp_path, "--count", 1)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and lines[0].split()[0] != lines[1].split()[0]
+    assert lines[2].startswith(f"{ROOT}: ") and '"label": null' in lines[2]
+    assert lines[3].startswith(f"{tmp_path}: ") and '"label": "changed"' in lines[3]
