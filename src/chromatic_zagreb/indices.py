@@ -21,9 +21,11 @@ twin-ordered labelings takes cm3 from a DP over the sets of classes
 labelled so far (a linear arrangement) on int keys that pack a sum
 above its labeling, and walks the labelings for cm2: label sets for the
 twin groups, then every order of the labels left for the twin-free
-classes. Under ``all`` a partition scores cm2 or cm3 only when its
-rearrangement bounds do not put every labeling strictly inside the
-extrema found so far. Every route hands its witnesses over as
+classes. Under ``all`` each partition after the first scores only what
+can reach the extrema found so far: an end of cm2 or cm3 whose
+rearrangement bounds lie strictly inside them is not read, nor is a
+cm2 label set whose own bounds do, and labels are decoded only for a
+value that reaches them. Every route hands its witnesses over as
 assignment tuples, and :func:`full_report` alone makes each distinct
 one a Coloring and checks it, once.
 """
@@ -348,7 +350,11 @@ def _nth_labeling(ell: int, k: int) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def _packed_extrema(counts: list[list[int]], ell: int):
+# (min, max) targets of an index: OPEN, which every value reaches, and DEAD, which none does
+OPEN, DEAD = (math.inf, -math.inf), (-math.inf, math.inf)
+
+
+def _packed_extrema(counts: list[list[int]], ell: int, targets=(OPEN, OPEN)):
     """Per index, cm2 and then cm3, (min, labels, max, labels) of
     sum e_ab p_a p_b and sum e_ab |p_a - p_b| over all ell! labelings at
     once, on :func:`_pair_tables`.
@@ -359,20 +365,46 @@ def _packed_extrema(counts: list[list[int]], ell: int):
     that one is twin-ordered: were two twins out of order, swapping them
     would keep the sum and give a smaller labeling. So values and
     labelings are those of the twin-ordered walk and the cut DP.
+
+    ``targets`` gives per index the (min, max) that a value must reach, at
+    or below and at or above, to be of use; -inf and inf mark an end that
+    no labeling reaches. Such an end is not read (inf for a min, -inf for
+    a max), an index with neither is None, and the labels of a value that
+    misses its target are None, not decoded.
     """
     tables = _pair_tables(ell)
     packed = sum(counts[a][b] * tables[a][b] for a, b in combinations(range(ell), 2))
     fields = array("I")
     fields.frombytes(packed.to_bytes(8 * math.factorial(ell), sys.byteorder))
     found = []
-    for sums in (fields[0::2], fields[1::2]):
-        lo, hi = min(sums), max(sums)
-        found.append((lo, _nth_labeling(ell, sums.index(lo)),
-                      hi, _nth_labeling(ell, sums.index(hi))))
+    for k, (lo_to, hi_to) in enumerate(targets):
+        if (lo_to, hi_to) == DEAD:
+            found.append(None)
+            continue
+        sums = fields[k::2]
+        lo = min(sums) if lo_to > -math.inf else math.inf
+        hi = max(sums) if hi_to < math.inf else -math.inf
+        found.append((lo, _nth_labeling(ell, sums.index(lo)) if lo <= lo_to else None,
+                      hi, _nth_labeling(ell, sums.index(hi)) if hi >= hi_to else None))
     return found
 
 
-def _walked_product_extrema(counts: list[list[int]], lower: list[int]):
+def _order_bounds(base: int, weights: list[int], pair_counts: list[int], left) -> tuple[int, int]:
+    """(low, high) bounds on base + sum w_a q_a + sum e_ab q_a q_b over
+    the orders q of the ascending labels ``left``, for classes of
+    ``weights`` and class-pair edge counts ``pair_counts`` (ascending,
+    zeros included). By the rearrangement inequality each part lies
+    between its sorted terms paired in opposite and in the same order:
+    weights with labels, and edge counts with label-pair products.
+    """
+    weights = sorted(weights)
+    products = sorted([x * y for x, y in combinations(left, 2)])
+    return (base + sum(map(mul, weights, reversed(left)))
+            + sum(map(mul, pair_counts, reversed(products))),
+            base + sum(map(mul, weights, left)) + sum(map(mul, pair_counts, products)))
+
+
+def _walked_product_extrema(counts: list[list[int]], lower: list[int], targets=OPEN):
     """(min, labels, max, labels) of sum e_ab p_a p_b over the twin-ordered
     labelings, walked.
 
@@ -384,6 +416,13 @@ def _walked_product_extrema(counts: list[list[int]], lower: list[int]):
     twin-free pairs. The walk is not lexicographic, so a labeling that
     ties a witness's value replaces it when it is smaller: each is the
     least labeling attaining its value.
+
+    A label set whose :func:`_order_bounds` lie strictly inside
+    ``targets`` (see :func:`_packed_extrema`) is not walked, so an end
+    that misses its target may read past its value (inf or -inf, labels
+    None, when nothing is walked). Bounds are worked out only for targets
+    other than OPEN and two or more twin-free classes: with fewer a label
+    set costs no more to walk than to bound.
     """
     ell = len(lower)
     groups = _twin_groups(lower)
@@ -396,9 +435,18 @@ def _walked_product_extrema(counts: list[list[int]], lower: list[int]):
     labels = [0] * ell  # the labeling, filled in only when it may be a witness
     lo = math.inf
     hi = -math.inf
+    lo_p = hi_p = None
+    lo_to, hi_to = targets
+    bounded = targets != OPEN and len(single) > 1
+    if bounded:
+        pair_counts = sorted([counts[a][b] for a, b in combinations(single, 2)])
     for t, left in _group_label_sets(groups, range(1, ell + 1)):
         base = sum(map(mul, tied_weights, map(mul, tied_first(t), tied_second(t))))
         weights = [sum(map(mul, row, t)) for row in rows]
+        if bounded:
+            low, high = _order_bounds(base, weights, pair_counts, left)
+            if low > lo_to and high < hi_to:
+                continue
         for q in permutations(left):
             s = base + sum(map(mul, weights, q)) + sum(
                 map(mul, single_weights, map(mul, single_first(q), single_second(q))))
@@ -413,35 +461,50 @@ def _walked_product_extrema(counts: list[list[int]], lower: list[int]):
     return lo, lo_p, hi, hi_p
 
 
-def _labeling_extrema(sizes: list[int], counts: list[list[int]], meter: Meter, wanted=(2, 3)):
+def _labeling_extrema(sizes: list[int], counts: list[list[int]], meter: Meter, incumbent=None):
     """Per index, (min, labels, max, labels) over the labelings of one
     partition quotient from :func:`_quotient`: class sizes, and the
     symmetric matrix of edge counts between class pairs.
 
-    Each labels is the least labeling attaining its value. cm1 is a sort;
-    of cm2 and cm3 only the ``wanted`` ones are scored, and an index left
-    unscored is None. A quotient of at most PACKED_CLASSES classes reads
-    cm2 and cm3 off :func:`_packed_extrema` when its bound on a cm2 sum,
+    Each labels is the least labeling attaining its value. cm1 is a sort.
+    An ``incumbent`` gives per cm2 and cm3 the (min, max) found so far; an
+    end of either is live when its :func:`_pair_bounds` reach it, at or
+    below the min or at or above the max. Only live ends are scored, and
+    an index with none is None, found before any twin analysis. An end
+    that misses its incumbent, dead or not, may read any value that
+    misses it (inf for an unread min, -inf for an unread max), and its
+    labels may be None. Without an incumbent every end is scored in full.
+
+    A quotient of at most PACKED_CLASSES classes reads cm2 and cm3 off
+    :func:`_packed_extrema` when its bound on a cm2 sum,
     sum e_ab * ell (ell - 1), stays below 2**32 (a cm3 sum is smaller) and
     it has more than ell! / PACKED_WALK_RATIO twin-ordered labelings,
     charging ``meter`` the ell! labelings packed; cm3 alone takes the
     tables only below PACKED_CLASSES classes, where they beat the DP. Any
-    other walks its twin-ordered labelings for cm2 and takes cm3 from the
-    DP over prefix sets, charging the labelings walked and the DP's
+    other walks its twin-ordered labelings for cm2, skipping label sets
+    that the incumbent rules out, and takes cm3 from the DP over prefix
+    sets, charging the labelings walked, skipped ones too, and the DP's
     moves, each before the work.
     """
+    targets = (OPEN, OPEN)
+    if incumbent:
+        targets = [(best_lo if lo <= best_lo else -math.inf, best_hi if hi >= best_hi else math.inf)
+                   for (lo, hi), (best_lo, best_hi) in zip(_pair_bounds(counts), incumbent)]
+    cm2, cm3 = [ends != DEAD for ends in targets]
+    if not (cm2 or cm3):
+        return _square_extrema(sizes), None, None
     lower = _twin_lower(sizes, counts)
     ell = len(lower)
     count = _labeling_count(lower)
     if (ell <= PACKED_CLASSES and sum(map(sum, counts)) // 2 * ell * (ell - 1) < 1 << 32
             and count * PACKED_WALK_RATIO > math.factorial(ell)
-            and (2 in wanted or 3 in wanted and ell < PACKED_CLASSES)):
+            and (cm2 or ell < PACKED_CLASSES)):
         meter.charge(math.factorial(ell))
-        return (_square_extrema(sizes), *_packed_extrema(counts, ell))
-    if 2 in wanted:  # first, so a refused walk has run no DP
+        return (_square_extrema(sizes), *_packed_extrema(counts, ell, targets))
+    if cm2:  # first, so a refused walk has run no DP
         meter.charge(count)
-    cuts = _cut_extrema(counts, lower, meter) if 3 in wanted else None
-    products = _walked_product_extrema(counts, lower) if 2 in wanted else None
+    cuts = _cut_extrema(counts, lower, meter) if cm3 else None
+    products = _walked_product_extrema(counts, lower, targets[0]) if cm2 else None
     return _square_extrema(sizes), products, cuts
 
 
@@ -491,21 +554,21 @@ def _sweep_partitions(g: Graph, ell: int, partitions, meter: Meter) -> Extrema:
     least attaining labelings; across partitions a tie goes to the smaller
     assignment, built only for a labeling that may win.
 
-    A cm2 or cm3 whose :func:`_pair_bounds` lie strictly inside the
-    extrema found so far is not scored: as the best values only get
-    better, no labeling of the partition can attain or tie a final
-    extremum, so no least witness moves. The first partition is scored in
-    full. Each quotient charges ``meter`` its edges, then the scoring it
-    does.
+    Each quotient after the first gets the cm2 and cm3 extrema found so
+    far, its incumbent, and scores only what can reach it: an end that its
+    :func:`_pair_bounds` do not reach, or a cm2 label set whose
+    :func:`_order_bounds` lie strictly inside it, is left out, and a value
+    that misses it comes back without labels. As the best values only get
+    better, what is left out can neither attain nor tie a final extremum,
+    so no least witness moves. Each quotient charges ``meter`` its edges,
+    then the scoring it does.
     """
     # per index: [min, its assignment, max, its assignment]
     best = [[math.inf, None, -math.inf, None] for _ in range(3)]
+    incumbent = None  # the first partition is scored in full
     for partition in partitions:
         meter.charge(g.size)
-        sizes, counts = _quotient(g, partition, ell)
-        wanted = [k for k, (lo, hi) in zip((2, 3), _pair_bounds(counts))
-                  if lo <= best[k - 1][0] or hi >= best[k - 1][2]]
-        found = _labeling_extrema(sizes, counts, meter, wanted)
+        found = _labeling_extrema(*_quotient(g, partition, ell), meter, incumbent)
         for slot, ends in zip(best, found):
             if ends is None:
                 continue
@@ -518,6 +581,7 @@ def _sweep_partitions(g: Graph, ell: int, partitions, meter: Meter) -> Extrema:
                 a = label_partition(partition, hi_p)
                 if hi > slot[2] or a < slot[3]:
                     slot[2], slot[3] = hi, a
+        incumbent = [(slot[0], slot[2]) for slot in best[1:]]
     return {k: tuple(slot) for k, slot in enumerate(best, 1)}
 
 

@@ -11,7 +11,7 @@ import time
 import tracemalloc
 from array import array
 from contextlib import contextmanager
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -772,13 +772,31 @@ class TestEightClassWalk:
         indices._labeling_extrema(*TWO_GROUPS_8, meter)
         assert coloring.WORK_CAP - meter.left == 3640
 
+    def test_skipped_label_sets_are_charged(self, walked):
+        # an incumbent just inside cm2's extrema walks 2 of its 560 label
+        # sets, yet charges all 3,360 labelings; cm3's, past its bounds,
+        # leaves cm3 out
+        full = indices._labeling_extrema(*TWO_GROUPS_8, Meter())
+        lo, _, hi, _ = full[1]
+        lo3, hi3 = indices._pair_bounds(TWO_GROUPS_8[1])[1]
+        walked.clear()
+        meter = Meter()
+        incumbent = [(lo + 1, hi - 1), (lo3 - 1, hi3 + 1)]
+        found = indices._labeling_extrema(*TWO_GROUPS_8, meter, incumbent)
+        assert coloring.WORK_CAP - meter.left == 3360
+        assert found == (*full[:2], None)
+        assert len(walked) == 2 * 3 * 2
+
 
 @contextmanager
 def unbounded():
-    """_sweep_partitions with the rearrangement bounds disabled: every
-    partition scores cm2 and cm3."""
+    """_sweep_partitions with every incumbent test off: each partition
+    scores both ends of cm2 and cm3, decodes each witness and walks every
+    label set."""
+    scored = indices._labeling_extrema
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(indices, "_pair_bounds", lambda counts: [(-math.inf, math.inf)] * 2)
+        mp.setattr(indices, "_labeling_extrema",
+                   lambda sizes, counts, meter, incumbent: scored(sizes, counts, meter))
         yield
 
 
@@ -827,21 +845,31 @@ class TestPruning:
         with unbounded():
             partitions = _iter_chi_partitions(g, ell)
             assert pruned == _by_key(indices._sweep_partitions(g, ell, partitions, Meter()))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indices, "PACKED_CLASSES", 0)  # every quotient walks
+            partitions = _iter_chi_partitions(g, ell)
+            assert pruned == _by_key(indices._sweep_partitions(g, ell, partitions, Meter()))
         assert pruned == _by_key(indices._frontier_extrema(g, ell, order, Meter()))
 
     def test_dense_graph_walks_fewer_quotients(self, monkeypatch):
-        walks = []
+        walks, label_sets = [], []
         walk = indices._walked_product_extrema
         monkeypatch.setattr(indices, "_walked_product_extrema",
                             lambda *args: walks.append(args) or walk(*args))
+        # the walk orders the labels left once per label set it scores
+        monkeypatch.setattr(indices, "permutations",
+                            lambda *args: label_sets.append(args) or permutations(*args))
         assert len(list(_iter_chi_partitions(N11_P77, 8))) == 9
         r = full_report(N11_P77)
         assert r.status == "exact" and r.semantics_used == "all"
         assert 0 < len(walks) < 9
+        scored = len(label_sets)
         walks.clear()
+        label_sets.clear()
         with unbounded():
             assert full_report(N11_P77).to_json_dict(True) == r.to_json_dict(True)
         assert len(walks) == 9
+        assert 0 < scored < len(label_sets)
 
     def test_single_index_routes(self, monkeypatch):
         def refuse(name):
@@ -849,27 +877,74 @@ class TestPruning:
                 raise AssertionError(f"{name} ran")
             return refused
 
+        def incumbent(quotient, *live):
+            """An incumbent that leaves the live indices both ends, their
+            own extrema, and puts the others' past their bounds."""
+            found = indices._labeling_extrema(*quotient, Meter())[1:]
+            return [(ends[0], ends[2]) if k in live else (lo - 1, hi + 1)
+                    for k, ends, (lo, hi) in zip((2, 3), found, indices._pair_bounds(quotient[1]))]
+
         full = indices._labeling_extrema(*TWIN_FREE_7, Meter())
         six = ([1] * 6, [row[:6] for row in TWIN_FREE_7[1][:6]])
+        only_cm2 = incumbent(TWIN_FREE_7, 2)
+        only_cm2_8 = incumbent(TWO_GROUPS_8, 2)
         # neither index: cm1 alone, and nothing charged
         meter = Meter()
-        assert indices._labeling_extrema(*TWIN_FREE_7, meter, ()) == (full[0], None, None)
+        assert indices._labeling_extrema(*TWIN_FREE_7, meter, incumbent(TWIN_FREE_7)) == \
+            (full[0], None, None)
         assert coloring.WORK_CAP - meter.left == 0
         with monkeypatch.context() as mp:
             mp.setattr(indices, "_cut_extrema", refuse("the cut DP"))
             # cm3 alone below seven classes: the packed tables
-            assert indices._labeling_extrema(*six, Meter(), (3,))[2] == \
+            assert indices._labeling_extrema(*six, Meter(), incumbent(six, 3))[2] == \
                 indices._packed_extrema(six[1], 6)[1]
-            # cm2 alone: the packed tables, or the walk of 3,360 labelings
-            assert indices._labeling_extrema(*TWIN_FREE_7, Meter(), (2,)) == full
+            # cm2 alone: the packed tables, which leave cm3 out, or the
+            # walk of 3,360 labelings
+            assert indices._labeling_extrema(*TWIN_FREE_7, Meter(), only_cm2) == (*full[:2], None)
             meter = Meter()
-            indices._labeling_extrema(*TWO_GROUPS_8, meter, (2,))
+            indices._labeling_extrema(*TWO_GROUPS_8, meter, only_cm2_8)
             assert coloring.WORK_CAP - meter.left == 3360
         # cm3 alone at seven classes: the cut DP's 7 * 2**6 moves, not 7! labelings
+        only_cm3 = incumbent(TWIN_FREE_7, 3)
         monkeypatch.setattr(indices, "_packed_extrema", refuse("the packed tables"))
         meter = Meter()
-        assert indices._labeling_extrema(*TWIN_FREE_7, meter, (3,)) == (full[0], None, full[2])
+        assert indices._labeling_extrema(*TWIN_FREE_7, meter, only_cm3) == (full[0], None, full[2])
         assert coloring.WORK_CAP - meter.left == 448
+
+    def test_live_ends_alone_are_read(self):
+        # with cm2's min and cm3's max live, the packed route reads those
+        # two ends and decodes the labels of the one that reaches its target
+        full = indices._labeling_extrema(*TWIN_FREE_7, Meter())
+        (_, hi2), (lo3, hi3) = indices._pair_bounds(TWIN_FREE_7[1])
+        assert full[2][2] < hi3
+        found = indices._labeling_extrema(*TWIN_FREE_7, Meter(),
+                                          [(full[1][0], hi2 + 1), (lo3 - 1, full[2][2] + 1)])
+        assert found == (full[0], (*full[1][:2], -math.inf, None),
+                         (math.inf, None, full[2][2], None))
+
+    @given(typed_quotients())
+    @example(ONE_GROUP_8)
+    @example(TWO_GROUPS_8)
+    @example(NO_TWIN_FREE_8)
+    @settings(max_examples=5, deadline=None)
+    def test_label_set_bounds_enclose_every_order(self, quotient):
+        counts = quotient[1]
+        groups = indices._twin_groups(indices._twin_lower(*quotient))
+        tied = [a for group in groups for a in group]
+        single = [a for a in range(8) if a not in tied]
+        pair_counts = sorted([counts[a][b] for a, b in combinations(single, 2)])
+        score = _products(counts)
+        p = [0] * 8
+        for t, left in indices._group_label_sets(groups, range(1, 9)):
+            for a, x in zip(tied, t):
+                p[a] = x
+            base = sum(e * p[a] * p[b] for a, b, e in _pairs(counts) if a in tied and b in tied)
+            weights = [sum(counts[a][b] * p[b] for b in tied) for a in single]
+            low, high = indices._order_bounds(base, weights, pair_counts, left)
+            for q in permutations(left):
+                for a, x in zip(single, q):
+                    p[a] = x
+                assert low <= score(p) <= high
 
 
 class TestFullReport:

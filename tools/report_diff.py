@@ -6,7 +6,8 @@ Usage:
 
 For each ROOT a child process imports the package from ROOT/src and
 writes, one JSON line each, the full_report of every input with its
-witnesses under both semantics, then the output of `czi verify --seed 0`.
+witnesses under both semantics, then the output of `czi verify --seed 0`
+and of `czi verify --seed 1`.
 The inputs are N random graphs drawn from random.Random(S), of order 6-12
 with each pair an edge with a chance drawn from 0.3-0.9, and the named
 families below. A report that raises is written as its exception's name.
@@ -58,10 +59,12 @@ def emit(root: str, count: int, seed: int) -> int:
             except Exception as exc:
                 report = {"error": type(exc).__name__}
             print(json.dumps({"case": f"{label} {semantics}", "report": report}))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(["verify", "--seed", "0"])
-    print(json.dumps({"case": "czi verify --seed 0", "exit": code, "output": out.getvalue()}))
+    for verify_seed in ("0", "1"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", "--seed", verify_seed])
+        print(json.dumps({"case": f"czi verify --seed {verify_seed}", "exit": code,
+                          "output": out.getvalue()}))
     return 0
 
 
