@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 must-hold claim
 failure, 4 a search past its work cap or memory run out: before any
-report, or under --strict behind a bounds-only result or a skipped claim.
+report, or under --strict behind a bounds-only result or a skipped verify row.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the JSON report here (default: stdout)")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--strict", action="store_true",
-                          help="exit 4 when any instance was skipped for budget")
+                          help="exit 4 when any instance was skipped on an inexact engine value")
     p_verify.add_argument("--random-graphs", type=_count, default=defaults.random_graph_count)
     p_verify.add_argument("--random-trees", type=_count, default=defaults.random_tree_count)
     p_verify.add_argument("--samples", type=_count, default=defaults.monotonicity_samples,
@@ -351,9 +351,10 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphParseError, FamilySpecError) as exc:
         print(f"czi: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except coloring.EnumerationBudgetExceeded:
-        print(f"czi: a search passed the work cap of {coloring.WORK_CAP} units "
-              "before any report", file=sys.stderr)
+    except coloring.EnumerationBudgetExceeded as exc:
+        why = str(exc) or (f"a search passed the work cap of {coloring.WORK_CAP} units "
+                           "before any report")
+        print(f"czi: {why}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"czi: {exc}", file=sys.stderr)

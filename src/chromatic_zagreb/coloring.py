@@ -37,16 +37,18 @@ Semantics = Literal["all", "permutation"]
 
 
 class EnumerationBudgetExceeded(Exception):
-    """Raised internally when a search passes its call's work cap."""
+    """Raised past a meter's work cap, or on a result it left inexact that must be exact."""
 
 
-# the work cap of one top-level call, an extrema report, a stability
-# report or a chromatic number, in the units a Meter counts
+# the cap of one Meter, in the units it counts. A stability report or a
+# chromatic number runs on one meter; an extrema report that falls back to
+# the canonical partition builds it on a fresh one, so one full_report can
+# spend two caps
 WORK_CAP = 2**20
 
 
 class Meter:
-    """The work budget of one top-level call, shared by all its searches.
+    """A work budget, shared by all the searches that charge it (see WORK_CAP).
 
     Each search charges the work it does, in units of a search node, a
     vertex, a move, an edge or a labeling; past the cap, WORK_CAP unless

@@ -905,8 +905,12 @@ def thorn_base_data(g: Graph, report: IndexReport) -> ThornBaseData:
     """Bundle the base-graph inputs the thorn formulas need.
 
     The three strength vectors come from the report's minimum witnesses,
-    sorted descending as the formulas' hypotheses require.
+    sorted descending as the formulas' hypotheses require. They rest on
+    exact extrema: an inexact report raises EnumerationBudgetExceeded.
     """
+    if report.status != "exact":
+        raise EnumerationBudgetExceeded(
+            f"the thorn base's extrema are {report.status}; the thorn forms need exact ones")
     thetas = {}
     for idx in (1, 2, 3):
         w = report.witnesses.get(f"cm{idx}_min")

@@ -3,16 +3,16 @@
 Each claim owns an id, a one-line statement, a must-hold flag, a corpus
 and a check. corpus(config) yields (label, graph, context) for each
 instance; check(graph, context) returns (ok, expected, actual, witness),
-where ok is a bool or SKIPPED when the instance is beyond the claim's
-budget. Claims tagged must-hold (the golden observation set and the
-oracle-equivalence suites) gate the process exit status; the remaining
-claims record their verdicts, and a counterexample there is a finding,
-not a failure of this tool.
+where ok is a bool or SKIPPED. Claims tagged must-hold (the golden
+observation set and the oracle-equivalence suites) gate the process exit
+status; the remaining claims record their verdicts, and a counterexample
+there is a finding, not a failure of this tool.
 
-Most checks judge the IndexReport of the corpus graph and name the
-report witness that goes into the result (_on_report). Work shared by
-several instances or claims (reports, corpora, oracle answers) sits in
-per-run caches, so each distinct graph is computed once per run.
+Most checks judge an engine report of the corpus graph (_on_report),
+the one place that decides that only exact engine values are judged.
+Work shared by several instances or claims (reports, corpora, oracle
+answers) sits in per-run caches, so each distinct graph is computed once
+per run.
 
 Results are deterministic for a fixed CorpusConfig: corpora derive from
 SplitMix64 streams seeded per claim, and reports serialize with sorted
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import families
-from .coloring import Coloring, chromatic_number, enumerate_min_colorings
+from .coloring import chromatic_number, enumerate_min_colorings
 from .corpus import (
     SplitMix64,
     caterpillar_profiles,
@@ -45,6 +45,7 @@ from .graph import Graph
 from .indices import EXTREMA_KEYS, IndexReport, full_report, thorn_base_data
 from .oracle import oracle_extrema, oracle_min_colorings
 from .stability import (
+    StabilityReport,
     is_chromatically_stable,
     is_complete_bipartite,
     stability_number_bipartite,
@@ -64,7 +65,8 @@ class UnknownClaimError(ValueError):
 
 @dataclass(frozen=True)
 class CorpusConfig:
-    """Corpus sizes, seeds and per-claim order budgets for one verify run."""
+    """Corpus sizes and seeds for one verify run, and the order bounds of
+    the naive oracle and the bipartite corpora."""
 
     max_order: int = 8
     seed: int = 0
@@ -84,10 +86,6 @@ class CorpusConfig:
         # catalog takes about 1 s and 50 MB at 12, 3 s and 130 MB at 14
         if not 4 <= self.tree_max_order <= 12:
             raise ValueError(f"tree_max_order must be between 4 and 12, got {self.tree_max_order}")
-
-    @property
-    def complete_max_order(self) -> int:
-        return min(8, self.max_order)
 
     @property
     def oracle_max_order(self) -> int:
@@ -161,27 +159,33 @@ def _compat_report(g: Graph) -> IndexReport:
 
 
 def _on_report(
-    check: Callable[[IndexReport, object], tuple[bool, str, str, str]],
+    check: Callable[[IndexReport, object], tuple[bool, str, str, object]],
     report: Callable[[Graph], IndexReport] = _report,
+    status: str = "status",
 ):
-    """A check on the graph's IndexReport: check(report, context) returns
-    (ok, expected, actual, witness_key), and the report's witness under
-    that key goes into the result."""
+    """A check on an engine report of the graph: check(report, context)
+    returns (ok, expected, actual, witness), where a str witness names a
+    report witness. It runs only when the report's status, and that of an
+    IndexReport context (a supergraph's), read exact; otherwise the
+    instance is SKIPPED with that status as actual and no witness."""
 
     def judged(g: Graph, context):
         r = report(g)
-        ok, expected, actual, key = check(r, context)
-        return ok, expected, actual, _witness(r.witnesses.get(key))
+        context_status = context.status if isinstance(context, IndexReport) else "exact"
+        inexact = [s for s in (getattr(r, status), context_status) if s != "exact"]
+        if inexact:
+            return SKIPPED, "exact engine values", f"engine status {inexact[0]}", None
+        ok, expected, actual, witness = check(r, context)
+        if isinstance(witness, str):  # the key of a report witness
+            c = r.witnesses.get(witness)
+            witness = list(c.assignment) if c is not None else None
+        return ok, expected, actual, witness
 
     return judged
 
 
 def _fam(kind: str, *sizes: int) -> Graph:
     return generate(FamilySpec(kind, tuple(sizes)))
-
-
-def _witness(c: Coloring | None) -> list | None:
-    return list(c.assignment) if c is not None else None
 
 
 def _cm(r: IndexReport, k: int) -> str:
@@ -245,7 +249,7 @@ def _obs_claim(claim_id: str, spec: FamilySpec, expected: str, holds) -> Claim:
 # complete-graph dominance
 
 def _complete_graphs(config: CorpusConfig):
-    for n in range(4, config.complete_max_order + 1):
+    for n in range(4, config.max_order + 1):
         yield f"complete:{n}", _fam("complete", n), families.complete_graph_forms(n)
 
 
@@ -259,7 +263,7 @@ def _random_non_complete(n: int, rng: SplitMix64) -> Graph:
 def _non_complete_graphs(config: CorpusConfig):
     """Random non-complete graphs; the context is (order, complete-graph forms)."""
     rng = SplitMix64(config.seed * 0x9E37 + 22)
-    for n in range(4, config.complete_max_order + 1):
+    for n in range(4, config.max_order + 1):
         f = families.complete_graph_forms(n)
         for i in range(config.monotonicity_samples):
             yield f"random:{n}:{i:03d}", _random_non_complete(n, rng), (n, f)
@@ -274,19 +278,18 @@ def _below_complete(r: IndexReport, context, k: int):
 
 def _spanning_subgraphs(config: CorpusConfig):
     """Proper connected spanning subgraphs G' of random non-complete graphs;
-    the context is G."""
+    the context is the report of G."""
     rng = SplitMix64(config.seed * 0x9E37 + 23)
-    for n in range(4, config.complete_max_order + 1):
+    for n in range(4, config.max_order + 1):
         for i in range(config.monotonicity_samples):
             g = _random_non_complete(n, rng)
             sub = spanning_connected_subgraph(g, rng)
             if sub is not None:  # trees admit no proper connected spanning subgraph
-                yield f"random:{n}:{i:03d}", sub, g
+                yield f"random:{n}:{i:03d}", sub, _report(g)
 
 
-def _drops(rs: IndexReport, g: Graph, k: int):
+def _drops(rs: IndexReport, rg: IndexReport, k: int):
     lo_key, hi_key = f"cm{k}_min", f"cm{k}_max"
-    rg = _report(g)
     lo_g, lo_s = rg.value(lo_key), rs.value(lo_key)
     hi_g, hi_s = rg.value(hi_key), rs.value(hi_key)
     return (lo_s < lo_g and hi_s < hi_g,
@@ -340,8 +343,6 @@ _THORN_BASES = (
     FamilySpec("star", (4,)),
 )
 
-_THORN_ORACLE_MAX = 9
-
 
 def _thorn_graphs(config: CorpusConfig):
     """Thorn graphs on small bases; the context is their closed forms."""
@@ -353,18 +354,9 @@ def _thorn_graphs(config: CorpusConfig):
             yield spec.label(), generate(spec), families.thorn_forms(data, m)
 
 
-def _thorn_form(key: str):
-    def check(g: Graph, forms: families.ThornForms):
-        predicted = getattr(forms, key)
-        if g.order > _THORN_ORACLE_MAX:
-            return (SKIPPED, f"{key}={predicted}",
-                    f"order {g.order} exceeds enumeration budget {_THORN_ORACLE_MAX}", None)
-        r = _report(g)
-        actual = r.value(key)
-        return (predicted == actual, f"{key}={predicted}", f"{key}={actual}",
-                _witness(r.witnesses.get(key)))
-
-    return check
+def _thorn_form(r: IndexReport, forms: families.ThornForms, key: str):
+    predicted, actual = getattr(forms, key), r.value(key)
+    return predicted == actual, f"{key}={predicted}", f"{key}={actual}", key
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +397,10 @@ def _stable_iff_not_complete_bipartite(g: Graph, _):
             f"stable={stable} complete_bipartite={cb}", [list(e) for e in g.edges])
 
 
-def _closed_rho(g: Graph, _):
-    closed, rho = stability_number_bipartite(g), stability_report(g).rho
-    return (closed == rho, f"rho = theta1*theta2 - size = {closed}",
-            f"exact rho = {rho}", [list(e) for e in g.edges])
+def _closed_rho(r: StabilityReport, g: Graph):
+    closed = stability_number_bipartite(g)
+    return (closed == r.rho, f"rho = theta1*theta2 - size = {closed}",
+            f"exact rho = {r.rho}", [list(e) for e in g.edges])
 
 
 def _unstable_cycle(g: Graph, _):
@@ -426,16 +418,12 @@ def _oracle_truth(g: Graph) -> dict:
     return oracle_extrema(g)
 
 
-def _matches_oracle_extrema(g: Graph, _):
-    r = _report(g)
-    if r.status != "exact":
-        return SKIPPED, "engine extrema are exact", f"engine status {r.status}", None
+def _matches_oracle_extrema(r: IndexReport, g: Graph):
     truth = _oracle_truth(g)
     engine = {1: (r.cm1_min, r.cm1_max), 2: (r.cm2_min, r.cm2_max), 3: (r.cm3_min, r.cm3_max)}
     return (engine == truth,
             f"naive filter extrema {truth[1]} {truth[2]} {truth[3]}",
-            f"engine extrema {engine[1]} {engine[2]} {engine[3]}",
-            _witness(r.witnesses.get("cm1_min")))
+            f"engine extrema {engine[1]} {engine[2]} {engine[3]}", "cm1_min")
 
 
 @functools.lru_cache(maxsize=None)
@@ -550,8 +538,8 @@ REGISTRY: tuple[Claim, ...] = (
         False, _equal_multipartite_graphs,
         _on_report(lambda r, f: _constant(r, 3, f.cm3_pairsum, " (pair sum)"))),
     *(_claim(f"thm-3.4-{roman}",
-             f"thorn formula part {roman} matches enumeration on small thorn graphs",
-             False, _thorn_graphs, _thorn_form(key))
+             f"thorn formula part {roman} matches the engine on thorns of small bases",
+             False, _thorn_graphs, _on_report(functools.partial(_thorn_form, key=key)))
       for roman, key in zip(_ROMAN, EXTREMA_KEYS)),
     _claim(
         "thm-4.2-i", "cm2_min >= 2(n-1) over connected graphs, equality exactly on trees",
@@ -571,19 +559,20 @@ REGISTRY: tuple[Claim, ...] = (
         _stable_iff_not_complete_bipartite),
     _claim(
         "prop-4.6", "bipartite stability number: closed form equals the exact rho", False,
-        lambda config: ((label, g, None)
+        lambda config: ((label, g, g)
                         for label, g in connected_bipartite_graphs(config.rho_max_order)
                         if not is_complete_bipartite(g)),
-        _closed_rho),
+        # a lambda, so that a patched or traced stability_report is the one called
+        _on_report(_closed_rho, report=lambda g: stability_report(g), status="rho_status")),
     _claim(
         "stability-cycles", "recorded verdicts for the cycle stability remark", False,
         lambda config: ((f"cycle:{n}", _fam("cycle", n), None)
-                        for n in range(4, min(9, config.max_order) + 1)),
+                        for n in range(4, config.max_order + 1)),
         _unstable_cycle),
     _claim(
         "oracle-extrema", "engine extrema equal the naive filter-all-assignments oracle",
-        True, lambda config: ((label, g, None) for label, g in _oracle_corpus(config)),
-        _matches_oracle_extrema),
+        True, lambda config: ((label, g, g) for label, g in _oracle_corpus(config)),
+        _on_report(_matches_oracle_extrema)),
     _claim(
         "oracle-enumeration", "engine coloring stream equals the naive filter, order and all",
         True,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import random
 import re
@@ -341,6 +342,14 @@ class TestFamily:
         code, out, _ = run_cli(capsys, "family", "complete:4")
         assert out.splitlines()[1].split()[-1] == "enumeration"
 
+    def test_thorn_on_an_inexact_base_exits_4(self, capsys):
+        # the base's report is bounds_only past the work cap (its cm2 comes
+        # from the identity and reversed labelings), so it gives no forms
+        code, out, err = run_cli(capsys, "family", "thorn(multipartite:1,2,3,4,5,6,7,8,9,10;1)")
+        assert code == cli.EXIT_BUDGET == 4 and out == ""
+        assert err == ("czi: the thorn base's extrema are bounds_only; "
+                       "the thorn forms need exact ones\n")
+
     def test_unsupported_kind(self, capsys):
         code, _, err = run_cli(capsys, "family", "cycle:5")
         assert code == 2 and "no closed forms" in err
@@ -404,10 +413,15 @@ class TestVerify:
         assert code == 0 and "verified 1" in out
         assert json.loads(dest.read_text())["summary"]["verified"] == 1
 
-    def test_strict_flags_budget_skips(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--claims", "thm-3.4-i",
-                               "--max-order", "4", "--strict")
-        assert code == 4
+    def test_strict_flags_budget_skips(self, capsys, monkeypatch):
+        from chromatic_zagreb import verify
+        real = verify.full_report
+        monkeypatch.setattr(verify, "full_report", lambda g, **kw: dataclasses.replace(
+            real(g, **kw), status="bounds_only"))
+        argv = ("verify", "--claims", "thm-4.2-i", "--max-order", "4")
+        assert run_cli(capsys, *argv)[0] == 0
+        code, _, err = run_cli(capsys, *argv, "--strict")
+        assert code == 4 and "verified 0, counterexample 0, skipped 43" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--claims", "obs-i",

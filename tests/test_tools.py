@@ -80,6 +80,29 @@ def test_report_diff_prints_the_first_difference_and_exits_1(tmp_path):
     proc = run_report_diff(ROOT, tmp_path, "--count", 1)
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4 and lines[0].split()[0] != lines[1].split()[0]
-    assert lines[2].startswith(f"{ROOT}: ") and '"label": null' in lines[2]
-    assert lines[3].startswith(f"{tmp_path}: ") and '"label": "changed"' in lines[3]
+    assert len(lines) == 5 and lines[0].split()[0] != lines[1].split()[0]
+    # both semantics of the random graph and the six families; verify
+    # reports carry no label
+    assert lines[2] == "14 lines differ"
+    assert lines[3].startswith(f"{ROOT}: ") and '"label": null' in lines[3]
+    assert lines[4].startswith(f"{tmp_path}: ") and '"label": "changed"' in lines[4]
+
+
+def test_report_diff_writes_one_line_per_verify_row(tmp_path):
+    # a copy of the package whose verify rows for obs-i and obs-ii carry
+    # another expected string, at both verify seeds
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "chromatic_zagreb" / "verify.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_run_claims = run_claims\n\n\n"
+                 "def run_claims(*args, **kwargs):\n"
+                 "    return [dataclasses.replace(r, expected='changed')\n"
+                 "            if r.claim_id in ('obs-i', 'obs-ii') else r\n"
+                 "            for r in _run_claims(*args, **kwargs)]\n")
+    proc = run_report_diff(ROOT, tmp_path, "--count", 0)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 5 and lines[2] == "4 lines differ"
+    case = '{"case": "czi verify --seed 0 obs-i|path:1", "result": {'
+    assert lines[3].startswith(f"{ROOT}: {case}") and len(lines[3]) < 1000
+    assert lines[4].startswith(f"{tmp_path}: {case}") and '"expected": "changed"' in lines[4]

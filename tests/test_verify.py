@@ -31,11 +31,11 @@ SMALL = CorpusConfig(max_order=5, random_graph_count=12, random_tree_count=10,
 
 # sha256 of report_to_json(build_report(SMALL, run_claims(SMALL, "all")));
 # it pins every expected / actual string, verdict and witness in the report
-SMALL_REPORT_SHA256 = "a640a1f757fc90dce5017c1e2f395bd1e809e672abb7b74c51c969672c4abb2b"
+SMALL_REPORT_SHA256 = "298804b4c3ba9dc2f869f616aeb92b540dffb0bd8772f511fc0ff2e8553fb547"
 # the same digest for the default config, the one `czi verify` runs: it
 # alone reaches the order-7 and order-8 bipartite classes and the 7^7
 # oracle decode of complete:7
-DEFAULT_REPORT_SHA256 = "96ae2d11d40fe0a80a0e23d446ab0dace67f0da2e4c826a672c18b099b6e475d"
+DEFAULT_REPORT_SHA256 = "1fb53d56b98d31129af2f99dcea905ac019c9e38a04a4ed49959ad750bf20495"
 
 
 class TestRegistry:
@@ -223,12 +223,43 @@ class TestVerdicts:
         assert k3[0].verdict == "counterexample"
         assert "6" in k3[0].expected and "cm3=(4,4)" in k3[0].actual
 
-    def test_thorn_skips_recorded_beyond_budget(self):
-        res = run_claims(SMALL, "thm-3.4-i")
-        skipped = [r for r in res if r.verdict == "skipped_budget"]
-        assert skipped and all("budget" in r.actual for r in skipped)
-        in_budget = [r for r in res if r.verdict != "skipped_budget"]
-        assert in_budget and all(r.verdict == "verified" for r in in_budget)
+    @pytest.mark.parametrize("claims,inexact,status", [
+        *((claims, "report", "bounds_only") for claims in (
+            "obs", "prop-2.1", "thm-2.2", "cor-2.3", "thm-3.1", "lem-3.2", "prop-3.3",
+            "thm-3.4", "thm-4.2", "oracle-extrema")),
+        ("cor-2.3", "supergraph", "bounds_only"),
+        ("prop-4.6", "rho", "upper_bound"),
+    ])
+    def test_inexact_engine_value_is_not_judged(self, monkeypatch, claims, inexact, status):
+        real_report, real_stability = verify.full_report, verify.stability_report
+        real_subgraph, supergraphs = verify.spanning_connected_subgraph, set()
+        # the thorn bases' reports build the forms, so they stay exact and
+        # the m = 0 thorns, the bases themselves, are judged
+        bases = {generate(spec) for spec in verify._THORN_BASES} if claims == "thm-3.4" else ()
+
+        def report(g, **kw):
+            r = real_report(g, **kw)
+            if inexact == "report" and g not in bases or g in supergraphs:
+                r = dataclasses.replace(r, status="bounds_only")
+            return r
+
+        def subgraph(g, rng):
+            if inexact == "supergraph":
+                supergraphs.add(g)
+            return real_subgraph(g, rng)
+
+        monkeypatch.setattr(verify, "full_report", report)
+        monkeypatch.setattr(verify, "spanning_connected_subgraph", subgraph)
+        monkeypatch.setattr(verify, "stability_report", lambda g: dataclasses.replace(
+            real_stability(g), rho_status=status) if inexact == "rho" else real_stability(g))
+        res = run_claims(SMALL, claims)
+        judged = [r for r in res if bases and r.instance.endswith(";0)")]
+        skipped = [r for r in res if r not in judged]
+        assert skipped and all(
+            (r.verdict, r.actual, r.witness) == ("skipped_budget", f"engine status {status}", None)
+            for r in skipped)
+        assert len(judged) == (24 if bases else 0)
+        assert all(r.verdict == "verified" for r in judged)
 
     def test_inexact_engine_report_fails_oracle_extrema(self, capsys, monkeypatch):
         real = verify.full_report

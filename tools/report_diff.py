@@ -7,14 +7,16 @@ Usage:
 For each ROOT a child process imports the package from ROOT/src and
 writes, one JSON line each, the full_report of every input with its
 witnesses under both semantics, then the output of `czi verify --seed 0`
-and of `czi verify --seed 1`.
+and of `czi verify --seed 1`: one line per result row, keyed
+claim_id|instance, and one for the exit code, config and summary.
 The inputs are N random graphs drawn from random.Random(S), of order 6-12
 with each pair an edge with a chance drawn from 0.3-0.9, and the named
 families below. A report that raises is written as its exception's name.
 
-Prints the sha256 of each tree's lines, then the first line that differs.
-Exits 0 when the trees match, 1 when they differ, and 2 on bad arguments
-or a tree whose child process fails.
+Prints the sha256 of each tree's lines, then, matching lines by their
+case, how many differ (one tree lacking a case counts) and the first that
+does. Exits 0 when the trees match, 1 when they differ, and 2 on bad
+arguments or a tree whose child process fails.
 """
 
 from __future__ import annotations
@@ -63,8 +65,11 @@ def emit(root: str, count: int, seed: int) -> int:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["verify", "--seed", verify_seed])
-        print(json.dumps({"case": f"czi verify --seed {verify_seed}", "exit": code,
-                          "output": out.getvalue()}))
+        case, report = f"czi verify --seed {verify_seed}", json.loads(out.getvalue())
+        for row in report.pop("results"):
+            print(json.dumps({"case": f"{case} {row['claim_id']}|{row['instance']}",
+                              "result": row}))
+        print(json.dumps({"case": f"{case} summary", "exit": code, **report}))
     return 0
 
 
@@ -102,9 +107,14 @@ def main(argv: list[str]) -> int:
         print(hashlib.sha256("\n".join(lines).encode()).hexdigest(), root)
     if old == new:
         return 0
-    at = next(i for i, pair in enumerate(zip(old + [""], new + [""])) if pair[0] != pair[1])
-    for root, lines in zip(roots, (old, new)):
-        print(f"{root}: {lines[at] if at < len(lines) else '(no line)'}")
+    old_cases, new_cases = ({json.loads(line)["case"]: line for line in lines}
+                            for lines in (old, new))
+    cases = [*old_cases, *(case for case in new_cases if case not in old_cases)]
+    differ = [case for case in cases if old_cases.get(case) != new_cases.get(case)]
+    print(f"{len(differ)} lines differ")
+    if differ:  # else the same lines come in another order
+        for root, lines in zip(roots, (old_cases, new_cases)):
+            print(f"{root}: {lines.get(differ[0], '(no line)')}")
     return 1
 
 
