@@ -253,6 +253,13 @@ def connected_bipartite_graphs(max_order: int):
     least member under row permutations (and the transpose when a == b).
     Connectivity forces a unique bipartition, so these least members are
     exactly the isomorphism classes.
+
+    The listing is orderly: a multiset grows one column at a time, and a
+    prefix is cut once some row permutation sorts it below itself. That
+    is sound, since the sorted image of an extension is, position by
+    position, at most the sorted image of its prefix, so it then sorts
+    below the extension too. The transpose is tried only on full
+    multisets: it is not monotone in the prefix.
     """
     for n in range(2, max_order + 1):
         for label, g in _bipartite_classes_of_order(n):
@@ -263,8 +270,8 @@ def _bipartite_classes_of_order(n: int):
     out = []
     for a in range(1, n // 2 + 1):
         b = n - a
-        for cols in itertools.combinations_with_replacement(range(1, 1 << a), b):
-            if not _is_least_of_class(cols, a, b):
+        for cols in _row_least_multisets((), a, b):
+            if a == b and not _nothing_sorts_below(_transpose(cols, a), cols, a):
                 continue
             edges = [
                 (i, a + j)
@@ -288,24 +295,37 @@ def _relabel_tables(bits: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _is_least_of_class(cols: tuple[int, ...], a: int, b: int) -> bool:
-    """Whether no row relabeling of the sorted column multiset ``cols``
-    (nor of its transpose when a == b) sorts below it; stops at the first
-    that does.
+def _row_least_multisets(prefix: tuple[int, ...], a: int, b: int):
+    """The sorted multisets of b nonzero columns over a rows that extend
+    ``prefix`` and that no row relabeling sorts below, lexicographic; a
+    prefix that some relabeling sorts below itself is not extended (see
+    connected_bipartite_graphs for why that loses none)."""
+    if len(prefix) == b:
+        yield prefix
+        return
+    for c in range(prefix[-1] if prefix else 1, 1 << a):
+        cols = prefix + (c,)
+        if _nothing_sorts_below(cols, cols, a):
+            yield from _row_least_multisets(cols, a, b)
 
-    combinations_with_replacement meets each class first at its least
-    member, so this keeps exactly one multiset per class. A class whose
-    least member has an empty column (a == b, a transpose of an empty row)
-    is never kept; its graph has an isolated vertex, so is not connected.
+
+def _transpose(cols: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """The columns of the transposed a x len(cols) biadjacency matrix."""
+    return tuple(sum((c >> i & 1) << j for j, c in enumerate(cols)) for i in range(a))
+
+
+def _nothing_sorts_below(m: tuple[int, ...], cols: tuple[int, ...], a: int) -> bool:
+    """Whether no relabeling of the a rows of the columns ``m`` sorts
+    below ``cols``; stops at the first that does.
+
+    Multisets come in lexicographic order, so each class is met first at
+    its least member and kept once. A class whose least member has an
+    empty column (a == b, a transpose of an empty row) is never kept; its
+    graph has an isolated vertex, so is not connected.
     """
-    matrices = [cols]
-    if a == b:
-        matrices.append(tuple(sum((c >> i & 1) << j for j, c in enumerate(cols))
-                              for i in range(a)))
-    for m in matrices:
-        for table in _relabel_tables(a):
-            if tuple(sorted(map(table.__getitem__, m))) < cols:
-                return False
+    for table in _relabel_tables(a):
+        if tuple(sorted(map(table.__getitem__, m))) < cols:
+            return False
     return True
 
 

@@ -9,6 +9,15 @@ giving v colour c form runs of k^(order-1-v) bits, one run in every
 k^(order-v). An assignment is proper when no edge has both ends in the
 runs of one colour.
 
+Whether u < v wear one colour repeats every k^(order-u) bits, one period
+of u's runs, so the mask of assignments giving u the colour of some later
+neighbour is built on one period, OR-ed over u's later neighbours, and
+only then repeated over all k^order bits by doubling (``_repeat``). The
+full-size work is then a few operations per vertex, not per edge and
+colour, and still every assignment is tested against every edge: each
+edge's block marks all of its clashes, and each vertex's repeated block
+covers every period.
+
 Only the set bits of the proper mask are decoded: the nonzero bytes of
 its little-endian bytes are found with ``itertools.compress``, and each
 set bit's index splits by one divmod into its leading order//2 and
@@ -32,33 +41,34 @@ from .graph import Graph
 _SET_BITS = tuple(tuple(b for b in range(8) if byte >> b & 1) for byte in range(256))
 
 
-def _first_colour_mask(v: int, k: int, n: int, full: int) -> tuple[int, int]:
-    """The mask of "vertex v has colour 1" in {1..k}^n, and its run length.
-
-    Colour c's mask is this one shifted left by (c - 1) runs, plus bits
-    past k^n that the caller drops.
-    """
-    run, size = k ** (n - 1 - v), k ** n
-    mask, width = (1 << run) - 1, run * k
-    while width < size:
-        mask |= mask << width
-        width <<= 1
-    return mask & full, run
+def _repeat(block: int, period: int, size: int) -> int:
+    """``block`` (below 2**period) repeated every ``period`` bits, cut to
+    ``size`` bits; by doubling, so log2(size / period) shifts."""
+    while period < size:
+        block |= block << period
+        period <<= 1
+    return block & ((1 << size) - 1)
 
 
 def _proper_mask(g: Graph, k: int) -> int:
     """Bit i set iff assignment i of {1..k}^order is proper."""
     n = g.order
-    full = (1 << k ** n) - 1
     clash = 0
-    for u, v in g.edges:
-        # one edge's two masks at a time: all n*k colour masks at once
-        # would hold n*k times the k^n bits
-        mu, ru = _first_colour_mask(u, k, n, full)
-        mv, rv = _first_colour_mask(v, k, n, full)
-        for c in range(k):
-            clash |= (mu << c * ru) & (mv << c * rv)
-    return full & ~clash
+    # edges are sorted, so each vertex's later neighbours come together
+    for u, pairs in itertools.groupby(g.edges, key=lambda e: e[0]):
+        # u's run of colour c starts at c*ru of each k*ru-bit period, and
+        # within it v wears c on the runs that start at c*rv and every
+        # k*rv after; so the period's clashes with v are ``first`` (v
+        # wearing colour 1 within one run of u) copied k times, copy c
+        # at c*(ru + rv), no copy reaching past its run of u
+        ru = k ** (n - 1 - u)
+        block = 0
+        for _, v in pairs:
+            rv = k ** (n - 1 - v)
+            first = _repeat((1 << rv) - 1, k * rv, ru)
+            block |= _repeat(first, ru + rv, k * (ru + rv))
+        clash |= _repeat(block, k * ru, k ** n)
+    return ((1 << k ** n) - 1) & ~clash
 
 
 def _chi_mask(g: Graph) -> tuple[int, int]:
@@ -108,17 +118,23 @@ def oracle_min_colorings(g: Graph, ell: int | None = None):
 def oracle_extrema(g: Graph) -> dict[int, tuple[int, int]]:
     """(min, max) of each chromatic index over all minimum colorings."""
     edges = g.edges
-    lo = {1: None, 2: None, 3: None}
-    hi = {1: None, 2: None, 3: None}
+    lo = hi = None
     for ass in oracle_min_colorings(g):
-        v1 = sum(s * s for s in ass)
-        v2 = sum(ass[u] * ass[v] for u, v in edges)
-        v3 = sum(abs(ass[u] - ass[v]) for u, v in edges)
-        for k, val in ((1, v1), (2, v2), (3, v3)):
-            if lo[k] is None or val < lo[k]:
-                lo[k] = val
-            if hi[k] is None or val > hi[k]:
-                hi[k] = val
-    if lo[1] is None:
+        squares = products = differences = 0
+        for c in ass:
+            squares += c * c
+        for u, v in edges:
+            a, b = ass[u], ass[v]
+            products += a * b
+            differences += abs(a - b)
+        if lo is None:
+            lo, hi = [squares, products, differences], [squares, products, differences]
+            continue
+        for i, val in enumerate((squares, products, differences)):
+            if val < lo[i]:
+                lo[i] = val
+            elif val > hi[i]:
+                hi[i] = val
+    if lo is None:
         raise AssertionError("a graph always has a minimum coloring")
-    return {k: (lo[k], hi[k]) for k in (1, 2, 3)}
+    return {k: (lo[k - 1], hi[k - 1]) for k in (1, 2, 3)}

@@ -67,6 +67,33 @@ class TestDecoder:
         assert list(oracle._assignments(mask, k, n)) == expected
 
 
+class TestProperMask:
+    @given(numbered_graphs(), st.integers(min_value=1, max_value=4))
+    # k below chi, a single edge and no edge, at every k up to 5
+    @example(path(2), 1)
+    @example(path(2), 2)
+    @example(path(2), 3)
+    @example(path(2), 4)
+    @example(path(2), 5)
+    @example(Graph(3), 1)
+    @example(Graph(3), 2)
+    @example(Graph(3), 3)
+    @example(Graph(3), 4)
+    @example(Graph(3), 5)
+    @example(complete(4), 1)
+    @example(complete(4), 2)
+    @example(complete(4), 3)
+    @example(complete(4), 4)
+    @example(complete(4), 5)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_product_bit_by_bit(self, g, k):
+        product = itertools.product(range(1, k + 1), repeat=g.order)
+        expected = [all(a[u] != a[v] for u, v in g.edges) for a in product]
+        mask = oracle._proper_mask(g, k)
+        assert [bool(mask >> i & 1) for i in range(k ** g.order)] == expected
+        assert mask >> k ** g.order == 0
+
+
 class TestEdgeCases:
     def test_order_one(self):
         g = Graph(1)

@@ -4,11 +4,12 @@ Usage:
 
     python3 tools/report_diff.py OLD_ROOT NEW_ROOT [--count N] [--seed S]
 
-For each ROOT a child process imports the package from ROOT/src and
-writes, one JSON line each, the full_report of every input with its
-witnesses under both semantics, then the output of `czi verify --seed 0`
-and of `czi verify --seed 1`: one line per result row, keyed
-claim_id|instance, and one for the exit code, config and summary.
+For each ROOT a child process, the two running at once, imports the
+package from ROOT/src and writes, one JSON line each, the full_report of
+every input with its witnesses under both semantics, then the output
+of `czi verify --seed 0` and of `czi verify --seed 1`: one line per
+result row, keyed claim_id|instance, and one for the exit code, config
+and summary.
 The inputs are N random graphs drawn from random.Random(S), of order 6-12
 with each pair an edge with a chance drawn from 0.3-0.9, and the named
 families below. A report that raises is written as its exception's name.
@@ -29,6 +30,7 @@ import json
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 # the canonical-partition fallback, a walk past its share, the frontier DP,
@@ -99,7 +101,9 @@ def main(argv: list[str]) -> int:
             print(f"report_diff: no package sources under {root}", file=sys.stderr)
             return 2
     try:
-        old, new = (run_tree(root, args.count, args.seed) for root in roots)
+        # a thread per child, each draining its own pipes
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            old, new = pool.map(run_tree, roots, (args.count,) * 2, (args.seed,) * 2)
     except RuntimeError as exc:
         print(f"report_diff: {exc}", file=sys.stderr)
         return 2
