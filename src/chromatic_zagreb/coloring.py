@@ -3,7 +3,9 @@
 Colors are 1-based integers; a minimum coloring of G uses exactly
 chi(G) colors and every color at least once. Every coloring question,
 chi, k-colorability and the walks over partitions, runs on one metered
-search, :func:`_search`. Two enumeration semantics are provided:
+search, :func:`_search`, but for a minimum coloring of a graph with
+chi <= 2: a linear walk gives the search's coloring at its charge. Two
+enumeration semantics are provided:
 
 * ``all``: every proper surjective assignment V -> {1..chi}, each exactly
   once, in lexicographic order of the assignment sequence. These are the
@@ -261,10 +263,57 @@ def find_coloring(g: Graph, k: int) -> Coloring | None:
     return None if raw is None else Coloring.from_assignment(raw)
 
 
+def _two_coloring(g: Graph) -> list[int] | None:
+    """DSATUR's coloring of g when chi <= 2, else None.
+
+    Each component is walked level by level on the adjacency masks; an
+    edge inside a level closes an odd cycle, so g is not 2-colorable
+    (Koenig) and the walk stops. Otherwise the component's vertex of
+    highest degree, lowest index on ties, wears color 1 and the other
+    side 2: DSATUR pins the vertex that opens a component to color 1,
+    colors that component before it opens the next and, on a bipartite
+    graph, never backtracks.
+    """
+    masks = g.adjacency_masks
+    colors = [2] * g.order
+    rest = (1 << g.order) - 1
+    while rest:
+        frontier = rest & -rest
+        sides = [0, 0]  # the even and the odd levels
+        level = 0
+        top = opener = -1  # the highest degree so far, and its vertex
+        while frontier:
+            sides[level] |= frontier
+            rest ^= frontier
+            nxt = 0
+            m = frontier
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                nxt |= masks[v]
+                degree = masks[v].bit_count()
+                if degree > top or degree == top and v < opener:
+                    top, opener = degree, v
+                m ^= low
+            if nxt & frontier:
+                return None
+            frontier = nxt & rest
+            level ^= 1
+        for v in _vertices(sides[0] if sides[0] >> opener & 1 else sides[1]):
+            colors[v] = 1
+    return colors
+
+
 def _min_coloring(g: Graph, meter: Meter) -> list[int]:
-    """A proper coloring of g that uses exactly chi colors, 1..chi: the
-    deciding search's last, charged to ``meter``. Edgeless and bipartite
-    inputs take its first, greedy, coloring."""
+    """A proper coloring of g that uses exactly chi colors, 1..chi, charged
+    to ``meter``. A graph with chi <= 2 takes :func:`_two_coloring`'s, the
+    deciding search's first coloring, at the search's charge of 2n: n live
+    vertices, then a unit per vertex colored. Any other input takes the
+    search's last."""
+    colors = _two_coloring(g)
+    if colors is not None:
+        meter.charge(2 * g.order)
+        return colors
     best: list[int] = []
     for colors in _search(g.adjacency_lists, (1 << g.order) - 1, g.order, True, meter):
         best = colors[:]

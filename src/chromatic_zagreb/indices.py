@@ -3,10 +3,10 @@
 Classical indices are degree sums; chromatic ones replace degrees with
 1-based color indices of a minimum coloring and are then minimized /
 maximized over the minimum colorings from :mod:`.coloring`. A connected
-bipartite graph has two, its bipartition and the swap of it, which are
-scored directly. Otherwise either semantics scores chi-partitions, as
-restricted-growth strings, on their quotient, the class sizes and the
-edge counts between classes:
+bipartite graph has two, its bipartition and the swap of it, whose
+extrema are a closed form in its order, size and side sizes. Otherwise
+either semantics scores chi-partitions, as restricted-growth strings, on
+their quotient, the class sizes and the edge counts between classes:
 under ``all`` every chi-partition, under ``permutation`` the canonical
 one. Under ``all`` a walk that does not finish within the frontier DP's
 bound on its states hands over to one forward dynamic program over a
@@ -153,13 +153,13 @@ def _sweep(g: Graph, assignments) -> Extrema:
     indices.
 
     Streams arrive in lexicographic order, so strict comparisons leave the
-    lexicographically least witness in place for ties. It scores the two
-    minimum colorings of a connected bipartite graph, and the labelings in
-    hand of the canonical partition when scoring that partition passed
-    its work cap (:func:`_canonical_bounds`). It also stays as the
-    coloring-stream reference that the least-witness tests check the
-    partition path against, and ``perfbench/spans.py`` rebinds it by name
-    to count the assignments scored.
+    lexicographically least witness in place for ties. It scores the
+    labelings in hand of the canonical partition when scoring that
+    partition passed its work cap (:func:`_canonical_bounds`). It also
+    stays as the coloring-stream reference that the least-witness tests
+    check the partition path and the connected bipartite closed form
+    against, and ``perfbench/spans.py`` rebinds it by name to count the
+    assignments scored.
     """
     edges = g.edges
     best: list[list] = []  # per index: [min, its witness, max, its witness]
@@ -712,7 +712,8 @@ def _compute_extrema(g: Graph, semantics: Semantics) -> tuple[Extrema, int, str,
 
     The chi search charges the call's Meter. A connected graph with
     chi = 2 has two minimum colorings, its bipartition and the swap, and
-    :func:`_sweep` scores both, as the canonical partition is the
+    :func:`_bipartite_extrema` reads theirs off a closed form, which
+    :func:`full_report` re-validates; the canonical partition is the
     bipartition. Otherwise, under ``all``, every chi-partition is scored on
     a share of the meter, ell**width * n units, the greedy order's bound on
     the frontier DP's states, which then runs on the rest, if any. Past
@@ -728,8 +729,7 @@ def _compute_extrema(g: Graph, semantics: Semantics) -> tuple[Extrema, int, str,
     coloring = _min_coloring(g, meter)
     ell = max(coloring)
     if ell == 2 and g.is_connected():
-        flipped = tuple([3 - c for c in coloring])
-        return _sweep(g, sorted([tuple(coloring), flipped])), 2, semantics, "exact"
+        return _bipartite_extrema(g, coloring), 2, semantics, "exact"
     if semantics == "all":
         order, width = _greedy_order(g, ell, meter.left)
         walk = meter.share(ell ** width * g.order)
@@ -751,6 +751,23 @@ def _compute_extrema(g: Graph, semantics: Semantics) -> tuple[Extrema, int, str,
         return _sweep_partitions(g, ell, [partition], meter), ell, "permutation", status
     except EnumerationBudgetExceeded:
         return _canonical_bounds(g, ell, partition, Meter(left)), ell, "permutation", "bounds_only"
+
+
+def _bipartite_extrema(g: Graph, coloring: list[int]) -> Extrema:
+    """The extrema of a connected graph with chi = 2 over its two minimum
+    colorings: a, the one of ``coloring`` and its swap in which vertex 0
+    wears 1, then b, the other, in lexicographic order. Every edge joins
+    a 1 to a 2, so cm2 = 2m and cm3 = m under both, and a is their
+    witness. With ones the 1s of a, cm1 is 4n - 3 ones for a and
+    n + 3 ones for b; a witnesses a tie.
+    """
+    a = tuple(coloring) if coloring[0] == 1 else tuple([3 - c for c in coloring])
+    b = tuple([3 - c for c in a])
+    n, m, ones = g.order, g.size, a.count(1)
+    cm1 = [(4 * n - 3 * ones, a), (n + 3 * ones, b)]
+    lo = min(cm1, key=itemgetter(0))
+    hi = max(cm1, key=itemgetter(0))
+    return {1: (*lo, *hi), 2: (2 * m, a, 2 * m, a), 3: (m, a, m, a)}
 
 
 def _canonical_bounds(g: Graph, ell: int, partition, meter: Meter) -> Extrema:

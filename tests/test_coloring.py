@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chromatic_zagreb import coloring
 from chromatic_zagreb.coloring import (
     Coloring,
     EnumerationBudgetExceeded,
@@ -108,6 +109,20 @@ def graphs(draw, max_n=6):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [p for p, keep in zip(pairs, picks) if keep])
+
+
+@st.composite
+def two_colorable_graphs(draw, max_n=14):
+    """A graph with chi <= 2: every vertex on a random side, so under a
+    random numbering, and each pair across the sides an edge with one
+    drawn chance in ten, none to all. Disconnected, edgeless and
+    isolated-vertex inputs all come up."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cross = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+    chance = draw(st.integers(0, 10))
+    picks = draw(st.lists(st.integers(0, 9), min_size=len(cross), max_size=len(cross)))
+    return Graph(n, [e for e, pick in zip(cross, picks) if pick < chance])
 
 
 @st.composite
@@ -244,6 +259,35 @@ class TestChromaticNumber:
         with pytest.raises(EnumerationBudgetExceeded):
             _min_coloring(g, Meter(32))
         assert chromatic_number(g) == 4
+
+    @given(two_colorable_graphs())
+    @example(Graph(1))
+    @example(Graph(9))
+    @example(Graph(9, [(6, 2), (2, 8), (8, 0), (5, 4)]))  # isolated vertices beside a path and an edge
+    @example(star(7))
+    @settings(max_examples=150, deadline=None)
+    def test_two_colorable_inputs_take_dsatur_at_its_charge(self, g):
+        # the 2-coloring walk stands in for the search: the same coloring
+        # and the same 2n units, n live vertices and one per vertex colored
+        meter = Meter()
+        assert _min_coloring(g, meter) == naive_dsatur(g)
+        assert meter.left == coloring.WORK_CAP - 2 * g.order
+        with pytest.raises(EnumerationBudgetExceeded):
+            _min_coloring(g, Meter(2 * g.order - 1))
+
+    def test_odd_cycle_beside_a_path_reaches_the_search(self, monkeypatch):
+        # the walk 2-colors the path, then meets the 5-cycle's odd edge
+        g = Graph(8, [(0, 1), (1, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)])
+        searched = []
+
+        def spy(nbrs, live, *args):
+            searched.append(live)
+            return _search(nbrs, live, *args)
+
+        monkeypatch.setattr(coloring, "_search", spy)
+        colors = _min_coloring(g, Meter())
+        assert searched == [(1 << 8) - 1]
+        assert colors == naive_dsatur(g) and max(colors) == 3
 
     @given(graphs(max_n=7), st.integers(1, 4))
     @example(_HARD_THEN_STAR, 3)

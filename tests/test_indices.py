@@ -525,11 +525,17 @@ def connected_bipartite(draw, max_n=8):
 
 
 class TestTwoColorings:
-    @given(connected_bipartite())
+    @given(connected_bipartite(max_n=9))
     @example(complete(2))
     @example(star(6))
     @example(Graph(6, [(0, 5), (5, 1), (1, 4), (4, 2), (2, 3)]))  # a path numbered out of order
     @example(cycle(8))
+    # equal sides, so the two colorings tie on cm1 and the one with vertex
+    # 0 wearing 1 witnesses both ends; then unequal sides
+    @example(path(4))
+    @example(cycle(6))
+    @example(generate(parse_family_spec("complete-bipartite:3,3")))
+    @example(star(5))
     @settings(max_examples=80, deadline=None)
     def test_matches_frontier_dp_and_naive(self, g):
         assert g.is_connected() and chromatic_number(g) == 2

@@ -81,9 +81,9 @@ def test_report_diff_prints_the_first_difference_and_exits_1(tmp_path):
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 5 and lines[0].split()[0] != lines[1].split()[0]
-    # both semantics of the random graph and the six families; verify
-    # reports carry no label
-    assert lines[2] == "14 lines differ"
+    # both semantics of the random graph, the six families and the random
+    # bipartite graph; stability and verify reports carry no label
+    assert lines[2] == "16 lines differ"
     assert lines[3].startswith(f"{ROOT}: ") and '"label": null' in lines[3]
     assert lines[4].startswith(f"{tmp_path}: ") and '"label": "changed"' in lines[4]
 

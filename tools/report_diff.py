@@ -6,13 +6,17 @@ Usage:
 
 For each ROOT a child process, the two running at once, imports the
 package from ROOT/src and writes, one JSON line each, the full_report of
-every input with its witnesses under both semantics, then the output
-of `czi verify --seed 0` and of `czi verify --seed 1`: one line per
-result row, keyed claim_id|instance, and one for the exit code, config
-and summary.
+every input with its witnesses under both semantics, the stability_report
+of every bipartite input, then the output of `czi verify --seed 0` and of
+`czi verify --seed 1`: one line per result row, keyed claim_id|instance,
+and one for the exit code, config and summary.
 The inputs are N random graphs drawn from random.Random(S), of order 6-12
-with each pair an edge with a chance drawn from 0.3-0.9, and the named
-families below. A report that raises is written as its exception's name.
+with each pair an edge with a chance drawn from 0.3-0.9, the named
+families below, and then N random bipartite graphs drawn from the same
+generator, of order 6-12, each vertex on a random side and each pair
+across the sides an edge with a chance drawn from 0.1-0.9, so that some
+are disconnected or have isolated vertices. A report that raises is
+written as its exception's name.
 
 Prints the sha256 of each tree's lines, then, matching lines by their
 case, how many differ (one tree lacking a case counts) and the first that
@@ -48,6 +52,15 @@ def emit(root: str, count: int, seed: int) -> int:
     from chromatic_zagreb.generators import generate, parse_family_spec
     from chromatic_zagreb.graph import Graph
     from chromatic_zagreb.indices import full_report
+    from chromatic_zagreb.stability import stability_report
+
+    def write(case: str, report) -> None:
+        """One line: the report() dict, or the name of what it raised."""
+        try:
+            out = report()
+        except Exception as exc:
+            out = {"error": type(exc).__name__}
+        print(json.dumps({"case": case, "report": out}))
 
     rng = random.Random(seed)
     cases = []
@@ -56,13 +69,19 @@ def emit(root: str, count: int, seed: int) -> int:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         cases.append((f"random#{i}", Graph(n, edges)))
     cases += [(spec, generate(parse_family_spec(spec))) for spec in FAMILIES]
-    for label, g in cases:
+    bipartite = []
+    for i in range(count):
+        n, p = rng.randint(6, 12), rng.uniform(0.1, 0.9)
+        side = [rng.random() < 0.5 for _ in range(n)]
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if side[u] != side[v] and rng.random() < p]
+        bipartite.append((f"bipartite#{i}", Graph(n, edges)))
+    for label, g in cases + bipartite:
         for semantics in ("all", "permutation"):
-            try:
-                report = full_report(g, semantics).to_json_dict(include_witnesses=True)
-            except Exception as exc:
-                report = {"error": type(exc).__name__}
-            print(json.dumps({"case": f"{label} {semantics}", "report": report}))
+            write(f"{label} {semantics}",
+                  lambda: full_report(g, semantics).to_json_dict(include_witnesses=True))
+    for label, g in bipartite:
+        write(f"{label} stability", lambda: stability_report(g).to_json_dict())
     for verify_seed in ("0", "1"):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
